@@ -2,13 +2,19 @@ package cas
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"momosyn/internal/durable"
+	"momosyn/internal/durable/chaosfs"
 )
 
 func TestKeyShape(t *testing.T) {
@@ -338,5 +344,68 @@ func TestStoreConcurrentPublish(t *testing.T) {
 	}
 	if _, ok := a.Get(key); !ok {
 		t.Fatal("entry missing after concurrent publish")
+	}
+}
+
+// TestPutSyncsDirAfterLink checks the publish order against the chaosfs
+// journal: the synced temp is written, linked to the entry name, and only
+// then is the bucket directory fsynced.
+func TestPutSyncsDirAfterLink(t *testing.T) {
+	s, err := Open(t.TempDir(), 0, Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfs := chaosfs.New(durable.OS{})
+	s.fs = cfs
+	key := Key([]byte("ordered"))
+	if err := s.Put(testEntry(key, "payload")); err != nil {
+		t.Fatal(err)
+	}
+	bucket := regexp.QuoteMeta(filepath.Dir(s.entryPath(key)))
+	if err := cfs.InOrder(
+		chaosfs.Step{Op: chaosfs.OpWrite, Path: regexp.MustCompile(bucket + `/\.` + key + `\.json\.tmp\d+\.\d+$`)},
+		chaosfs.Step{Op: chaosfs.OpLink, Path: regexp.MustCompile(bucket + `/` + key + `\.json$`)},
+		chaosfs.Step{Op: chaosfs.OpSyncDir, Path: regexp.MustCompile(bucket + `$`)},
+	); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanIgnoresLeftoverTemps crashes a publish between the temp write
+// and the link, leaving a synced temp that holds a complete entry: the
+// size scan must see the same entries, and eviction under a cap that
+// exactly fits them must remove nothing.
+func TestScanIgnoresLeftoverTemps(t *testing.T) {
+	var m testMetrics
+	s, err := Open(t.TempDir(), 0, m.metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.Put(testEntry(Key([]byte(fmt.Sprintf("kept-%d", i))), "payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantEntries, wantTotal := s.scan()
+
+	cfs := chaosfs.New(durable.OS{})
+	cfs.Inject(chaosfs.Rule{Op: chaosfs.OpLink, Kind: chaosfs.KindCrash})
+	s.fs = cfs
+	crashed := Key([]byte("crashed"))
+	if err := s.Put(testEntry(crashed, "payload")); !errors.Is(err, chaosfs.ErrCrashed) {
+		t.Fatalf("Put under crash = %v, want ErrCrashed", err)
+	}
+	if names, _ := os.ReadDir(filepath.Dir(s.entryPath(crashed))); len(names) == 0 {
+		t.Fatal("the crash left no temp behind")
+	}
+
+	gotEntries, gotTotal := s.scan()
+	if !reflect.DeepEqual(gotEntries, wantEntries) || gotTotal != wantTotal {
+		t.Fatalf("scan with a leftover temp = %v (%d bytes), want %v (%d bytes)", gotEntries, gotTotal, wantEntries, wantTotal)
+	}
+	s.maxBytes = wantTotal
+	s.evict()
+	if n := m.evictions.value(); n != 0 {
+		t.Fatalf("eviction under a cap that fits every entry removed %d", n)
 	}
 }

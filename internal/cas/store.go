@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"momosyn/internal/durable"
 )
 
 // SchemaVersion is the on-disk entry schema. Entries written under a
@@ -69,6 +71,8 @@ type Store struct {
 	dir      string
 	maxBytes int64
 	metrics  Metrics
+	// fs carries every durable write (tests swap in chaosfs).
+	fs durable.FS
 
 	// evictMu serialises in-process eviction scans; cross-process races
 	// are benign (both nodes remove cold entries, removal of an
@@ -82,10 +86,11 @@ func Open(dir string, maxBytes int64, metrics Metrics) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("cas: empty store directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s := &Store{dir: dir, maxBytes: maxBytes, metrics: metrics, fs: durable.OS{}}
+	if err := durable.Mkdir(s.fs, dir); err != nil {
 		return nil, fmt.Errorf("cas: %w", err)
 	}
-	return &Store{dir: dir, maxBytes: maxBytes, metrics: metrics}, nil
+	return s, nil
 }
 
 // Dir returns the store's root directory.
@@ -172,13 +177,11 @@ func (s *Store) touch(key string) {
 	}
 }
 
-// Put publishes an entry. The write is crash-safe and race-free across
-// fleet nodes: the bytes are written to a private temp file and fsynced,
-// then linked to the final name (link never exposes partial content, and
-// a concurrent publish of the same key simply loses the link race —
-// content under a key is deterministic, so the loser's bytes are
-// identical and discarded), and finally the bucket directory is fsynced.
-// A successful Put then enforces the size cap.
+// Put publishes an entry with durable.LinkPublish, which is crash-safe and
+// race-free across fleet nodes: link never exposes partial content, and a
+// concurrent publish of the same key simply loses the link race — content
+// under a key is deterministic, so the loser's bytes are identical and
+// discarded. A successful Put then enforces the size cap.
 func (s *Store) Put(e *Entry) error {
 	if e.Schema == 0 {
 		e.Schema = SchemaVersion
@@ -195,49 +198,15 @@ func (s *Store) Put(e *Entry) error {
 		return fmt.Errorf("cas: refusing to publish invalid entry: %w", err)
 	}
 	path := s.entryPath(e.Key)
-	bucket := filepath.Dir(path)
-	if err := os.MkdirAll(bucket, 0o755); err != nil {
+	if err := durable.Mkdir(s.fs, filepath.Dir(path)); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
-	tmp, err := os.CreateTemp(bucket, e.Key+".tmp*")
-	if err != nil {
+	if err := durable.LinkPublish(s.fs, path, data); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful publish+remove
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := os.Link(tmp.Name(), path); err != nil && !errors.Is(err, os.ErrExist) {
-		return fmt.Errorf("cas: %w", err)
-	}
-	os.Remove(tmp.Name())
 	s.touch(e.Key)
-	if err := syncDir(bucket); err != nil {
-		return fmt.Errorf("cas: %w", err)
-	}
 	s.evict()
 	return nil
-}
-
-// syncDir fsyncs a directory, making entry publications within it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
 }
 
 type entryInfo struct {

@@ -5,12 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
-	"momosyn/internal/fleet/chaosfs"
+	"momosyn/internal/durable"
+	"momosyn/internal/durable/chaosfs"
 	"momosyn/internal/ga"
 	"momosyn/internal/obs"
 	"momosyn/internal/runctl"
@@ -21,7 +25,7 @@ import (
 func chaosStore(t *testing.T, node string) (*Store, *chaosfs.FS, string, *time.Time) {
 	t.Helper()
 	now := time.Now()
-	cfs := chaosfs.New(OSFS{})
+	cfs := chaosfs.New(durable.OS{})
 	s, err := Open(Config{
 		Dir: t.TempDir(), Node: node, TTL: 250 * time.Millisecond,
 		FS: cfs, Registry: obs.NewRegistry(),
@@ -367,53 +371,77 @@ func TestChaosCheckpointSaveFaults(t *testing.T) {
 	}
 }
 
-// TestAtomicWriteSyncsDirAfterRename is the satellite-1 regression: both
-// atomic writers (fleet.WriteFileAtomic and runctl.SaveFS) must fsync the
-// temp file, rename it into place, and then fsync the parent directory —
-// in that order — so a crash right after the rename cannot lose the entry.
-func TestAtomicWriteSyncsDirAfterRename(t *testing.T) {
-	order := func(t *testing.T, cfs *chaosfs.FS, final *regexp.Regexp) {
-		t.Helper()
-		var wrote, renamed, synced int = -1, -1, -1
-		for i, rec := range cfs.Journal() {
-			switch {
-			case rec.Op == chaosfs.OpWrite && final.MatchString(rec.Path):
-				wrote = i
-			case rec.Op == chaosfs.OpRename && final.MatchString(rec.Path):
-				renamed = i
-			case rec.Op == chaosfs.OpSyncDir && renamed >= 0 && synced < 0:
-				synced = i
-			}
-		}
-		if wrote < 0 || renamed < 0 || synced < 0 {
-			t.Fatalf("journal missing write/rename/syncdir (%d/%d/%d):\n%v", wrote, renamed, synced, cfs.Journal())
-		}
-		if !(wrote < renamed && renamed < synced) {
-			t.Fatalf("durability order violated: write@%d rename@%d syncdir@%d", wrote, renamed, synced)
-		}
+// TestLiveNodesIgnoresHeartbeatTemp crashes a heartbeat between the temp
+// write and the rename: the synced temp holds a valid record of node a,
+// and after the restart's next heartbeat node a must still count once.
+func TestLiveNodesIgnoresHeartbeatTemp(t *testing.T) {
+	s, cfs, _, now := chaosStore(t, "a")
+	cfs.Inject(chaosfs.Rule{Op: chaosfs.OpRename, Path: regexp.MustCompile(`nodes/a\.json$`), Kind: chaosfs.KindCrash})
+	if err := s.HeartbeatNode(); !errors.Is(err, chaosfs.ErrCrashed) {
+		t.Fatalf("HeartbeatNode under crash = %v, want ErrCrashed", err)
+	}
+	restarted := peer(t, s, "a", now)
+	if err := restarted.HeartbeatNode(); err != nil {
+		t.Fatalf("HeartbeatNode after restart: %v", err)
+	}
+	if names, _ := os.ReadDir(filepath.Join(s.Dir(), "nodes")); len(names) != 2 {
+		t.Fatalf("nodes/ holds %d files, want the record plus the crash's temp", len(names))
+	}
+	if live, err := restarted.LiveNodes(); err != nil || live != 1 {
+		t.Fatalf("LiveNodes = %d, %v; want 1", live, err)
+	}
+}
+
+// TestScannersIgnoreLeftoverTemps crashes a manifest write and a lease
+// renewal between the temp write and the rename, leaving two synced temps
+// in the job directory: the epoch and claim scanners must see exactly
+// what they saw before the crashes.
+func TestScannersIgnoreLeftoverTemps(t *testing.T) {
+	s, cfs, job, _ := chaosStore(t, "a")
+	l, err := s.Claim(job)
+	if err != nil {
+		t.Fatalf("Claim: %v", err)
+	}
+	running := []byte(fmt.Sprintf(`{"id":%q,"state":"running"}`, job))
+	if err := l.Write(KindManifest, running); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	wantEpochs, err := s.Epochs(job, KindManifest)
+	if err != nil {
+		t.Fatalf("Epochs: %v", err)
+	}
+	wantClaim, err := s.claimState(job)
+	if err != nil {
+		t.Fatalf("claimState: %v", err)
 	}
 
-	t.Run("fleet.WriteFileAtomic", func(t *testing.T) {
-		s, cfs, job, _ := chaosStore(t, "a")
-		l, err := s.Claim(job)
-		if err != nil {
-			t.Fatalf("Claim: %v", err)
+	cfs.Inject(chaosfs.Rule{Op: chaosfs.OpRename, Path: manifestRe, Kind: chaosfs.KindCrash})
+	if err := l.Write(KindManifest, running); !errors.Is(err, chaosfs.ErrCrashed) {
+		t.Fatalf("Write under crash = %v, want ErrCrashed", err)
+	}
+	cfs.Revive()
+	cfs.Inject(chaosfs.Rule{Op: chaosfs.OpRename, Path: leaseRe, Kind: chaosfs.KindCrash})
+	if err := l.Renew(); !errors.Is(err, chaosfs.ErrCrashed) {
+		t.Fatalf("Renew under crash = %v, want ErrCrashed", err)
+	}
+	cfs.Revive()
+	names, _ := os.ReadDir(filepath.Join(s.Dir(), "jobs", job))
+	temps := 0
+	for _, n := range names {
+		if strings.Contains(n.Name(), ".tmp") {
+			temps++
 		}
-		cfs.Reset() // journal only the write under test
-		if err := l.Write(KindManifest, []byte(fmt.Sprintf(`{"id":%q,"state":"running"}`, job))); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-		order(t, cfs, manifestRe)
-	})
+	}
+	if temps != 2 {
+		t.Fatalf("job dir holds %d temps, want 2: %v", temps, names)
+	}
 
-	t.Run("runctl.SaveFS", func(t *testing.T) {
-		cfs := chaosfs.New(OSFS{})
-		dir := t.TempDir()
-		if err := runctl.SaveFS(cfs, dir+"/job.e00000001.ckpt", goodCkpt(1)); err != nil {
-			t.Fatalf("SaveFS: %v", err)
-		}
-		order(t, cfs, ckptRe)
-	})
+	if got, err := s.Epochs(job, KindManifest); err != nil || !reflect.DeepEqual(got, wantEpochs) {
+		t.Errorf("Epochs with leftover temps = %v, %v; want %v", got, err, wantEpochs)
+	}
+	if got, err := s.claimState(job); err != nil || got != wantClaim {
+		t.Errorf("claimState with leftover temps = %+v, %v; want %+v", got, err, wantClaim)
+	}
 }
 
 // TestCorruptionSweepLease flips every byte of a live lease record in turn,

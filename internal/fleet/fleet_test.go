@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"momosyn/internal/durable"
 	"momosyn/internal/obs"
 )
 
@@ -375,7 +376,7 @@ func TestFencedBracketsDetectPostWriteLoss(t *testing.T) {
 		if _, cerr := b.Claim(job); cerr != nil {
 			t.Fatalf("b.Claim mid-write: %v", cerr)
 		}
-		return WriteFileAtomic(a.fs, a.StatePath(job, KindManifest, la.Epoch), []byte("{}"))
+		return durable.WriteAtomic(a.fs, a.StatePath(job, KindManifest, la.Epoch), []byte("{}"))
 	})
 	if !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("Fenced with mid-write steal: %v, want ErrLeaseLost", err)

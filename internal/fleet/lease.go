@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"io/fs"
 	"time"
+
+	"momosyn/internal/durable"
 )
 
 // Lease protocol. A job's lease files live in its job directory and are
-// named lease.e<epoch>. Claiming epoch E is an O_CREATE|O_EXCL creation of
-// lease.e<E>: the filesystem guarantees exactly one winner per epoch
-// number, so two nodes can never both believe they hold the same epoch.
+// named lease.e<epoch>. Claiming epoch E is an exclusive creation of
+// lease.e<E> (durable.FS.CreateExclusive): the filesystem guarantees
+// exactly one winner per epoch number, so two nodes can never both
+// believe they hold the same epoch.
 // The current holder is the highest-numbered lease file; every lower epoch
 // is fenced off. Claim candidates pick E = (highest epoch ever observed in
 // the directory, across lease AND state files) + 1, so epochs are strictly
@@ -128,8 +131,8 @@ func (s *Store) ClaimState(job string) (ClaimState, error) { return s.claimState
 
 // Claim attempts to take the job's lease at the next epoch. It fails with
 // ErrUnavailable when the current lease is held and unexpired, or when a
-// concurrent claimant wins the O_EXCL race for the next epoch. A claim
-// over an expired (or corrupt) prior lease counts as a steal.
+// concurrent claimant wins the exclusive-create race for the next epoch.
+// A claim over an expired (or corrupt) prior lease counts as a steal.
 func (s *Store) Claim(job string) (*Lease, error) {
 	cs, err := s.claimState(job)
 	if err != nil {
@@ -153,11 +156,6 @@ func (s *Store) Claim(job string) (*Lease, error) {
 			s.claimConflicts.Inc()
 			return nil, fmt.Errorf("%w: lost the claim race for epoch %d", ErrUnavailable, epoch)
 		}
-		return nil, fmt.Errorf("fleet: claim %s: %w", job, err)
-	}
-	// Durability of the claim itself: a lease that vanishes in a crash
-	// would let epochs collide after restart-with-same-disk-state.
-	if err := s.fs.SyncDir(s.jobDir(job)); err != nil {
 		return nil, fmt.Errorf("fleet: claim %s: %w", job, err)
 	}
 	s.claims.Inc()
@@ -235,7 +233,7 @@ func (l *Lease) write(rec leaseRecord) error {
 	if err != nil {
 		return err
 	}
-	return WriteFileAtomic(l.store.fs, l.store.leasePath(l.Job, l.Epoch), data)
+	return durable.WriteAtomic(l.store.fs, l.store.leasePath(l.Job, l.Epoch), data)
 }
 
 // Deadline returns the lease's current deadline.

@@ -1,3 +1,23 @@
+// Package fleet is the shared-filesystem work-distribution layer behind
+// multi-node mmserved: any number of nodes observe the same fleet
+// directory, claim jobs by atomically creating epoch-numbered lease files,
+// renew their claims with heartbeats, and recover jobs whose holder died,
+// hung or was partitioned by claiming the next epoch once the lease
+// deadline passes.
+//
+// Safety rests on two primitives:
+//
+//   - Claims are exclusive creations of epoch-named lease files
+//     (lease.e<epoch>), so for any given epoch number exactly one node in
+//     the fleet can ever win the claim, no matter how many race for it.
+//   - Every piece of job state a lease holder writes (manifest, checkpoint,
+//     result) carries its lease epoch in the file name. A resurrected
+//     stale node can only ever write files named with its old epoch, which
+//     are shadowed by the reclaimed epoch's files and ignored by every
+//     reader — a stale node can never clobber a reclaimed job's state.
+//
+// The protocol, its failure matrix and the operational runbook are
+// documented in docs/FLEET.md.
 package fleet
 
 import (
@@ -12,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"momosyn/internal/durable"
 	"momosyn/internal/obs"
 )
 
@@ -76,9 +97,9 @@ type Config struct {
 	// TTL is the lease time-to-live: a lease not renewed within TTL of its
 	// last renewal is claimable by any node (default 5s).
 	TTL time.Duration
-	// FS is the filesystem the store runs on (default OSFS; tests inject
-	// chaosfs).
-	FS FS
+	// FS is the filesystem the store runs on (default durable.OS; tests
+	// inject chaosfs).
+	FS durable.FS
 	// Registry receives the fleet counters (created when nil).
 	Registry *obs.Registry
 	// Now is the clock (default time.Now; test seam).
@@ -90,7 +111,7 @@ type Store struct {
 	dir  string
 	node string
 	ttl  time.Duration
-	fs   FS
+	fs   durable.FS
 	reg  *obs.Registry
 	now  func() time.Time
 
@@ -128,7 +149,7 @@ func Open(cfg Config) (*Store, error) {
 		cfg.TTL = 5 * time.Second
 	}
 	if cfg.FS == nil {
-		cfg.FS = OSFS{}
+		cfg.FS = durable.OS{}
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
@@ -141,7 +162,7 @@ func Open(cfg Config) (*Store, error) {
 		fs: cfg.FS, reg: cfg.Registry, now: cfg.Now,
 	}
 	for _, sub := range []string{s.jobsDir(), s.nodesDir()} {
-		if err := s.fs.MkdirAll(sub); err != nil {
+		if err := durable.Mkdir(s.fs, sub); err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
 	}
@@ -166,8 +187,8 @@ func (s *Store) TTL() time.Duration { return s.ttl }
 // Dir returns the fleet directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) jobsDir() string         { return filepath.Join(s.dir, "jobs") }
-func (s *Store) nodesDir() string        { return filepath.Join(s.dir, "nodes") }
+func (s *Store) jobsDir() string          { return filepath.Join(s.dir, "jobs") }
+func (s *Store) nodesDir() string         { return filepath.Join(s.dir, "nodes") }
 func (s *Store) jobDir(job string) string { return filepath.Join(s.jobsDir(), job) }
 
 func (s *Store) leasePath(job string, epoch int) string {
@@ -413,7 +434,7 @@ func (s *Store) LatestPath(job string, kind Kind, valid func(path string) error)
 // reclaimed job's state, because its epoch names different files.
 func (l *Lease) Write(kind Kind, data []byte) error {
 	return l.Fenced(func() error {
-		return WriteFileAtomic(l.store.fs, l.store.StatePath(l.Job, kind, l.Epoch), data)
+		return durable.WriteAtomic(l.store.fs, l.store.StatePath(l.Job, kind, l.Epoch), data)
 	})
 }
 
@@ -484,13 +505,15 @@ func (s *Store) HeartbeatNode() error {
 	if err != nil {
 		return fmt.Errorf("fleet: node heartbeat: %w", err)
 	}
-	if err := WriteFileAtomic(s.fs, filepath.Join(s.nodesDir(), s.node+".json"), data); err != nil {
+	if err := durable.WriteAtomic(s.fs, filepath.Join(s.nodesDir(), s.node+".json"), data); err != nil {
 		return fmt.Errorf("fleet: node heartbeat: %w", err)
 	}
 	return nil
 }
 
-// LiveNodes counts nodes whose heartbeat deadline has not passed.
+// LiveNodes counts nodes whose heartbeat deadline has not passed. Only
+// <node>.json records count: a heartbeat temp left behind by a crash
+// holds a valid record too, and must not count its node twice.
 func (s *Store) LiveNodes() (int, error) {
 	names, err := s.fs.ReadDir(s.nodesDir())
 	if err != nil {
@@ -498,6 +521,9 @@ func (s *Store) LiveNodes() (int, error) {
 	}
 	live := 0
 	for _, name := range names {
+		if id, ok := strings.CutSuffix(name, ".json"); !ok || !validNodeID(id) {
+			continue
+		}
 		data, err := s.fs.ReadFile(filepath.Join(s.nodesDir(), name))
 		if err != nil {
 			continue

@@ -22,7 +22,7 @@ var Ctxflow = &Analyzer{
 		"accept a context.Context (or a parameter struct carrying one), must " +
 		"not silently drop a received context, and may call " +
 		"context.Background/TODO only as a nil-context fallback",
-	Packages: regexp.MustCompile(`(^|/)internal/(ga|synth|obs|serve|fleet|cas)($|/)`),
+	Packages: regexp.MustCompile(`(^|/)internal/(ga|synth|obs|serve|fleet|cas|durable)($|/)`),
 	Run:      runCtxflow,
 }
 

@@ -7,37 +7,39 @@ import (
 	"strings"
 )
 
-// Fsyncdisc enforces the atomic-rename durability discipline.
+// Fsyncdisc enforces the atomic-publish durability discipline.
 //
-// Checkpoints, job manifests and lease files are all written with the same
-// crash pattern (established in the serve/fleet persistence work): write a
-// temp file, fsync the file, rename it over the destination, then fsync
-// the destination's parent directory. Dropping any step silently weakens
-// the guarantee — without the file fsync the rename can become durable
-// while the data is not (a zero-length or torn file after a crash), and
-// without the directory fsync the rename itself can be lost (the old file
-// resurrects). This pass checks every function containing a rename call
-// (os.Rename, or any two-argument callee named Rename) for both pieces of
+// Every durable file — checkpoints, job manifests and results, batch
+// records, lease files, cache entries — is published with the same crash
+// pattern, implemented once in internal/durable: write a temp file, fsync
+// the file, rename (WriteAtomic) or hard-link (LinkPublish) it to the
+// destination, then fsync the destination's parent directory. Dropping any
+// step silently weakens the guarantee — without the file fsync the publish
+// can become durable while the data is not (a zero-length or torn file
+// after a crash), and without the directory fsync the publish itself can
+// be lost (the old file resurrects, or the new one vanishes). This pass
+// checks every function containing a publish call (os.Rename or os.Link,
+// or any two-argument callee named Rename or Link) for both pieces of
 // evidence in the correct order:
 //
-//   - file-sync evidence before the rename: a .Sync() call, or a syncing
-//     write helper (a callee named WriteFile or CreateExclusive that is
-//     not os.WriteFile — os.WriteFile does not fsync and is called out
-//     specifically)
-//   - directory-sync evidence after the rename: a callee whose name
-//     mentions both sync and dir (syncDir, SyncDir, ...)
+//   - file-sync evidence before the publish: a Sync method call, or a
+//     syncing write helper (a callee named WriteFile or CreateExclusive
+//     that is not os.WriteFile — os.WriteFile does not fsync and is called
+//     out specifically)
+//   - directory-sync evidence after the publish: a callee whose name
+//     mentions both sync and dir (SyncDir, ...)
 //
-// Pure forwarding wrappers are exempt: a function whose rename call is a
+// Pure forwarding wrappers are exempt: a function whose publish call is a
 // returned expression forwarding two adjacent parameters verbatim (the FS
-// abstraction wrappers — fleet.OSFS.Rename and friends) carries no
-// durability responsibility of its own; its callers are checked instead.
-// Any new direct os.Rename outside a blessed helper therefore surfaces
-// here. A reviewed exception is suppressed with
-// //mmlint:ignore fsyncdisc <reason>.
+// implementations — durable.OS.Rename, chaosfs.FS.Link and friends)
+// carries no durability responsibility of its own; its callers are
+// checked instead. Any new direct os.Rename or os.Link outside
+// internal/durable therefore surfaces here. A reviewed exception is
+// suppressed with //mmlint:ignore fsyncdisc <reason>.
 var Fsyncdisc = &Analyzer{
 	Name: "fsyncdisc",
-	Doc: "atomic-rename writers must fsync the file before the rename and " +
-		"the destination's parent directory after it; forwarding wrappers " +
+	Doc: "rename and link publishers must fsync the file before the publish " +
+		"and the destination's parent directory after it; forwarding wrappers " +
 		"(return fsys.Rename(from, to)) are exempt",
 	Run: runFsyncdisc,
 }
@@ -53,8 +55,8 @@ func runFsyncdisc(pass *Pass) error {
 	return nil
 }
 
-// checkRenameDiscipline inspects one function: every rename call in it
-// must be bracketed by file-sync evidence (before) and directory-sync
+// checkRenameDiscipline inspects one function: every rename or link call
+// in it must be bracketed by file-sync evidence (before) and directory-sync
 // evidence (after), in source order.
 func checkRenameDiscipline(pass *Pass, fn *ast.FuncDecl) {
 	// Calls whose value is returned directly, for the forwarding exemption.
@@ -68,7 +70,7 @@ func checkRenameDiscipline(pass *Pass, fn *ast.FuncDecl) {
 		return true
 	})
 
-	var renames []*ast.CallExpr
+	var publishes []*ast.CallExpr
 	var fileSyncs, dirSyncs, osWrites []token.Pos
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -76,8 +78,8 @@ func checkRenameDiscipline(pass *Pass, fn *ast.FuncDecl) {
 			return true
 		}
 		switch {
-		case isRenameCall(call):
-			renames = append(renames, call)
+		case isPublishCall(call):
+			publishes = append(publishes, call)
 		case isDirSyncCall(call):
 			dirSyncs = append(dirSyncs, call.Pos())
 		case isPkgFunc(pass.Info, call, "os", "WriteFile"):
@@ -88,27 +90,28 @@ func checkRenameDiscipline(pass *Pass, fn *ast.FuncDecl) {
 		return true
 	})
 
-	for _, call := range renames {
+	for _, call := range publishes {
 		if isForwardingRename(pass, fn, call, returnCalls[call]) {
 			continue
 		}
 		pos := call.Pos()
+		op := strings.ToLower(calleeName(call))
 		if !anyAfter(dirSyncs, pos) {
 			if anyBefore(dirSyncs, pos) {
 				pass.Reportf(pos,
-					"parent-directory fsync precedes the rename; it must follow the rename, or a crash can still lose the directory entry")
+					"parent-directory fsync precedes the %s; it must follow the %s, or a crash can still lose the directory entry", op, op)
 			} else {
 				pass.Reportf(pos,
-					"rename has no parent-directory fsync after it; a crash can lose the rename even though the file data is durable")
+					"%s has no parent-directory fsync after it; a crash can lose the %s even though the file data is durable", op, op)
 			}
 		}
 		if !anyBefore(fileSyncs, pos) {
 			if anyBefore(osWrites, pos) {
 				pass.Reportf(pos,
-					"file written with os.WriteFile, which does not fsync; sync the file (or use a syncing write helper) before renaming it into place")
+					"file written with os.WriteFile, which does not fsync; sync the file (or use a syncing write helper) before publishing it with %s", op)
 			} else {
 				pass.Reportf(pos,
-					"renamed file's content is not fsynced before the rename; the rename can become durable while the data is not")
+					"published file's content is not fsynced before the %s; the %s can become durable while the data is not", op, op)
 			}
 		}
 	}
@@ -132,24 +135,26 @@ func anyAfter(positions []token.Pos, pos token.Pos) bool {
 	return false
 }
 
-// isRenameCall recognises os.Rename and any two-argument callee named
-// Rename (the FS abstractions route renames through methods of that name).
-func isRenameCall(call *ast.CallExpr) bool {
+// isPublishCall recognises os.Rename, os.Link and any two-argument callee
+// named Rename or Link (durable.FS routes publishes through methods of
+// those names).
+func isPublishCall(call *ast.CallExpr) bool {
 	if len(call.Args) != 2 {
 		return false
 	}
-	return calleeName(call) == "Rename"
+	name := calleeName(call)
+	return name == "Rename" || name == "Link"
 }
 
 // isDirSyncCall recognises directory-fsync helpers by name: the callee
-// mentions both "sync" and "dir" (syncDir, SyncDir, ...).
+// mentions both "sync" and "dir" (SyncDir, fsyncDir, ...).
 func isDirSyncCall(call *ast.CallExpr) bool {
 	name := strings.ToLower(calleeName(call))
 	return strings.Contains(name, "sync") && strings.Contains(name, "dir")
 }
 
-// isFileSyncCall recognises file-durability evidence: an explicit
-// .Sync() call, or a syncing write helper. os.WriteFile is handled by the
+// isFileSyncCall recognises file-durability evidence: an explicit Sync
+// method call, or a syncing write helper. os.WriteFile is handled by the
 // caller as an explicit non-evidence case.
 func isFileSyncCall(call *ast.CallExpr) bool {
 	name := calleeName(call)
@@ -171,7 +176,7 @@ func calleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// isForwardingRename reports whether the rename call is a pure forwarding
+// isForwardingRename reports whether the publish call is a pure forwarding
 // wrapper: its value is returned directly and its two arguments are two
 // adjacent parameters of the enclosing function, in declaration order.
 func isForwardingRename(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, inReturn bool) bool {

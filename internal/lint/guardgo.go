@@ -23,7 +23,7 @@ var Guardgo = &Analyzer{
 	Doc: "goroutines in the synthesis layers must be panic-isolated: " +
 		"launched through internal/runctl or opening with a defer'd recover " +
 		"barrier, so a panic cannot take down the run's best-so-far state",
-	Packages: regexp.MustCompile(`(^|/)internal/(synth|ga|bench|obs|serve|fleet|cas)($|/)`),
+	Packages: regexp.MustCompile(`(^|/)internal/(synth|ga|bench|obs|serve|fleet|cas|durable)($|/)`),
 	Run:      runGuardgo,
 }
 

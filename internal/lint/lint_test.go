@@ -142,7 +142,8 @@ func TestPackageGates(t *testing.T) {
 		{Ctxflow, "momosyn/internal/obs", true},
 		{Ctxflow, "momosyn/internal/serve", true},
 		{Ctxflow, "momosyn/internal/fleet", true},
-		{Ctxflow, "momosyn/internal/fleet/chaosfs", true},
+		{Ctxflow, "momosyn/internal/durable", true},
+		{Ctxflow, "momosyn/internal/durable/chaosfs", true},
 		{Ctxflow, "momosyn/internal/gantt", false}, // "ga" must not match a prefix
 		{Ctxflow, "momosyn/internal/bench", false},
 		{Floateq, "momosyn/internal/energy", true},
@@ -154,12 +155,14 @@ func TestPackageGates(t *testing.T) {
 		{Guardgo, "momosyn/internal/obs", true},
 		{Guardgo, "momosyn/internal/serve", true},
 		{Guardgo, "momosyn/internal/fleet", true},
+		{Guardgo, "momosyn/internal/durable/chaosfs", true},
 		{Guardgo, "momosyn/internal/runctl", false},
 		{Guardgo, "momosyn/cmd/mmsynth", false},
 		{Guardgo, "momosyn/cmd/mmserved", false},
 		{Locksafe, "momosyn/internal/serve", true},
 		{Locksafe, "momosyn/internal/fleet", true},
-		{Locksafe, "momosyn/internal/fleet/chaosfs", true},
+		{Locksafe, "momosyn/internal/durable", true},
+		{Locksafe, "momosyn/internal/durable/chaosfs", true},
 		{Locksafe, "momosyn/internal/sched", false},
 		{Locksafe, "momosyn/internal/lint/testdata/src/locksafe", false},
 	}
@@ -175,7 +178,7 @@ func TestPackageGates(t *testing.T) {
 		t.Error("hotalloc should apply module-wide (nil gate): annotations gate it")
 	}
 	if Fsyncdisc.Packages != nil {
-		t.Error("fsyncdisc should apply module-wide (nil gate): renames gate it")
+		t.Error("fsyncdisc should apply module-wide (nil gate): renames and links gate it")
 	}
 }
 

@@ -37,7 +37,7 @@ var Locksafe = &Analyzer{
 	Doc: "mutexes in the service layers must not be copied, double-locked, " +
 		"leaked on early returns, or held across blocking operations " +
 		"(channel ops, time.Sleep, HTTP round-trips)",
-	Packages: regexp.MustCompile(`(^|/)internal/(serve|fleet|cas)($|/)`),
+	Packages: regexp.MustCompile(`(^|/)internal/(serve|fleet|cas|durable)($|/)`),
 	Run:      runLocksafe,
 }
 

@@ -33,7 +33,7 @@ func unsyncedContent(dir, dst string) error {
 	if err := os.Rename(tmp, dst); err != nil { // want "not fsynced before the rename"
 		return err
 	}
-	return syncDir(dir)
+	return fsyncDir(dir)
 }
 
 // writeFileRename stages with os.WriteFile, which does not fsync.
@@ -45,7 +45,7 @@ func writeFileRename(dir, dst string, data []byte) error {
 	if err := os.Rename(tmp, dst); err != nil { // want "os.WriteFile, which does not fsync"
 		return err
 	}
-	return syncDir(dir)
+	return fsyncDir(dir)
 }
 
 // dirSyncTooEarly fsyncs the directory before the rename instead of
@@ -54,7 +54,7 @@ func dirSyncTooEarly(dir, dst string, f *os.File) error {
 	if err := f.Sync(); err != nil {
 		return err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := fsyncDir(dir); err != nil {
 		return err
 	}
 	return os.Rename(f.Name(), dst) // want "fsync precedes the rename"
@@ -81,12 +81,12 @@ func writeAtomic(dir, dst string, data []byte) error {
 	if err := os.Rename(tmp, dst); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return fsyncDir(dir)
 }
 
-// syncDir fsyncs a directory; callers carry its name as durability
+// fsyncDir fsyncs a directory; callers carry its name as durability
 // evidence.
-func syncDir(dir string) error {
+func fsyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -98,8 +98,45 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
+// linkNoDirSync hard-links a synced temp into place but never fsyncs the
+// directory: a link publish needs the directory sync like a rename.
+func linkNoDirSync(dst string, f *os.File) error {
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return os.Link(f.Name(), dst) // want "link has no parent-directory fsync after it"
+}
+
+// linkUnsynced links a temp staged with os.WriteFile, which does not
+// fsync.
+func linkUnsynced(dir, dst string, data []byte) error {
+	tmp := dst + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	if err := os.Link(tmp, dst); err != nil { // want "before publishing it with link"
+		return err
+	}
+	return fsyncDir(dir)
+}
+
+// linkPublish is the blessed link pattern: file sync, link, directory
+// sync.
+func linkPublish(dir, dst string, f *os.File) error {
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := os.Link(f.Name(), dst); err != nil {
+		return err
+	}
+	return fsyncDir(dir)
+}
+
 type osFS struct{}
 
 // Rename forwards its arguments verbatim: a pure wrapper carries no
 // durability responsibility of its own, so it is exempt.
 func (osFS) Rename(from, to string) error { return os.Rename(from, to) }
+
+// Link is exempt for the same reason.
+func (osFS) Link(from, to string) error { return os.Link(from, to) }

@@ -7,10 +7,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sync/atomic"
 	"time"
 
+	"momosyn/internal/durable"
 	"momosyn/internal/ga"
 	"momosyn/internal/obs"
 )
@@ -77,71 +76,15 @@ type Checkpoint struct {
 	Metrics []obs.MetricState
 }
 
-// WriteFS is the filesystem surface the checkpoint writer needs. The
-// default implementation writes through the os package; tests thread
-// chaosfs.FS underneath to inject torn writes, ENOSPC, rename failures and
-// crash points into the checkpoint durability path. (Declared here rather
-// than imported so runctl stays dependency-light; fleet.OSFS and
-// chaosfs.FS both satisfy it structurally.)
-type WriteFS interface {
-	// WriteFile writes data to a (possibly new) file and syncs it.
-	WriteFile(path string, data []byte) error
-	// Rename atomically moves oldPath over newPath.
-	Rename(oldPath, newPath string) error
-	// Remove deletes the file.
-	Remove(path string) error
-	// SyncDir fsyncs a directory, making a preceding rename in it durable.
-	SyncDir(path string) error
-}
-
-// osWriteFS is the real-filesystem WriteFS.
-type osWriteFS struct{}
-
-func (osWriteFS) WriteFile(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func (osWriteFS) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
-func (osWriteFS) Remove(path string) error             { return os.Remove(path) }
-
-func (osWriteFS) SyncDir(path string) error {
-	d, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
-}
-
-// tmpSeq distinguishes concurrent checkpoint temp files within a process.
-var tmpSeq atomic.Uint64
-
 // Save writes the checkpoint atomically to the real filesystem; see SaveFS.
-func Save(path string, cp *Checkpoint) error { return SaveFS(osWriteFS{}, path, cp) }
+func Save(path string, cp *Checkpoint) error { return SaveFS(durable.OS{}, path, cp) }
 
-// SaveFS writes the checkpoint atomically on fsys: it is serialised to a
-// temporary file in the destination directory, synced, renamed over path,
-// and the directory itself is then fsynced — so a crash mid-write never
-// corrupts an existing checkpoint, and a crash right after the rename
-// cannot lose the new entry to an unsynced directory. Gob is used rather
+// SaveFS encodes the checkpoint and writes it with durable.WriteAtomic on
+// fsys, so a crash mid-write never corrupts an existing checkpoint and a
+// crash right after the rename cannot lose the new one. Gob is used rather
 // than JSON because population fitness values are legitimately +Inf for
 // infeasible genomes, which JSON cannot represent.
-func SaveFS(fsys WriteFS, path string, cp *Checkpoint) error {
+func SaveFS(fsys durable.FS, path string, cp *Checkpoint) error {
 	if cp.Version == 0 {
 		cp.Version = Version
 	}
@@ -153,18 +96,8 @@ func SaveFS(fsys WriteFS, path string, cp *Checkpoint) error {
 	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
 		return fmt.Errorf("runctl: checkpoint encode: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp := filepath.Join(dir, fmt.Sprintf(".%s.tmp%d.%d", filepath.Base(path), os.Getpid(), tmpSeq.Add(1)))
-	if err := fsys.WriteFile(tmp, buf.Bytes()); err != nil {
-		fsys.Remove(tmp)
+	if err := durable.WriteAtomic(fsys, path, buf.Bytes()); err != nil {
 		return fmt.Errorf("runctl: checkpoint: %w", err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("runctl: checkpoint rename: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return fmt.Errorf("runctl: checkpoint dir sync: %w", err)
 	}
 	return nil
 }

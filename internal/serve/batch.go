@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"momosyn/internal/durable"
 	"momosyn/internal/model"
 	"momosyn/internal/specio"
 )
@@ -467,13 +468,12 @@ func (s *Server) persistBatch(b *Batch) {
 	if dir == "" {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.logf("serve: batch %s: persist: %v", b.ID, err)
-		return
-	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err == nil {
-		err = writeFileAtomic(filepath.Join(dir, b.ID+".json"), data)
+		err = durable.Mkdir(s.cfg.FS, dir)
+	}
+	if err == nil {
+		err = durable.WriteAtomic(s.cfg.FS, filepath.Join(dir, b.ID+".json"), data)
 	}
 	if err != nil {
 		s.logf("serve: batch %s: persist: %v", b.ID, err)

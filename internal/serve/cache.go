@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"momosyn/internal/cas"
+	"momosyn/internal/durable"
 	"momosyn/internal/ga"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
@@ -152,12 +153,12 @@ func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) 
 		j.state = StateDone
 		j.cached = true
 		j.created, j.finished = now, now
-		if err := os.MkdirAll(j.dir, 0o755); err != nil {
+		if err := durable.Mkdir(s.cfg.FS, j.dir); err != nil {
 			s.mu.Unlock()
 			s.logf("serve: cache hit for %s discarded: job dir: %v", system, err)
 			return nil, nil
 		}
-		if err := writeFileAtomic(filepath.Join(j.dir, resultFile), doc); err != nil {
+		if err := durable.WriteAtomic(s.cfg.FS, filepath.Join(j.dir, resultFile), doc); err != nil {
 			s.mu.Unlock()
 			os.RemoveAll(j.dir)
 			s.logf("serve: cache hit for %s discarded: persist result: %v", system, err)

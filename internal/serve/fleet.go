@@ -576,7 +576,7 @@ func (s *Server) fleetPersistSnap(j *Job, snap jobSnapshot) {
 func (s *Server) fleetCheckpointing(j *Job, lease *fleet.Lease, opts *synth.Options) error {
 	opts.CheckpointPath = lease.StatePath(fleet.KindCheckpoint)
 	opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error {
-		return lease.Fenced(func() error { return runctl.SaveFS(s.fleetFS, p, cp) })
+		return lease.Fenced(func() error { return runctl.SaveFS(s.cfg.FS, p, cp) })
 	}
 	var latest *runctl.Checkpoint
 	path, epoch, err := s.fleetStore.LatestPath(j.ID, fleet.KindCheckpoint, func(p string) error {
@@ -596,7 +596,7 @@ func (s *Server) fleetCheckpointing(j *Job, lease *fleet.Lease, opts *synth.Opti
 	if epoch != lease.Epoch {
 		// Re-home the inherited checkpoint at our epoch so save and resume
 		// share one path.
-		data, rerr := s.fleetFS.ReadFile(path)
+		data, rerr := s.cfg.FS.ReadFile(path)
 		if rerr != nil {
 			return rerr
 		}

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"momosyn/internal/cas"
+	"momosyn/internal/durable"
 	"momosyn/internal/fleet"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
@@ -136,9 +137,9 @@ type Config struct {
 	// Heartbeat is the lease renewal and fleet scan interval (default
 	// LeaseTTL/3). Fleet mode only.
 	Heartbeat time.Duration
-	// FleetFS is the filesystem the fleet store runs on (default the real
-	// filesystem; tests inject chaosfs). Fleet mode only.
-	FleetFS fleet.FS
+	// FS is the filesystem every job, batch and checkpoint write goes
+	// through, in both modes (default durable.OS; tests inject chaosfs).
+	FS durable.FS
 
 	// CacheDir, when set, enables the content-addressed result cache:
 	// completed certified jobs publish their result under the canonical
@@ -186,6 +187,9 @@ func (c Config) withDefaults() Config {
 	if c.QuarantineDegradeThreshold <= 0 {
 		c.QuarantineDegradeThreshold = 1
 	}
+	if c.FS == nil {
+		c.FS = durable.OS{}
+	}
 	if c.FleetDir != "" {
 		if c.NodeID == "" {
 			c.NodeID = fmt.Sprintf("node-%d", os.Getpid())
@@ -195,9 +199,6 @@ func (c Config) withDefaults() Config {
 		}
 		if c.Heartbeat <= 0 {
 			c.Heartbeat = c.LeaseTTL / 3
-		}
-		if c.FleetFS == nil {
-			c.FleetFS = fleet.OSFS{}
 		}
 		if c.CacheDir == "" {
 			// Fleet nodes share one cache through the fleet directory:
@@ -235,9 +236,8 @@ type Server struct {
 	shedWindow eventWindow
 	quarWindow eventWindow
 
-	// Fleet mode state; nil/zero in single-node mode.
+	// Fleet mode state; nil in single-node mode.
 	fleetStore *fleet.Store
-	fleetFS    fleet.FS
 
 	// cache is the content-addressed result store; nil when disabled.
 	cache *cas.Store
@@ -304,13 +304,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FleetDir != "" {
 		store, err := fleet.Open(fleet.Config{
 			Dir: cfg.FleetDir, Node: cfg.NodeID, TTL: cfg.LeaseTTL,
-			FS: cfg.FleetFS, Registry: cfg.Registry,
+			FS: cfg.FS, Registry: cfg.Registry,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		s.fleetStore = store
-		s.fleetFS = cfg.FleetFS
 		s.fleetRecovering = s.reg.Gauge("fleet.jobs_recoverable")
 		s.fleetLiveNodes = s.reg.Gauge("fleet.live_nodes")
 		s.fleetDegraded = s.reg.Gauge("fleet.degraded")
@@ -705,7 +704,8 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		if lease != nil {
 			s.fleetStore.RemoveCheckpoints(j.ID)
 		} else {
-			os.Remove(filepath.Join(j.dir, checkpointFile))
+			// Best effort: a terminal job never loads its checkpoint again.
+			_ = s.cfg.FS.Remove(filepath.Join(j.dir, checkpointFile))
 		}
 		// Reveal: terminal counters move under the same lock so state and
 		// /metrics can never disagree.
@@ -843,6 +843,7 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 	} else {
 		ckpt := filepath.Join(j.dir, checkpointFile)
 		opts.CheckpointPath = ckpt
+		opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error { return runctl.SaveFS(s.cfg.FS, p, cp) }
 		if cp, lerr := runctl.Load(ckpt); lerr == nil {
 			opts.Resume = true
 			j.mu.Lock()
@@ -851,7 +852,7 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 			s.reg.Counter("serve.jobs_resumed").Inc()
 		} else if !errors.Is(lerr, os.ErrNotExist) {
 			s.logf("serve: job %s: unusable checkpoint, starting fresh: %v", j.ID, lerr)
-			os.Remove(ckpt)
+			_ = s.cfg.FS.Remove(ckpt) // best effort: the first save replaces it
 		}
 	}
 	if s.lifecycleTracing() && opts.CheckpointPath != "" {
@@ -859,9 +860,6 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 		// event carrying the save duration (dwell_ns); checkpoint events
 		// do not advance the job's transition clock.
 		inner := opts.CheckpointSave
-		if inner == nil {
-			inner = runctl.Save
-		}
 		epoch := 0
 		if lease != nil {
 			epoch = lease.Epoch
@@ -882,11 +880,7 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 	res, err := safeSynthesize(sys, opts)
 	if err != nil && opts.Resume && !errors.Is(err, fleet.ErrLeaseLost) {
 		s.logf("serve: job %s: resume failed (%v), restarting from generation 0", j.ID, err)
-		if lease != nil {
-			_ = s.fleetFS.Remove(opts.CheckpointPath)
-		} else {
-			os.Remove(opts.CheckpointPath)
-		}
+		_ = s.cfg.FS.Remove(opts.CheckpointPath) // best effort: the first save replaces it
 		j.mu.Lock()
 		j.resumedFrom = 0
 		j.mu.Unlock()
@@ -1222,7 +1216,7 @@ func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 	j := &Job{ID: id, Request: req, dir: s.jobDir(id), system: system}
 	j.state = StateQueued
 	j.created = time.Now()
-	if err := os.MkdirAll(j.dir, 0o755); err != nil {
+	if err := durable.Mkdir(s.cfg.FS, j.dir); err != nil {
 		s.mu.Unlock()
 		return nil, admitErrorf(http.StatusInternalServerError, "job dir: %v", err)
 	}
@@ -1231,9 +1225,13 @@ func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 	// (or even terminal) and persist that, and a stale queued write landing
 	// afterwards would clobber the newer state.
 	s.persist(j)
+	// A worker locks j.mu before its attempt span, so holding j.mu until
+	// the submitted span is out keeps the job's span stream in order.
+	j.mu.Lock()
 	select {
 	case s.queue <- j:
 	default:
+		j.mu.Unlock()
 		s.mu.Unlock()
 		os.RemoveAll(j.dir)
 		s.reg.Counter("serve.jobs_rejected").Inc()
@@ -1241,6 +1239,11 @@ func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 		e.retryAfter = "1"
 		return nil, e
 	}
+	if s.lifecycleTracing() {
+		s.emitJobSpan(obs.JobEvent{Job: id, Event: obs.JobSubmitted,
+			State: string(StateQueued)})
+	}
+	j.mu.Unlock()
 	s.seq++
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -1248,10 +1251,6 @@ func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 	s.jobsByState()
 	s.mu.Unlock()
 	s.reg.Counter("serve.jobs_submitted").Inc()
-	if s.lifecycleTracing() {
-		s.emitJobSpan(obs.JobEvent{Job: id, Event: obs.JobSubmitted,
-			State: string(StateQueued)})
-	}
 	return j, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"momosyn/internal/durable"
 	"momosyn/internal/fleet"
 )
 
@@ -69,48 +70,6 @@ func (s *Server) jobDir(id string) string {
 	return filepath.Join(s.cfg.DataDir, "jobs", id)
 }
 
-// writeFileAtomic writes data to path via a temp file and rename, the same
-// crash discipline runctl uses for checkpoints. The parent directory is
-// fsynced after the rename: without it a crash can lose the rename itself
-// (the data is durable but the directory entry is not), resurrecting the
-// old file.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory, making renames within it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
-}
-
 // persist writes the job's manifest. Persistence failures are logged, not
 // fatal: the in-memory job table keeps serving, the job merely loses
 // restart durability. In fleet mode the write goes through the lease
@@ -140,7 +99,7 @@ func (s *Server) persistSnap(j *Job, snap jobSnapshot) {
 	m.Attempts, m.NotBefore = manifestRetry(snap)
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err == nil {
-		err = writeFileAtomic(filepath.Join(j.dir, manifestFile), data)
+		err = durable.WriteAtomic(s.cfg.FS, filepath.Join(j.dir, manifestFile), data)
 	}
 	if err != nil {
 		s.logf("serve: job %s: persist manifest: %v", j.ID, err)
@@ -161,7 +120,7 @@ func (s *Server) persistResult(j *Job, doc []byte) {
 		}
 		err = lease.Write(fleet.KindResult, doc)
 	} else {
-		err = writeFileAtomic(filepath.Join(j.dir, resultFile), doc)
+		err = durable.WriteAtomic(s.cfg.FS, filepath.Join(j.dir, resultFile), doc)
 	}
 	if err != nil {
 		s.logf("serve: job %s: persist result: %v", j.ID, err)
@@ -184,7 +143,7 @@ func (j *Job) loadResult() []byte {
 // order, and the highest sequence number seen.
 func (s *Server) recoverJobs() (requeue []*Job, maxSeq int, err error) {
 	root := filepath.Join(s.cfg.DataDir, "jobs")
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := durable.Mkdir(s.cfg.FS, root); err != nil {
 		return nil, 0, fmt.Errorf("serve: data dir: %w", err)
 	}
 	entries, err := os.ReadDir(root)

@@ -74,11 +74,12 @@ type Options struct {
 	// (default 10 when CheckpointPath is set).
 	CheckpointEvery int
 	// CheckpointSave, when non-nil, replaces the default checkpoint writer
-	// (runctl.Save). The fleet layer uses it to fence checkpoint writes
-	// behind its lease epoch and to thread a fault-injectable filesystem
-	// underneath; like Obs it never changes the search trajectory, so it is
-	// excluded from the checkpoint fingerprint. A returned error stops the
-	// run at the current generation boundary with the best-so-far result.
+	// (runctl.Save). The serve layer uses it to thread its injectable
+	// filesystem underneath and, in fleet mode, to fence checkpoint writes
+	// behind the lease epoch; like Obs it never changes the search
+	// trajectory, so it is excluded from the checkpoint fingerprint. A
+	// returned error stops the run at the current generation boundary
+	// with the best-so-far result.
 	CheckpointSave func(path string, cp *runctl.Checkpoint) error
 	// Resume restores the run from CheckpointPath instead of starting
 	// fresh. The spec, seed and options must match the checkpointed run;
