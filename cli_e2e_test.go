@@ -112,6 +112,34 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCLICheckpointSameAnswer pins one answer per (spec, seed, options) at
+// the CLI: checkpointing is crash-recovery plumbing, so mmsynth must print
+// the same power and save the same mapping with and without -checkpoint.
+func TestCLICheckpointSameAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI end-to-end test skipped in -short mode")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", filepath.Join(bin, "mmsynth"), "./cmd/mmsynth").CombinedOutput(); err != nil {
+		t.Fatalf("build mmsynth: %v\n%s", err, out)
+	}
+	work := t.TempDir()
+	args := []string{"-spec", filepath.Join("specs", "mul1.spec"), "-seed", "1", "-gens", "40"}
+	plainMap := filepath.Join(work, "plain.map")
+	ckptMap := filepath.Join(work, "ckpt.map")
+	plain := run(t, bin, "mmsynth", append(args, "-save", plainMap)...)
+	ckpt := run(t, bin, "mmsynth", append(args, "-save", ckptMap, "-checkpoint", filepath.Join(work, "run.ckpt"))...)
+	p1, p2 := extractLine(plain, "average power"), extractLine(ckpt, "average power")
+	if p1 == "" || p1 != p2 {
+		t.Errorf("checkpointed run power %q != plain run power %q", p2, p1)
+	}
+	m1, err1 := os.ReadFile(plainMap)
+	m2, err2 := os.ReadFile(ckptMap)
+	if err1 != nil || err2 != nil || len(m1) == 0 || !bytes.Equal(m1, m2) {
+		t.Errorf("checkpointed run mapping differs from the plain run's (%v, %v):\n%s\n---\n%s", err1, err2, m1, m2)
+	}
+}
+
 // TestCLIGracefulInterrupt drives the run-control path end to end: a long
 // synthesis is interrupted with SIGINT, must exit 0 with a best-so-far
 // report and a checkpoint on disk, and the checkpoint must then accept a

@@ -301,6 +301,37 @@ func goodCkpt(gen int) *runctl.Checkpoint {
 	}
 }
 
+// TestChaosCreateJobTornManifest tears the submitter's epoch-0 manifest
+// write. The write is atomic, so the torn bytes stay in a temp file: no
+// manifest appears under its final name, and a reader finds no state
+// rather than a corrupt file.
+func TestChaosCreateJobTornManifest(t *testing.T) {
+	cfs := chaosfs.New(durable.OS{})
+	s, err := Open(Config{Dir: t.TempDir(), Node: "a", FS: cfs, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	job, err := s.NewJobID()
+	if err != nil {
+		t.Fatalf("NewJobID: %v", err)
+	}
+	cfs.Inject(chaosfs.Rule{Op: chaosfs.OpWrite, Path: regexp.MustCompile(`manifest\.e0+\.json`), Kind: chaosfs.KindTorn})
+	manifest := fmt.Sprintf(`{"id":%q,"state":"queued"}`, job)
+	if err := s.CreateJob(job, []byte(`{"spec":1}`), []byte(manifest)); err == nil {
+		t.Fatal("torn manifest write reported success")
+	}
+	cfs.Reset()
+	if _, err := os.Stat(s.StatePath(job, KindManifest, 0)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("manifest under its final name after a torn write: %v", err)
+	}
+	if _, _, err := s.Latest(job, KindManifest, manifestValid(job)); !errors.Is(err, ErrNoState) {
+		t.Fatalf("Latest after a torn manifest write: %v, want ErrNoState", err)
+	}
+	if n := s.reg.Counter("fleet.corrupt_state_files").Value(); n != 0 {
+		t.Fatalf("fleet.corrupt_state_files = %d, want 0", n)
+	}
+}
+
 // TestChaosCheckpointSaveFaults drives every fault class through
 // runctl.SaveFS on the fleet checkpoint path: a good epoch-1 checkpoint
 // exists; the epoch-2 save is sabotaged; recovery must find the epoch-1

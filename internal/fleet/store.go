@@ -317,11 +317,8 @@ func (s *Store) CreateJob(job string, spec, manifest []byte) error {
 	if err := s.fs.CreateExclusive(s.SpecPath(job), spec); err != nil {
 		return fmt.Errorf("fleet: job %s spec: %w", job, err)
 	}
-	if err := s.fs.WriteFile(s.StatePath(job, KindManifest, 0), manifest); err != nil {
+	if err := durable.WriteAtomic(s.fs, s.StatePath(job, KindManifest, 0), manifest); err != nil {
 		return fmt.Errorf("fleet: job %s manifest: %w", job, err)
-	}
-	if err := s.fs.SyncDir(s.jobDir(job)); err != nil {
-		return fmt.Errorf("fleet: job %s: %w", job, err)
 	}
 	return nil
 }
@@ -336,14 +333,11 @@ func (s *Store) CreateDoneJob(job string, spec, manifest, result []byte) error {
 	if err := s.fs.CreateExclusive(s.SpecPath(job), spec); err != nil {
 		return fmt.Errorf("fleet: job %s spec: %w", job, err)
 	}
-	if err := s.fs.WriteFile(s.StatePath(job, KindResult, 0), result); err != nil {
+	if err := durable.WriteAtomic(s.fs, s.StatePath(job, KindResult, 0), result); err != nil {
 		return fmt.Errorf("fleet: job %s result: %w", job, err)
 	}
-	if err := s.fs.WriteFile(s.StatePath(job, KindManifest, 0), manifest); err != nil {
+	if err := durable.WriteAtomic(s.fs, s.StatePath(job, KindManifest, 0), manifest); err != nil {
 		return fmt.Errorf("fleet: job %s manifest: %w", job, err)
-	}
-	if err := s.fs.SyncDir(s.jobDir(job)); err != nil {
-		return fmt.Errorf("fleet: job %s: %w", job, err)
 	}
 	return nil
 }

@@ -25,6 +25,6 @@ func TestAllocPins(t *testing.T) {
 
 	allocpin.Verify(t, ".", []allocpin.Pin{
 		{Name: "engine.selectParent", Body: func() { sinkIdx = e.selectParent(weights) }},
-		{Name: "engine.mutate", Body: func() { e.mutate(genome) }},
+		{Name: "mutate", Body: func() { mutate(e.p, genome, e.cfg.MutationRate, e.rng) }},
 	})
 }

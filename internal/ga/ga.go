@@ -221,13 +221,6 @@ type RunControl struct {
 	OnGeneration func(GenerationStats)
 }
 
-// RunCtx is Run with cancellation: on ctx cancellation or deadline the
-// engine stops at the next generation boundary and returns the best-so-far
-// result flagged Partial.
-func RunCtx(ctx context.Context, p Problem, cfg Config, rng *rand.Rand, mutators ...Mutator) *Result {
-	return RunControlled(p, cfg, RunControl{Context: ctx}, rng, mutators...)
-}
-
 type individual struct {
 	genome  []int
 	fitness float64
@@ -354,13 +347,48 @@ func cancelReason(ctx context.Context) string {
 	}
 }
 
-func (e *engine) randomGenome() []int {
-	n := e.p.GenomeLen()
-	g := make([]int, n)
-	for i := 0; i < n; i++ {
-		g[i] = e.rng.Intn(e.p.Alleles(i))
+// genomeSpace is the search space Problem and MultiProblem share: integer
+// strings whose locus i takes alleles in [0, Alleles(i)).
+type genomeSpace interface {
+	GenomeLen() int
+	Alleles(i int) int
+}
+
+// randomGenome draws a genome uniformly over the space. It, crossover and
+// mutate are the genetic operators of both Run and RunNSGA2.
+func randomGenome(s genomeSpace, rng *rand.Rand) []int {
+	g := make([]int, s.GenomeLen())
+	for i := range g {
+		g[i] = rng.Intn(s.Alleles(i))
 	}
 	return g
+}
+
+// crossover performs two-point crossover of the parents, returning one
+// child (the second is implicitly explored by later generations).
+func crossover(a, b []int, rng *rand.Rand) []int {
+	n := len(a)
+	child := append([]int(nil), a...)
+	if n < 2 {
+		return child
+	}
+	p1, p2 := rng.Intn(n), rng.Intn(n)
+	if p1 > p2 {
+		p1, p2 = p2, p1
+	}
+	copy(child[p1:p2+1], b[p1:p2+1])
+	return child
+}
+
+// mutate re-draws each gene with probability rate, in place.
+//
+//mm:noalloc
+func mutate(s genomeSpace, g []int, rate float64, rng *rand.Rand) {
+	for i := range g {
+		if rng.Float64() < rate {
+			g[i] = rng.Intn(s.Alleles(i))
+		}
+	}
 }
 
 func (e *engine) eval(g []int) float64 {
@@ -371,7 +399,7 @@ func (e *engine) eval(g []int) float64 {
 func (e *engine) initPopulation() {
 	e.pop = make([]individual, e.cfg.PopSize)
 	for i := range e.pop {
-		g := e.randomGenome()
+		g := randomGenome(e.p, e.rng)
 		e.pop[i] = individual{genome: g, fitness: e.eval(g)}
 	}
 	e.sortPop()
@@ -453,7 +481,7 @@ func (e *engine) generationStats(gen, stagnant int, best individual, res *Result
 // trajectory never regresses.
 func (e *engine) injectDiversity() {
 	for i := len(e.pop) / 2; i < len(e.pop); i++ {
-		g := e.randomGenome()
+		g := randomGenome(e.p, e.rng)
 		e.pop[i] = individual{genome: g, fitness: e.eval(g)}
 	}
 	e.sortPop()
@@ -500,34 +528,6 @@ func (e *engine) selectParent(weights []float64) int {
 	return best
 }
 
-// crossover performs two-point crossover of the parents, returning one
-// child (the second is implicitly explored by later generations).
-func (e *engine) crossover(a, b []int) []int {
-	n := len(a)
-	child := append([]int(nil), a...)
-	if n < 2 {
-		return child
-	}
-	p1 := e.rng.Intn(n)
-	p2 := e.rng.Intn(n)
-	if p1 > p2 {
-		p1, p2 = p2, p1
-	}
-	copy(child[p1:p2+1], b[p1:p2+1])
-	return child
-}
-
-// mutate re-draws each gene with probability MutationRate, in place.
-//
-//mm:noalloc
-func (e *engine) mutate(g []int) {
-	for i := range g {
-		if e.rng.Float64() < e.cfg.MutationRate {
-			g[i] = e.rng.Intn(e.p.Alleles(i))
-		}
-	}
-}
-
 // generation produces offspring, inserts them replacing the worst
 // individuals, and applies the improvement mutators.
 func (e *engine) generation() {
@@ -536,8 +536,8 @@ func (e *engine) generation() {
 	for len(offspring) < e.cfg.Offspring {
 		pa := e.selectParent(weights)
 		pb := e.selectParent(weights)
-		child := e.crossover(e.pop[pa].genome, e.pop[pb].genome)
-		e.mutate(child)
+		child := crossover(e.pop[pa].genome, e.pop[pb].genome, e.rng)
+		mutate(e.p, child, e.cfg.MutationRate, e.rng)
 		offspring = append(offspring, individual{genome: child, fitness: e.eval(child)})
 	}
 	// Offspring insertion: replace the tail (worst) of the population.

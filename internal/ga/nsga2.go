@@ -85,7 +85,7 @@ func RunNSGA2(ctx context.Context, p MultiProblem, cfg Config, rng *rand.Rand, s
 		if i < len(seeds) && len(seeds[i]) == p.GenomeLen() {
 			g = append([]int(nil), seeds[i]...)
 		} else {
-			g = randomGenomeFor(p, rng)
+			g = randomGenome(p, rng)
 		}
 		pop[i] = mindividual{genome: g, objs: eval(g)}
 	}
@@ -101,8 +101,8 @@ func RunNSGA2(ctx context.Context, p MultiProblem, cfg Config, rng *rand.Rand, s
 		for len(offspring) < cfg.PopSize {
 			pa := pop[tournament2(pop, rng)]
 			pb := pop[tournament2(pop, rng)]
-			child := crossTwoPoint(pa.genome, pb.genome, rng)
-			mutateUniform(p, child, cfg.MutationRate, rng)
+			child := crossover(pa.genome, pb.genome, rng)
+			mutate(p, child, cfg.MutationRate, rng)
 			offspring = append(offspring, mindividual{genome: child, objs: eval(child)})
 		}
 		// mu + lambda environmental selection.
@@ -131,36 +131,6 @@ func RunNSGA2(ctx context.Context, p MultiProblem, cfg Config, rng *rand.Rand, s
 	front = dedupeFront(front)
 	sort.Slice(front, func(i, j int) bool { return front[i].Objectives[0] < front[j].Objectives[0] })
 	return &ParetoResult{Front: front, Generations: gen, Evaluations: evals}
-}
-
-func randomGenomeFor(p MultiProblem, rng *rand.Rand) []int {
-	g := make([]int, p.GenomeLen())
-	for i := range g {
-		g[i] = rng.Intn(p.Alleles(i))
-	}
-	return g
-}
-
-func crossTwoPoint(a, b []int, rng *rand.Rand) []int {
-	n := len(a)
-	child := append([]int(nil), a...)
-	if n < 2 {
-		return child
-	}
-	p1, p2 := rng.Intn(n), rng.Intn(n)
-	if p1 > p2 {
-		p1, p2 = p2, p1
-	}
-	copy(child[p1:p2+1], b[p1:p2+1])
-	return child
-}
-
-func mutateUniform(p MultiProblem, g []int, rate float64, rng *rand.Rand) {
-	for i := range g {
-		if rng.Float64() < rate {
-			g[i] = rng.Intn(p.Alleles(i))
-		}
-	}
 }
 
 func tournament2(pop []mindividual, rng *rand.Rand) int {

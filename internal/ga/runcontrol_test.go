@@ -12,7 +12,7 @@ import (
 func TestRunCtxCancelledReturnsPartialBestSoFar(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the run must stop at the first boundary
-	res := RunCtx(ctx, oneMax{n: 12, k: 3}, Config{PopSize: 20, MaxGenerations: 100}, rand.New(rand.NewSource(1)))
+	res := RunControlled(oneMax{n: 12, k: 3}, Config{PopSize: 20, MaxGenerations: 100}, RunControl{Context: ctx}, rand.New(rand.NewSource(1)))
 	if !res.Partial {
 		t.Fatal("cancelled run must be flagged Partial")
 	}
@@ -30,7 +30,7 @@ func TestRunCtxCancelledReturnsPartialBestSoFar(t *testing.T) {
 func TestRunCtxDeadlineReturnsPartial(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res := RunCtx(ctx, oneMax{n: 12, k: 3}, Config{PopSize: 20, MaxGenerations: 100}, rand.New(rand.NewSource(1)))
+	res := RunControlled(oneMax{n: 12, k: 3}, Config{PopSize: 20, MaxGenerations: 100}, RunControl{Context: ctx}, rand.New(rand.NewSource(1)))
 	if !res.Partial || res.Reason != "deadline exceeded" {
 		t.Errorf("got partial=%v reason=%q, want partial with deadline exceeded", res.Partial, res.Reason)
 	}
@@ -42,7 +42,7 @@ func TestRunCtxDeadlineReturnsPartial(t *testing.T) {
 func TestRunCtxCancelCausePropagates(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(errors.New("fault budget exceeded: demo"))
-	res := RunCtx(ctx, oneMax{n: 8, k: 2}, Config{PopSize: 10, MaxGenerations: 50}, rand.New(rand.NewSource(1)))
+	res := RunControlled(oneMax{n: 8, k: 2}, Config{PopSize: 10, MaxGenerations: 50}, RunControl{Context: ctx}, rand.New(rand.NewSource(1)))
 	if !res.Partial || !strings.Contains(res.Reason, "fault budget exceeded") {
 		t.Errorf("cancellation cause lost: partial=%v reason=%q", res.Partial, res.Reason)
 	}
@@ -60,7 +60,7 @@ func TestRunCtxMidRunCancellation(t *testing.T) {
 			cancel()
 		}
 	}}
-	res := RunCtx(ctx, p, Config{PopSize: 20, MaxGenerations: 1000, Stagnation: 1000}, rand.New(rand.NewSource(3)))
+	res := RunControlled(p, Config{PopSize: 20, MaxGenerations: 1000, Stagnation: 1000}, RunControl{Context: ctx}, rand.New(rand.NewSource(3)))
 	if !res.Partial {
 		t.Fatal("mid-run cancellation must flag Partial")
 	}

@@ -403,6 +403,20 @@ type Transition struct {
 	MaxTime float64
 }
 
+// TransitionLess orders transitions by (From, To, MaxTime). It is the order
+// specio.Canonical writes the transition set in and the order the evaluator
+// sums transition penalties in, so the order a specification lists its
+// transitions in reaches neither the result cache key nor the result.
+func TransitionLess(a, b Transition) bool {
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	if a.To != b.To {
+		return a.To < b.To
+	}
+	return a.MaxTime < b.MaxTime
+}
+
 // OMSM is the operational mode state machine: the top-level cyclic FSM over
 // operational modes plus per-mode task graphs.
 type OMSM struct {

@@ -28,18 +28,10 @@ func Canonical(sys *model.System) ([]byte, error) {
 	if len(app.Transitions) > 1 {
 		trans := make([]model.Transition, len(app.Transitions))
 		copy(trans, app.Transitions)
-		sort.SliceStable(trans, func(i, j int) bool {
-			if trans[i].From != trans[j].From {
-				return trans[i].From < trans[j].From
-			}
-			if trans[i].To != trans[j].To {
-				return trans[i].To < trans[j].To
-			}
-			// Duplicate (from,to) pairs are legal (tightest max wins in the
-			// engine); MaxTime makes the order total so sorting is stable
-			// under input permutation.
-			return trans[i].MaxTime < trans[j].MaxTime
-		})
+		// Duplicate (from,to) pairs are legal (tightest max wins in the
+		// engine); MaxTime makes the order total so sorting is stable under
+		// input permutation.
+		sort.SliceStable(trans, func(i, j int) bool { return model.TransitionLess(trans[i], trans[j]) })
 		app = &model.OMSM{Name: app.Name, Modes: app.Modes, Transitions: trans}
 		sys = sys.WithApp(app)
 	}

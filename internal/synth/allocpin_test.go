@@ -51,6 +51,7 @@ func TestAllocPins(t *testing.T) {
 	allocpin.Verify(t, ".", []allocpin.Pin{
 		{Name: "mappingHash", Body: func() { sinkU64 = mappingHash(mapping, 1) }},
 		{Name: "Evaluator.penalties", Body: func() { e.penalties(ev) }},
+		{Name: "transAfter", Body: func() { sinkB = transAfter(sys.App.Transitions, 0, len(sys.App.Transitions)-1) }},
 		{Name: "Evaluator.prob", Body: func() { sinkF = e.prob(1) }},
 		{Name: "Evaluation.Feasible", Body: func() { sinkB = ev.Feasible() }},
 		{Name: "Evaluation.Reweighted", Body: func() { sinkF = ev.Reweighted(sys, nil) }},

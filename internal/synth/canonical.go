@@ -13,7 +13,7 @@ import (
 // (spec, seed, options) — GA operator changes, evaluation-order changes,
 // fitness formula changes — and leave it alone for pure speedups that are
 // proven byte-identical.
-const EngineVersion = "momosyn-synth/1"
+const EngineVersion = "momosyn-synth/2"
 
 // CanonicalOptions renders the result-shaping subset of Options in a
 // canonical, versioned byte form for content-addressed keying. Two Options

@@ -206,7 +206,7 @@ func PowerUpperBound(s *model.System) float64 {
 
 // NewEvaluator returns an evaluator with default weights.
 func NewEvaluator(sys *model.System, useDVS bool) *Evaluator {
-	return &Evaluator{Sys: sys, UseDVS: useDVS, Weights: DefaultWeights()}
+	return Options{UseDVS: useDVS}.newEvaluator(sys, nil)
 }
 
 // prob returns the evaluation probability of the mode.
@@ -364,16 +364,39 @@ func (e *Evaluator) penalties(ev *Evaluation) {
 	// transitions. (The paper multiplies wR·Π tT/tTmax over violating
 	// transitions; we use the equivalent monotone additive form that is 1
 	// when no transition is violated.) ev.TransTimes is presized by
-	// Evaluate.
+	// Evaluate. The excesses are summed in model.TransitionLess order, so
+	// a specification's transition order cannot round the sum differently.
+	trs := s.App.Transitions
+	for i, tr := range trs {
+		ev.TransTimes[i] = ev.Alloc.TransitionTime(s, tr)
+	}
 	transSum := 0.0
-	for i, tr := range s.App.Transitions {
-		t := ev.Alloc.TransitionTime(s, tr)
-		ev.TransTimes[i] = t
-		if tr.MaxTime > 0 && t > tr.MaxTime {
+	prev := -1
+	for range trs {
+		next := -1
+		for i := range trs {
+			if (prev < 0 || transAfter(trs, i, prev)) && (next < 0 || transAfter(trs, next, i)) {
+				next = i
+			}
+		}
+		if tr, t := trs[next], ev.TransTimes[next]; tr.MaxTime > 0 && t > tr.MaxTime {
 			transSum += t/tr.MaxTime - 1
 		}
+		prev = next
 	}
 	ev.TransPenalty = 1 + w.Transition*transSum
+}
+
+// transAfter reports whether transition i comes after transition j in
+// model.TransitionLess order, breaking ties between equal transitions by
+// index.
+//
+//mm:noalloc
+func transAfter(trs []model.Transition, i, j int) bool {
+	if trs[i] != trs[j] {
+		return model.TransitionLess(trs[j], trs[i])
+	}
+	return i > j
 }
 
 // Reweighted returns the Eq. (1) average power of an already evaluated

@@ -52,15 +52,8 @@ func (c *Codec) ShutdownMutation() func(genome []int, rng *rand.Rand) bool {
 		sortPEs(nonEssential)
 		victim := nonEssential[rng.Intn(len(nonEssential))]
 		for _, k := range usedBy[victim] {
-			cands := c.CandidatesAt(k)
 			// Re-map randomly to any other candidate PE.
-			var alts []int
-			for i, pe := range cands {
-				if pe != victim {
-					alts = append(alts, i)
-				}
-			}
-			genome[k] = alts[rng.Intn(len(alts))]
+			c.remap(genome, k, rng, func(pe model.PEID) bool { return pe != victim })
 		}
 		return true
 	}
@@ -127,17 +120,9 @@ func (c *Codec) AreaMutation() func(genome []int, rng *rand.Rand) bool {
 			if rng.Intn(2) == 0 {
 				continue
 			}
-			var sw []int
-			for i, cand := range c.CandidatesAt(k) {
-				if s.Arch.PE(cand).Class.IsSoftware() {
-					sw = append(sw, i)
-				}
+			if c.remap(genome, k, rng, func(pe model.PEID) bool { return s.Arch.PE(pe).Class.IsSoftware() }) {
+				changed = true
 			}
-			if len(sw) == 0 {
-				continue
-			}
-			genome[k] = sw[rng.Intn(len(sw))]
-			changed = true
 		}
 		return changed
 	}
@@ -176,17 +161,9 @@ func (c *Codec) TimingMutation() func(genome []int, rng *rand.Rand) bool {
 				if rng.Intn(2) == 0 {
 					continue
 				}
-				var hw []int
-				for i, cand := range c.CandidatesAt(k) {
-					if s.Arch.PE(cand).Class.IsHardware() {
-						hw = append(hw, i)
-					}
+				if c.remap(genome, k, rng, func(pe model.PEID) bool { return s.Arch.PE(pe).Class.IsHardware() }) {
+					changed = true
 				}
-				if len(hw) == 0 {
-					continue
-				}
-				genome[k] = hw[rng.Intn(len(hw))]
-				changed = true
 			}
 		}
 		return changed
@@ -258,21 +235,28 @@ func (c *Codec) TransitionMutation() func(genome []int, rng *rand.Rand) bool {
 			if !violFPGA[pe] || rng.Intn(2) == 0 {
 				continue
 			}
-			cands := c.CandidatesAt(k)
-			var alts []int
-			for i, cand := range cands {
-				if cand != pe {
-					alts = append(alts, i)
-				}
+			if c.remap(genome, k, rng, func(cand model.PEID) bool { return cand != pe }) {
+				changed = true
 			}
-			if len(alts) == 0 {
-				continue
-			}
-			genome[k] = alts[rng.Intn(len(alts))]
-			changed = true
 		}
 		return changed
 	}
+}
+
+// remap redraws locus k of the genome uniformly over the candidate PEs for
+// which keep holds, reporting false, without drawing, when there is none.
+func (c *Codec) remap(genome []int, k int, rng *rand.Rand, keep func(model.PEID) bool) bool {
+	var alts []int
+	for i, pe := range c.CandidatesAt(k) {
+		if keep(pe) {
+			alts = append(alts, i)
+		}
+	}
+	if len(alts) == 0 {
+		return false
+	}
+	genome[k] = alts[rng.Intn(len(alts))]
+	return true
 }
 
 func contains(pes []model.PEID, pe model.PEID) bool {

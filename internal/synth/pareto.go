@@ -8,6 +8,7 @@ import (
 
 	"momosyn/internal/ga"
 	"momosyn/internal/model"
+	"momosyn/internal/runctl"
 )
 
 // ParetoPoint is one non-dominated implementation of the power/area
@@ -46,22 +47,14 @@ type ParetoOptions struct {
 type multiProblem struct {
 	codec *Codec
 	eval  *Evaluator
-	cache map[string][]float64
+	cache *fitnessCache[[]float64]
 }
 
 func (p *multiProblem) GenomeLen() int    { return p.codec.Len() }
 func (p *multiProblem) Alleles(i int) int { return p.codec.Alleles(i) }
 
 func (p *multiProblem) Objectives(genome []int) []float64 {
-	key := p.codec.Key(genome)
-	if o, ok := p.cache[key]; ok {
-		return o
-	}
-	objs := p.objectives(genome)
-	if len(p.cache) < 1<<20 {
-		p.cache[key] = objs
-	}
-	return objs
+	return p.cache.lookup(p.codec.Key(genome), func() []float64 { return p.objectives(genome) })
 }
 
 func (p *multiProblem) objectives(genome []int) []float64 {
@@ -134,8 +127,9 @@ func Pareto(sys *model.System, opts ParetoOptions) ([]ParetoPoint, error) {
 	}
 	// Area violations must not be penalised: area is an objective here.
 	w.Area = 0
-	eval := &Evaluator{Sys: sys, UseDVS: opts.UseDVS, Weights: w}
-	prob := &multiProblem{codec: codec, eval: eval, cache: make(map[string][]float64)}
+	eval := NewEvaluator(sys, opts.UseDVS)
+	eval.Weights = w
+	prob := &multiProblem{codec: codec, eval: eval, cache: newFitnessCache[[]float64]()}
 	// Anchor the area extremes: an all-software mapping (zero silicon) and
 	// a hardware-greedy mapping (every task on a hardware candidate where
 	// one exists).
@@ -144,7 +138,7 @@ func Pareto(sys *model.System, opts ParetoOptions) ([]ParetoPoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res := ga.RunNSGA2(ctx, prob, opts.GA, rand.New(rand.NewSource(opts.Seed)), allSW, allHW)
+	res := ga.RunNSGA2(ctx, prob, opts.GA, rand.New(runctl.NewSource(opts.Seed)), allSW, allHW)
 
 	ub := PowerUpperBound(sys)
 	var out []ParetoPoint

@@ -155,17 +155,56 @@ type Result struct {
 	Timings obs.Timings
 }
 
-// problem adapts the evaluator to the GA engine with a bounded,
-// instrumented fitness cache (FIFO eviction at FitnessCacheCap entries).
-type problem struct {
-	codec *Codec
-	eval  *Evaluator
-	cache map[string]float64
+// fitnessCache memoises a deterministic function of the genome, keyed by
+// Codec.Key, for the GA problems of Synthesize and Pareto. It holds at most
+// FitnessCacheCap entries, evicting the oldest first, and counts hits,
+// misses and evictions.
+type fitnessCache[V any] struct {
+	m map[string]V
 	// order is the FIFO insertion queue backing eviction; head indexes the
 	// oldest resident entry.
 	order []string
 	head  int
 	stats runctl.CacheCounters
+}
+
+func newFitnessCache[V any]() *fitnessCache[V] {
+	return &fitnessCache[V]{m: make(map[string]V)}
+}
+
+// lookup returns the cached value of the key, or computes and inserts it,
+// evicting the oldest entry when the cache is full.
+func (c *fitnessCache[V]) lookup(key string, compute func() V) V {
+	if v, ok := c.m[key]; ok {
+		c.stats.Hits++
+		return v
+	}
+	c.stats.Misses++
+	v := compute()
+	if len(c.m) >= FitnessCacheCap {
+		delete(c.m, c.order[c.head])
+		c.order[c.head] = "" // release the key for GC
+		c.head++
+		c.stats.Evictions++
+	}
+	c.m[key] = v
+	c.order = append(c.order, key)
+	return v
+}
+
+// counters captures the cache statistics at this instant.
+func (c *fitnessCache[V]) counters() runctl.CacheCounters {
+	s := c.stats
+	s.Entries = len(c.m)
+	s.Capacity = FitnessCacheCap
+	return s
+}
+
+// problem adapts the evaluator to the GA engine through the fitness cache.
+type problem struct {
+	codec *Codec
+	eval  *Evaluator
+	cache *fitnessCache[float64]
 	hook  func(genome []int)
 }
 
@@ -173,37 +212,16 @@ func (p *problem) GenomeLen() int    { return p.codec.Len() }
 func (p *problem) Alleles(i int) int { return p.codec.Alleles(i) }
 
 func (p *problem) Fitness(genome []int) float64 {
-	key := p.codec.Key(genome)
-	if f, ok := p.cache[key]; ok {
-		p.stats.Hits++
-		return f
-	}
-	p.stats.Misses++
-	if p.hook != nil {
-		p.hook(genome)
-	}
-	ev, err := p.eval.Evaluate(p.codec.Decode(genome))
-	f := math.Inf(1)
-	if err == nil {
-		f = ev.Fitness
-	}
-	if len(p.cache) >= FitnessCacheCap {
-		delete(p.cache, p.order[p.head])
-		p.order[p.head] = "" // release the key for GC
-		p.head++
-		p.stats.Evictions++
-	}
-	p.cache[key] = f
-	p.order = append(p.order, key)
-	return f
-}
-
-// counters captures the cache statistics at this instant.
-func (p *problem) counters() runctl.CacheCounters {
-	c := p.stats
-	c.Entries = len(p.cache)
-	c.Capacity = FitnessCacheCap
-	return c
+	return p.cache.lookup(p.codec.Key(genome), func() float64 {
+		if p.hook != nil {
+			p.hook(genome)
+		}
+		ev, err := p.eval.Evaluate(p.codec.Decode(genome))
+		if err != nil {
+			return math.Inf(1)
+		}
+		return ev.Fitness
+	})
 }
 
 // Synthesize runs the complete co-synthesis of Fig. 4: the outer GA over
@@ -230,34 +248,20 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := opts.Weights
-	if w == (Weights{}) {
-		w = DefaultWeights()
+	var probs []float64
+	if opts.NeglectProbabilities {
+		probs = UniformProbs(sys)
 	}
 	run := opts.Obs
-	eval := &Evaluator{
-		Sys: sys, UseDVS: opts.UseDVS, Weights: w,
-		DVSSoftwareOnly:  opts.DVSSoftwareOnly,
-		NoReplicaCores:   opts.NoReplicaCores,
-		RefineIterations: opts.RefineIterations,
-		Obs:              run,
-	}
-	if opts.NeglectProbabilities {
-		eval.Probs = UniformProbs(sys)
-	}
-	prob := &problem{codec: codec, eval: eval, cache: make(map[string]float64), hook: opts.evalHook}
+	eval := opts.newEvaluator(sys, probs)
+	eval.Obs = run
+	prob := &problem{codec: codec, eval: eval, cache: newFitnessCache[float64](), hook: opts.evalHook}
 
-	// Checkpointable runs draw from a serialisable source so the stream
-	// position can be stored and restored exactly; plain runs keep the
-	// historical math/rand stream for bit-identical legacy behaviour.
-	var src *runctl.Source
-	var rng *rand.Rand
-	if opts.CheckpointPath != "" {
-		src = runctl.NewSource(opts.Seed)
-		rng = rand.New(src)
-	} else {
-		rng = rand.New(rand.NewSource(opts.Seed))
-	}
+	// Every run draws from a serialisable source, so a checkpoint can store
+	// and restore the stream position exactly and a checkpointed run gives
+	// the same answer as a plain one.
+	src := runctl.NewSource(opts.Seed)
+	rng := rand.New(src)
 
 	parent := opts.Context
 	if parent == nil {
@@ -290,7 +294,7 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 				Fingerprint: opts.fingerprint(),
 				RNGState:    src.State(),
 				Snapshot:    *s,
-				Cache:       prob.counters(),
+				Cache:       prob.cache.counters(),
 				Faults:      guard.Faults(),
 				Metrics:     run.Export(),
 			})
@@ -311,7 +315,7 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 		snap := cp.Snapshot
 		rc.Resume = &snap
 		guard.Restore(cp.Faults)
-		prob.stats = runctl.CacheCounters{
+		prob.cache.stats = runctl.CacheCounters{
 			Hits: cp.Cache.Hits, Misses: cp.Cache.Misses, Evictions: cp.Cache.Evictions,
 		}
 		// Telemetry continues from the interrupted run's totals.
@@ -328,7 +332,7 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 		}
 	}
 	if run.Active() {
-		rc.OnGeneration = observeGenerations(run, sys, opts, w, codec, prob)
+		rc.OnGeneration = observeGenerations(run, opts.newEvaluator(sys, probs), codec, prob.cache)
 	}
 	resumedFrom := 0
 	if rc.Resume != nil {
@@ -352,13 +356,7 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 	objective := best.AvgPower
 	if opts.NeglectProbabilities {
 		// Report the final candidate under the true usage profile.
-		trueEval := &Evaluator{
-			Sys: sys, UseDVS: opts.UseDVS, Weights: w,
-			DVSSoftwareOnly:  opts.DVSSoftwareOnly,
-			NoReplicaCores:   opts.NoReplicaCores,
-			RefineIterations: opts.RefineIterations,
-		}
-		best, err = safeEvaluate(trueEval, best.Mapping)
+		best, err = safeEvaluate(opts.newEvaluator(sys, nil), best.Mapping)
 		if err != nil {
 			return nil, err
 		}
@@ -369,7 +367,7 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 		GA:             res,
 		Elapsed:        elapsed,
 		Partial:        res.Partial,
-		Cache:          prob.counters(),
+		Cache:          prob.cache.counters(),
 		Faults:         guard.Faults(),
 		Timings:        eval.Timings(),
 	}
@@ -404,24 +402,15 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 // observeGenerations builds the per-generation observer: it refreshes the
 // convergence gauges and, when tracing, emits one generation event with the
 // best individual's power/penalty breakdown. The breakdown comes from a
-// quiet re-evaluation (memoised on the best genome) outside the engine's
-// random stream and instrumentation, so observation perturbs neither the
-// search nor the phase statistics.
-func observeGenerations(run *obs.Run, sys *model.System, opts Options, w Weights, codec *Codec, prob *problem) func(ga.GenerationStats) {
-	quiet := &Evaluator{
-		Sys: sys, UseDVS: opts.UseDVS, Weights: w,
-		DVSSoftwareOnly:  opts.DVSSoftwareOnly,
-		NoReplicaCores:   opts.NoReplicaCores,
-		RefineIterations: opts.RefineIterations,
-	}
-	if opts.NeglectProbabilities {
-		quiet.Probs = UniformProbs(sys)
-	}
+// re-evaluation by quiet, an evaluator without instrumentation (memoised on
+// the best genome), outside the engine's random stream, so observation
+// perturbs neither the search nor the phase statistics.
+func observeGenerations(run *obs.Run, quiet *Evaluator, codec *Codec, cache *fitnessCache[float64]) func(ga.GenerationStats) {
 	reg := run.Registry()
 	var lastKey string
 	var lastEv *Evaluation
 	return func(s ga.GenerationStats) {
-		c := prob.counters()
+		c := cache.counters()
 		reg.Gauge("ga.generation").Set(float64(s.Generation))
 		reg.Gauge("ga.best_fitness").Set(s.BestFitness)
 		reg.Gauge("ga.mean_fitness").Set(s.MeanFitness)
@@ -466,6 +455,22 @@ func observeGenerations(run *obs.Run, sys *model.System, opts Options, w Weights
 			ev.Feasible = lastEv.Feasible()
 		}
 		run.EmitGeneration(ev)
+	}
+}
+
+// newEvaluator builds the evaluator of a run under these options; probs
+// overrides the objective's mode probabilities (nil: the specification's).
+// The evaluator carries no instrumentation; the caller attaches Obs.
+func (o Options) newEvaluator(sys *model.System, probs []float64) *Evaluator {
+	w := o.Weights
+	if w == (Weights{}) {
+		w = DefaultWeights()
+	}
+	return &Evaluator{
+		Sys: sys, UseDVS: o.UseDVS, Weights: w, Probs: probs,
+		DVSSoftwareOnly:  o.DVSSoftwareOnly,
+		NoReplicaCores:   o.NoReplicaCores,
+		RefineIterations: o.RefineIterations,
 	}
 }
 
@@ -523,7 +528,7 @@ func Exhaustive(ctx context.Context, sys *model.System, useDVS bool, probs []flo
 			return nil, fmt.Errorf("synth: exhaustive search space too large (>5e7 mappings)")
 		}
 	}
-	eval := &Evaluator{Sys: sys, UseDVS: useDVS, Weights: DefaultWeights(), Probs: probs}
+	eval := Options{UseDVS: useDVS}.newEvaluator(sys, probs)
 	genome := make([]int, codec.Len())
 	var best *Evaluation
 	for {

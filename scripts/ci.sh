@@ -31,6 +31,12 @@ go build ./...
 echo "==> go test -race"
 go test -race ./...
 
+# The benchmark is a module of its own (benchmark/go.mod), so ./... above
+# skips it; it calls ga.Run, sched.ListSchedule and the synth API, and
+# must keep building against them.
+echo "==> benchmark module (go vet, go test)"
+(cd benchmark && go vet ./... && go test ./...)
+
 # Fuzz smoke: short native-fuzzing bursts over the untrusted-input readers
 # (spec files and checkpoints). The minimise time must be capped — the
 # default 60s minimiser can dwarf the fuzz time itself on the ~30KB seed
