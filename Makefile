@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench-pins fuzz-smoke trace-smoke serve-smoke fleet-smoke cache-smoke perf-smoke certify bench ci
+.PHONY: all build test race vet lint bench-pins fuzz-smoke trace-smoke serve-smoke fleet-smoke cache-smoke certify bench ci
 
 all: build
 
@@ -43,8 +43,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
 
 # Observability smoke: a traced mmsynth run on a small spec, every JSONL
-# event and the metrics snapshot validated by mmtrace. See
-# docs/OBSERVABILITY.md.
+# event and the metrics snapshot validated by mmtrace, then one mmserved
+# job whose lifecycle spans (-lifecycle-trace) and access log render
+# through mmtrace -lifecycle. See docs/OBSERVABILITY.md.
 trace-smoke:
 	./scripts/trace_smoke.sh
 
@@ -72,13 +73,6 @@ cache-smoke:
 # control that must exit 4. See docs/VERIFY.md.
 certify:
 	./scripts/certify.sh
-
-# Performance-trajectory smoke: mmperf measures a small spec, its artifact
-# must self-diff clean and flag a synthetic 10x regression; then one
-# mmserved job with -lifecycle-trace/-access-log, validated through
-# mmtrace -lifecycle. See docs/PERF.md.
-perf-smoke:
-	./scripts/perf_smoke.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -1,104 +1,10 @@
 package perf
 
 import (
-	"bytes"
-	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"momosyn/internal/ga"
 )
-
-// sample builds a valid single-spec artifact whose wall times are given in
-// milliseconds; all other metrics get fixed benign values.
-func sample(wallMs ...float64) *Artifact {
-	a := &Artifact{
-		Schema: Schema,
-		Env:    Env{GoVersion: "go1.22", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 4, NumCPU: 4, Commit: "abc123abc123", Timestamp: "2026-08-09T00:00:00Z"},
-		Config: RunConfig{Reps: len(wallMs), Warmups: 1, Seed: 1, PopSize: 8, MaxGens: 4, Stagnation: 3},
-	}
-	sr := SpecResult{Name: "mul1", Modes: 2, Tasks: 10}
-	for i, ms := range wallMs {
-		sr.Reps = append(sr.Reps, Rep{
-			Seed:         1 + int64(i)*7919,
-			WallNs:       int64(ms * 1e6),
-			Evaluations:  1000,
-			EvalsPerSec:  1000 / (ms / 1e3),
-			Generations:  10,
-			CacheHitRate: 0.5,
-			Allocs:       50000,
-			AllocBytes:   4 << 20,
-			Phases:       PhaseNs{Mobility: 2e6, CoreAlloc: 3e6, ListSched: 40e6, CommMap: 10e6},
-		})
-	}
-	a.Specs = append(a.Specs, sr)
-	return a
-}
-
-func TestArtifactRoundTrip(t *testing.T) {
-	a := sample(100, 101, 99)
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Specs[0].Name != "mul1" || len(got.Specs[0].Reps) != 3 {
-		t.Fatalf("round trip mangled artifact: %+v", got)
-	}
-	if got.Specs[0].Reps[2].WallNs != int64(99e6) {
-		t.Fatalf("wall ns = %d, want 99e6", got.Specs[0].Reps[2].WallNs)
-	}
-}
-
-func TestReadRejectsUnknownFields(t *testing.T) {
-	_, err := Read(strings.NewReader(`{"schema":"mmperf/v1","bogus":1}`))
-	if err == nil {
-		t.Fatal("unknown top-level field accepted")
-	}
-}
-
-func TestValidate(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Artifact)
-	}{
-		{"bad schema", func(a *Artifact) { a.Schema = "mmperf/v0" }},
-		{"no specs", func(a *Artifact) { a.Specs = nil }},
-		{"unnamed spec", func(a *Artifact) { a.Specs[0].Name = "" }},
-		{"duplicate spec", func(a *Artifact) { a.Specs = append(a.Specs, a.Specs[0]) }},
-		{"no reps", func(a *Artifact) { a.Specs[0].Reps = nil }},
-		{"zero wall", func(a *Artifact) { a.Specs[0].Reps[0].WallNs = 0 }},
-		{"negative evals", func(a *Artifact) { a.Specs[0].Reps[0].Evaluations = -1 }},
-		{"hit rate above one", func(a *Artifact) { a.Specs[0].Reps[0].CacheHitRate = 1.5 }},
-		{"negative phase", func(a *Artifact) { a.Specs[0].Reps[0].Phases.DVS = -1 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a := sample(100)
-			tc.mutate(a)
-			if err := a.Validate(); err == nil {
-				t.Fatalf("%s passed validation", tc.name)
-			}
-		})
-	}
-	if err := sample(100, 90).Validate(); err != nil {
-		t.Fatalf("valid artifact rejected: %v", err)
-	}
-}
-
-func TestArtifactName(t *testing.T) {
-	if got := ArtifactName("abc123abc123"); got != "BENCH_abc123abc123.json" {
-		t.Fatalf("ArtifactName = %q", got)
-	}
-	if got := ArtifactName(""); got != "BENCH_unknown.json" {
-		t.Fatalf("ArtifactName(\"\") = %q", got)
-	}
-}
 
 func TestGitCommit(t *testing.T) {
 	dir := t.TempDir()
@@ -135,6 +41,52 @@ func TestGitCommit(t *testing.T) {
 		t.Fatalf("packed ref: got %q, want %q", got, hash[:12])
 	}
 
+	// Linked worktree nested inside the checkout: its .git is a file
+	// pointing at .git/worktrees/wt, whose HEAD names a branch that lives
+	// in the common dir. The worktree's own commit wins over the
+	// enclosing checkout's.
+	other := "fedcba9876543210fedcba9876543210fedcba98"
+	wtGit := filepath.Join(gitDir, "worktrees", "wt")
+	wt := filepath.Join(dir, "wt")
+	for _, d := range []string{wtGit, filepath.Join(wt, "cmd")} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	os.WriteFile(filepath.Join(wt, ".git"), []byte("gitdir: "+wtGit+"\n"), 0o644)
+	os.WriteFile(filepath.Join(wtGit, "HEAD"), []byte("ref: refs/heads/side\n"), 0o644)
+	os.WriteFile(filepath.Join(wtGit, "commondir"), []byte("../..\n"), 0o644)
+	os.WriteFile(filepath.Join(gitDir, "refs", "heads", "side"), []byte(other+"\n"), 0o644)
+	if got, err = GitCommit(filepath.Join(wt, "cmd")); err != nil || got != other[:12] {
+		t.Fatalf("worktree: got %q, %v; want %q", got, err, other[:12])
+	}
+	// Detached worktree HEAD.
+	os.WriteFile(filepath.Join(wtGit, "HEAD"), []byte(other+"\n"), 0o644)
+	if got, err = GitCommit(wt); err != nil || got != other[:12] {
+		t.Fatalf("detached worktree: got %q, %v; want %q", got, err, other[:12])
+	}
+
+	// Submodule: a relative gitdir without a commondir keeps its own refs.
+	modGit := filepath.Join(gitDir, "modules", "lib")
+	mod := filepath.Join(dir, "lib")
+	for _, d := range []string{filepath.Join(modGit, "refs", "heads"), mod} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	os.WriteFile(filepath.Join(mod, ".git"), []byte("gitdir: ../.git/modules/lib\n"), 0o644)
+	os.WriteFile(filepath.Join(modGit, "HEAD"), []byte("ref: refs/heads/main\n"), 0o644)
+	os.WriteFile(filepath.Join(modGit, "refs", "heads", "main"), []byte(other+"\n"), 0o644)
+	if got, err = GitCommit(mod); err != nil || got != other[:12] {
+		t.Fatalf("submodule: got %q, %v; want %q", got, err, other[:12])
+	}
+
+	// A .git file without a gitdir line.
+	os.WriteFile(filepath.Join(mod, ".git"), []byte("nonsense\n"), 0o644)
+	if _, err := GitCommit(mod); err == nil {
+		t.Fatal("gitdir-less .git file accepted")
+	}
+
 	// Detached HEAD.
 	os.WriteFile(filepath.Join(gitDir, "HEAD"), []byte(hash+"\n"), 0o644)
 	got, err = GitCommit(dir)
@@ -149,194 +101,6 @@ func TestGitCommit(t *testing.T) {
 	os.WriteFile(filepath.Join(gitDir, "HEAD"), []byte("not-a-hash\n"), 0o644)
 	if _, err := GitCommit(dir); err == nil {
 		t.Fatal("malformed HEAD accepted")
-	}
-}
-
-func TestDiffIdentityIsClean(t *testing.T) {
-	a := sample(100, 102, 98)
-	deltas, warnings := Diff(a, a, DefaultThresholds())
-	if len(warnings) != 0 {
-		t.Fatalf("self-diff produced warnings: %v", warnings)
-	}
-	if regs := Regressions(deltas); len(regs) != 0 {
-		t.Fatalf("self-diff regressed: %+v", regs)
-	}
-	for _, d := range deltas {
-		if d.Improved {
-			t.Fatalf("self-diff improved %s/%s", d.Spec, d.Metric)
-		}
-	}
-}
-
-func TestDiffFlagsSyntheticRegression(t *testing.T) {
-	old := sample(100, 101, 99)
-	// 50% slower with matching throughput drop: well past the 10%
-	// thresholds and far outside the tight MAD of both runs.
-	new_ := sample(150, 151, 149)
-	deltas, _ := Diff(old, new_, DefaultThresholds())
-	var wall, evals *Delta
-	for i := range deltas {
-		switch deltas[i].Metric {
-		case "wall":
-			wall = &deltas[i]
-		case "evals_per_sec":
-			evals = &deltas[i]
-		}
-	}
-	if wall == nil || !wall.Regressed {
-		t.Fatalf("50%% wall slowdown not flagged: %+v", wall)
-	}
-	if evals == nil || !evals.Regressed {
-		t.Fatalf("evals/sec drop not flagged: %+v", evals)
-	}
-	if len(Regressions(deltas)) == 0 {
-		t.Fatal("Regressions() empty for a regressing diff")
-	}
-}
-
-func TestDiffFlagsImprovement(t *testing.T) {
-	old := sample(150, 151, 149)
-	new_ := sample(100, 101, 99)
-	deltas, _ := Diff(old, new_, DefaultThresholds())
-	for _, d := range deltas {
-		if d.Metric == "wall" {
-			if !d.Improved || d.Regressed {
-				t.Fatalf("33%% speedup not an improvement: %+v", d)
-			}
-			return
-		}
-	}
-	t.Fatal("no wall delta")
-}
-
-func TestDiffNoiseGateSuppressesScatter(t *testing.T) {
-	// Medians differ by 12% (past the 10% threshold) but both runs
-	// scatter wildly; the MAD gate must hold the verdict back.
-	old := sample(100, 140, 60)
-	new_ := sample(112, 160, 70)
-	deltas, _ := Diff(old, new_, DefaultThresholds())
-	for _, d := range deltas {
-		if d.Metric == "wall" && (d.Regressed || d.Improved) {
-			t.Fatalf("noisy 12%% delta certified: %+v (noise %g)", d, d.Noise)
-		}
-	}
-}
-
-func TestDiffMinPhaseFloor(t *testing.T) {
-	old := sample(100)
-	new_ := sample(100)
-	// A 10x blowup of a 10µs phase stays under the 1ms floor.
-	old.Specs[0].Reps[0].Phases.DVS = 10_000
-	new_.Specs[0].Reps[0].Phases.DVS = 100_000
-	deltas, _ := Diff(old, new_, DefaultThresholds())
-	for _, d := range deltas {
-		if d.Metric == "phase.dvs" && d.Regressed {
-			t.Fatalf("sub-floor phase regressed: %+v", d)
-		}
-	}
-	// The same ratio above the floor must regress.
-	old.Specs[0].Reps[0].Phases.DVS = 10e6
-	new_.Specs[0].Reps[0].Phases.DVS = 100e6
-	deltas, _ = Diff(old, new_, DefaultThresholds())
-	found := false
-	for _, d := range deltas {
-		if d.Metric == "phase.dvs" {
-			found = d.Regressed
-		}
-	}
-	if !found {
-		t.Fatal("10x phase blowup above the floor not flagged")
-	}
-}
-
-func TestDiffCacheHitRateIsAbsolute(t *testing.T) {
-	old := sample(100, 100, 100)
-	new_ := sample(100, 100, 100)
-	for i := range new_.Specs[0].Reps {
-		new_.Specs[0].Reps[i].CacheHitRate = 0.30 // down from 0.50
-	}
-	deltas, _ := Diff(old, new_, DefaultThresholds())
-	found := false
-	for _, d := range deltas {
-		if d.Metric == "cache_hit_rate" {
-			found = d.Regressed
-		}
-	}
-	if !found {
-		t.Fatal("20-point cache hit rate drop not flagged")
-	}
-	// An increase is an improvement, never a regression.
-	for i := range new_.Specs[0].Reps {
-		new_.Specs[0].Reps[i].CacheHitRate = 0.70
-	}
-	deltas, _ = Diff(old, new_, DefaultThresholds())
-	for _, d := range deltas {
-		if d.Metric == "cache_hit_rate" && d.Regressed {
-			t.Fatalf("hit rate increase regressed: %+v", d)
-		}
-	}
-}
-
-func TestDiffWarnsOnMismatch(t *testing.T) {
-	old := sample(100)
-	new_ := sample(100)
-	new_.Config.Reps = 7
-	new_.Specs[0].Name = "mul2"
-	deltas, warnings := Diff(old, new_, DefaultThresholds())
-	if len(deltas) != 0 {
-		t.Fatalf("disjoint specs produced deltas: %+v", deltas)
-	}
-	var cfg, onlyNew, onlyOld bool
-	for _, w := range warnings {
-		cfg = cfg || strings.Contains(w, "configs differ")
-		onlyNew = onlyNew || strings.Contains(w, "only in new")
-		onlyOld = onlyOld || strings.Contains(w, "only in old")
-	}
-	if !cfg || !onlyNew || !onlyOld {
-		t.Fatalf("missing warnings: %v", warnings)
-	}
-}
-
-func TestMedianMAD(t *testing.T) {
-	med, mad := medianMAD([]float64{1, 2, 3, 4, 100})
-	if med != 3 {
-		t.Fatalf("median = %g, want 3", med)
-	}
-	if mad != 1 {
-		t.Fatalf("MAD = %g, want 1", mad)
-	}
-	med, mad = medianMAD([]float64{10, 20})
-	if med != 15 || mad != 5 {
-		t.Fatalf("even-length median/MAD = %g/%g, want 15/5", med, mad)
-	}
-	med, mad = medianMAD(nil)
-	if med != 0 || mad != 0 {
-		t.Fatalf("empty median/MAD = %g/%g", med, mad)
-	}
-}
-
-func TestCompareZeroBaseline(t *testing.T) {
-	d := compare("s", "allocs", []float64{0, 0, 0}, []float64{10, 10, 10}, 0.1, 3, increaseBad, 0)
-	if d.Regressed || d.Improved {
-		t.Fatalf("zero-baseline delta certified: %+v", d)
-	}
-	if !math.IsNaN(d.Rel) {
-		t.Fatalf("zero-baseline Rel = %g, want NaN", d.Rel)
-	}
-}
-
-func TestFormatDeltas(t *testing.T) {
-	old := sample(100, 101, 99)
-	new_ := sample(150, 151, 149)
-	deltas, warnings := Diff(old, new_, DefaultThresholds())
-	var buf bytes.Buffer
-	FormatDeltas(&buf, deltas, warnings, false)
-	out := buf.String()
-	if !strings.Contains(out, "REGRESSED") {
-		t.Fatalf("table lacks REGRESSED verdict:\n%s", out)
-	}
-	if !strings.Contains(out, "wall") || !strings.Contains(out, "mul1") {
-		t.Fatalf("table lacks headline row:\n%s", out)
 	}
 }
 
@@ -355,64 +119,19 @@ func TestResolveSpecs(t *testing.T) {
 	if len(specs) != 12 {
 		t.Fatalf("muls expanded to %d specs, want 12", len(specs))
 	}
-	if _, err := ResolveSpecs([]string{"/no/such/spec.file"}); err == nil {
-		t.Fatal("missing spec file accepted")
+	specs, err = ResolveSpecs([]string{"smartphone"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 1 || specs[0].Name != "smartphone" || specs[0].Sys == nil {
+		t.Fatalf("ResolveSpecs(smartphone) = %+v", specs)
+	}
+	for _, bad := range []string{"../../specs/mul1.spec", "mul13", "sdr"} {
+		if _, err := ResolveSpecs([]string{bad}); err == nil {
+			t.Fatalf("unknown spec %q accepted", bad)
+		}
 	}
 	if _, err := ResolveSpecs(nil); err == nil {
 		t.Fatal("empty spec list accepted")
-	}
-}
-
-// TestRunEndToEnd measures one tiny spec for real and checks the artifact
-// carries live numbers in every field class.
-func TestRunEndToEnd(t *testing.T) {
-	specs, err := ResolveSpecs([]string{"mul1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := Run(specs, RunOptions{
-		Reps:    2,
-		Warmups: 0,
-		Seed:    1,
-		GA:      ga.Config{PopSize: 8, MaxGenerations: 6, Stagnation: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := art.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sr := art.Specs[0]
-	if sr.Modes == 0 || sr.Tasks == 0 {
-		t.Fatalf("spec metadata empty: %+v", sr)
-	}
-	for i, r := range sr.Reps {
-		if r.Evaluations == 0 || r.Generations == 0 {
-			t.Fatalf("rep %d has no GA progress: %+v", i, r)
-		}
-		if r.EvalsPerSec <= 0 {
-			t.Fatalf("rep %d evals/sec = %g", i, r.EvalsPerSec)
-		}
-		if r.Phases.ListSched == 0 {
-			t.Fatalf("rep %d has no list-scheduling time: %+v", i, r.Phases)
-		}
-		if r.Allocs == 0 {
-			t.Fatalf("rep %d recorded no allocations", i)
-		}
-	}
-	if sr.Reps[0].Seed+7919 != sr.Reps[1].Seed {
-		t.Fatalf("seed protocol broken: %d, %d", sr.Reps[0].Seed, sr.Reps[1].Seed)
-	}
-	// Artifact file round-trips through the disk format.
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := art.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Specs[0].Reps[0].Evaluations != sr.Reps[0].Evaluations {
-		t.Fatal("disk round trip changed evaluation counts")
 	}
 }

@@ -12,7 +12,9 @@ import (
 // that parse to the same model — reordered independent declarations,
 // comment and whitespace differences, attribute-order permutations,
 // unnormalised probabilities — canonicalise to identical bytes, and two
-// texts that parse to different models never collide here.
+// texts that parse to different models canonicalise to different bytes,
+// because the form reads back to exactly the model it renders, every float
+// bit for bit (FuzzCanonical and TestCanonicalExactModel pin this).
 //
 // The canonical form is the Write emission of the parsed model (probability
 // normalisation and unit resolution already happened in the reader), with
@@ -24,22 +26,27 @@ import (
 // differently. Canonical is idempotent: parsing its output and
 // canonicalising again reproduces the same bytes (FuzzCanonical pins this).
 func Canonical(sys *model.System) ([]byte, error) {
-	app := sys.App
-	if len(app.Transitions) > 1 {
-		trans := make([]model.Transition, len(app.Transitions))
-		copy(trans, app.Transitions)
-		// Duplicate (from,to) pairs are legal (tightest max wins in the
-		// engine); MaxTime makes the order total so sorting is stable under
-		// input permutation.
-		sort.SliceStable(trans, func(i, j int) bool { return model.TransitionLess(trans[i], trans[j]) })
-		app = &model.OMSM{Name: app.Name, Modes: app.Modes, Transitions: trans}
-		sys = sys.WithApp(app)
-	}
 	var buf bytes.Buffer
-	if err := Write(&buf, sys); err != nil {
+	if err := Write(&buf, sortTransitions(sys)); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// sortTransitions returns sys with its transitions in model.TransitionLess
+// order, the one order Canonical emits.
+func sortTransitions(sys *model.System) *model.System {
+	app := sys.App
+	if len(app.Transitions) < 2 {
+		return sys
+	}
+	trans := make([]model.Transition, len(app.Transitions))
+	copy(trans, app.Transitions)
+	// Duplicate (from,to) pairs are legal (tightest max wins in the
+	// engine); MaxTime makes the order total so sorting is stable under
+	// input permutation.
+	sort.SliceStable(trans, func(i, j int) bool { return model.TransitionLess(trans[i], trans[j]) })
+	return sys.WithApp(&model.OMSM{Name: app.Name, Modes: app.Modes, Transitions: trans})
 }
 
 // CanonicalBytes parses a specification text and returns its canonical

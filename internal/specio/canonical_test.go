@@ -1,11 +1,17 @@
 package specio
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"momosyn/internal/bench"
+	"momosyn/internal/model"
 )
 
 // mutateSpec derives semantically identical textual variants of a spec:
@@ -184,4 +190,102 @@ task m x type=t
 	if string(ca) == string(cb) {
 		t.Fatal("reordered PE declarations (a different genome encoding) canonicalised identically")
 	}
+}
+
+// TestCanonicalKeysNeighbouringFloats: "18ms" and "0.018s" parse to two
+// neighbouring floats (18*1e-3 and 0.018), which synthesise to different
+// powers, so they must key differently.
+func TestCanonicalKeysNeighbouringFloats(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "specs", "smartphone.spec"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const line = "mode gsm_rlc prob=0.09 period=20ms"
+	if !strings.Contains(string(raw), line) {
+		t.Fatalf("smartphone.spec lost the line %q", line)
+	}
+	keys := map[string]string{}
+	for _, period := range []string{"18ms", "0.018s"} {
+		text := strings.Replace(string(raw), line, "mode gsm_rlc prob=0.09 period="+period, 1)
+		key, err := CanonicalBytes([]byte(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[period] = string(key)
+	}
+	if keys["18ms"] == keys["0.018s"] {
+		t.Fatal("period=18ms and period=0.018s parse to different floats but canonicalise identically")
+	}
+}
+
+// TestCanonicalExactModel: the canonical form of every in-memory benchmark
+// system reads back to bit-identical floats, so the key names exactly the
+// model that was keyed.
+func TestCanonicalExactModel(t *testing.T) {
+	type named struct {
+		name  string
+		build func() (*model.System, error)
+	}
+	systems := []named{{"smartphone", bench.SmartPhone}, {"sdr", bench.SDR}}
+	for i := 1; i <= bench.NumMuls; i++ {
+		systems = append(systems, named{fmt.Sprintf("mul%d", i), func() (*model.System, error) { return bench.MulSystem(i) }})
+	}
+	for _, s := range systems {
+		sys, err := s.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := Canonical(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: canonical form does not reparse: %v", s.name, err)
+		}
+		if diffs := floatDiffs(sortTransitions(sys), back); len(diffs) > 0 {
+			t.Errorf("%s: %d values change through Canonical→Read, e.g. %s", s.name, len(diffs), diffs[0])
+		}
+	}
+}
+
+// floatDiffs walks the exported fields of two models in parallel and
+// lists every float64 whose bits differ (two NaNs count as equal) and
+// every slice whose length differs.
+func floatDiffs(a, b any) []string {
+	var out []string
+	var walk func(path string, x, y reflect.Value)
+	walk = func(path string, x, y reflect.Value) {
+		switch x.Kind() {
+		case reflect.Pointer:
+			if x.IsNil() || y.IsNil() {
+				if x.IsNil() != y.IsNil() {
+					out = append(out, path+": nil mismatch")
+				}
+				return
+			}
+			walk(path, x.Elem(), y.Elem())
+		case reflect.Struct:
+			for i := 0; i < x.NumField(); i++ {
+				if f := x.Type().Field(i); f.IsExported() {
+					walk(path+"."+f.Name, x.Field(i), y.Field(i))
+				}
+			}
+		case reflect.Slice:
+			if x.Len() != y.Len() {
+				out = append(out, fmt.Sprintf("%s: length %d vs %d", path, x.Len(), y.Len()))
+				return
+			}
+			for i := 0; i < x.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), x.Index(i), y.Index(i))
+			}
+		case reflect.Float64:
+			u, v := x.Float(), y.Float()
+			if math.Float64bits(u) != math.Float64bits(v) && !(math.IsNaN(u) && math.IsNaN(v)) {
+				out = append(out, fmt.Sprintf("%s: %.20g vs %.20g", path, u, v))
+			}
+		}
+	}
+	walk("sys", reflect.ValueOf(a), reflect.ValueOf(b))
+	return out
 }

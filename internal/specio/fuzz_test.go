@@ -50,9 +50,11 @@ func FuzzRead(f *testing.F) {
 }
 
 // FuzzCanonical asserts the keying contract behind internal/cas on
-// arbitrary parsable input: the canonical form reparses, and
-// canonicalising it again is a fixed point (byte-identical). Without this,
-// two cache lookups for the same spec could disagree on the key.
+// arbitrary parsable input: the canonical form reparses to exactly the
+// parsed model (every float bit-identical), and canonicalising it again is
+// a fixed point (byte-identical). Without the first, two specs that parse
+// to neighbouring floats could share a key; without the second, two cache
+// lookups for the same spec could disagree on it.
 func FuzzCanonical(f *testing.F) {
 	if specs, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec")); err == nil {
 		for _, path := range specs {
@@ -64,14 +66,26 @@ func FuzzCanonical(f *testing.F) {
 		}
 	}
 	f.Add("system x\npe P class=gpp vmax=3.3 vt=0.8\ntype t\nimpl t P time=1ms power=1mW\nmode m prob=1 period=1s\ntask m a type=t\n")
+	f.Add("system x\npe P class=gpp vmax=3.3 vt=0.8\ntype t\nimpl t P time=1ms power=1mW\nmode m prob=1 period=0.018s\ntask m a type=t\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		first, err := CanonicalBytes([]byte(input))
+		sys, _, err := ReadWarnBytes([]byte(input))
 		if err != nil {
 			t.Skip() // unparsable input is FuzzRead's territory
 		}
-		second, err := CanonicalBytes(first)
+		first, err := Canonical(sys)
+		if err != nil {
+			t.Fatalf("canonical form of a parsed model: %v", err)
+		}
+		back, _, err := ReadWarnBytes(first)
 		if err != nil {
 			t.Fatalf("canonical form does not reparse: %v\n%s", err, first)
+		}
+		if diffs := floatDiffs(sortTransitions(sys), back); len(diffs) > 0 {
+			t.Fatalf("canonical form reads back a different model (%s):\n%s", diffs[0], first)
+		}
+		second, err := Canonical(back)
+		if err != nil {
+			t.Fatalf("canonical form of the reparsed model: %v", err)
 		}
 		if string(second) != string(first) {
 			t.Fatalf("canonicalisation is not idempotent:\n--- first\n%s\n--- second\n%s", first, second)

@@ -65,7 +65,8 @@ func parseUnit(s, what string, units []unit) (float64, error) {
 }
 
 // FormatTime renders seconds with the largest unit that keeps the value
-// >= 1 (or ns for very small values), using minimal digits.
+// >= 1 (or ns for very small values), using minimal digits, unless that
+// rendering would not parse back to exactly v (see formatUnit).
 func FormatTime(v float64) string {
 	return formatUnit(v, []unit{
 		{"s", 1}, {"ms", 1e-3}, {"us", 1e-6}, {"ns", 1e-9},
@@ -86,15 +87,31 @@ func FormatBandwidth(v float64) string {
 	})
 }
 
+// formatUnit renders v in the largest unit of units (ordered largest
+// first) that keeps the number >= 1, provided parseUnit reads that
+// rendering back to exactly v. v/scale printed with minimal digits does
+// not always do that: 0.018 renders as "18ms", which parses to 18*1e-3, a
+// neighbouring float. When the scaled rendering misses, v falls back to
+// the base unit (scale 1), where the minimal-digit form is exact.
 func formatUnit(v float64, units []unit) string {
+	u := units[len(units)-1]
 	if v == 0 {
-		return "0" + units[len(units)-1].suffix
+		return "0" + u.suffix
 	}
-	for _, u := range units {
-		if v >= u.scale {
-			return strconv.FormatFloat(v/u.scale, 'g', -1, 64) + u.suffix
+	for _, c := range units {
+		if v >= c.scale {
+			u = c
+			break
 		}
 	}
-	last := units[len(units)-1]
-	return strconv.FormatFloat(v/last.scale, 'g', -1, 64) + last.suffix
+	s := strconv.FormatFloat(v/u.scale, 'g', -1, 64)
+	if back, err := strconv.ParseFloat(s, 64); err == nil && back*u.scale == v {
+		return s + u.suffix
+	}
+	for _, c := range units {
+		if c.scale == 1 {
+			u = c
+		}
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64) + u.suffix
 }

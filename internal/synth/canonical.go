@@ -13,7 +13,12 @@ import (
 // (spec, seed, options) — GA operator changes, evaluation-order changes,
 // fitness formula changes — and leave it alone for pure speedups that are
 // proven byte-identical.
-const EngineVersion = "momosyn-synth/2"
+//
+// Version 3 orphans keys whose spec part came from the old canonical
+// rendering, which printed a value in its largest unit even when that text
+// parsed back to a neighbouring float (0.018 as "18ms"), so texts that parse
+// to different models could share one key.
+const EngineVersion = "momosyn-synth/3"
 
 // CanonicalOptions renders the result-shaping subset of Options in a
 // canonical, versioned byte form for content-addressed keying. Two Options

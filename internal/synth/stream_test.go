@@ -27,6 +27,16 @@ func loadSpec(t *testing.T, name string) *model.System {
 	return sys
 }
 
+// benchmarkSpecNames lists the shipped specifications the metamorphic
+// pins run over.
+func benchmarkSpecNames() []string {
+	names := []string{"smartphone", "sdr"}
+	for i := 1; i <= 12; i++ {
+		names = append(names, fmt.Sprintf("mul%d", i))
+	}
+	return names
+}
+
 // streamOpts is the small GA budget of the one-answer pins.
 func streamOpts(dvs bool, seed int64) Options {
 	return Options{
@@ -88,11 +98,7 @@ func TestPlainRunMatchesCheckpointed(t *testing.T) {
 // specio.Canonical, and therefore the cache key, unchanged, so it must
 // leave the synthesis result unchanged too.
 func TestTransitionOrderInvariant(t *testing.T) {
-	names := []string{"smartphone", "sdr"}
-	for i := 1; i <= 12; i++ {
-		names = append(names, fmt.Sprintf("mul%d", i))
-	}
-	for _, name := range names {
+	for _, name := range benchmarkSpecNames() {
 		sys := loadSpec(t, name)
 		rev := append([]model.Transition(nil), sys.App.Transitions...)
 		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -115,6 +121,28 @@ func TestTransitionOrderInvariant(t *testing.T) {
 				opts := streamOpts(dvs, seed)
 				if mustReport(t, sys, opts) != mustReport(t, flipped, opts) {
 					t.Errorf("%s dvs=%v seed=%d: reversing the transitions changed the result", name, dvs, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestNeglectEqualsProposedUnderUniform is the metamorphic pin for the
+// paper's baseline: when Ψ is already uniform, neglecting the mode
+// execution probabilities (optimising as if they were uniform) changes
+// nothing, so the baseline must report exactly what the proposed method
+// reports.
+func TestNeglectEqualsProposedUnderUniform(t *testing.T) {
+	for _, name := range benchmarkSpecNames() {
+		spec := loadSpec(t, name)
+		sys := spec.WithApp(spec.App.UniformProbabilities())
+		for _, dvs := range []bool{false, true} {
+			for seed := int64(1); seed <= 2; seed++ {
+				opts := streamOpts(dvs, seed)
+				proposed := mustReport(t, sys, opts)
+				opts.NeglectProbabilities = true
+				if mustReport(t, sys, opts) != proposed {
+					t.Errorf("%s dvs=%v seed=%d: under uniform probabilities the probability-neglecting run differs from the proposed one", name, dvs, seed)
 				}
 			}
 		}

@@ -51,8 +51,9 @@ echo "==> fuzz smoke (runctl.FuzzCheckpoint)"
 go test -run='^$' -fuzz=FuzzCheckpoint -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
 
 # Observability smoke: a traced synthesis and benchmark row, every JSONL
-# event and the metrics snapshot schema-validated by mmtrace.
-echo "==> trace smoke (mmsynth -trace/-metrics through mmtrace)"
+# event and the metrics snapshot schema-validated by mmtrace, then one
+# mmserved job's lifecycle spans and access log.
+echo "==> trace smoke (mmsynth -trace/-metrics, mmserved -lifecycle-trace, through mmtrace)"
 ./scripts/trace_smoke.sh
 
 # Job-service smoke: boot mmserved, one job over HTTP to a certified
@@ -71,12 +72,6 @@ echo "==> fleet chaos smoke (mmserved multi-node node-loss recovery)"
 # of 6 cells with 2 duplicates must run exactly 4 jobs.
 echo "==> cache smoke (mmserved result cache + batch API)"
 ./scripts/cache_smoke.sh
-
-# Performance-trajectory smoke: mmperf run + self-diff (exit 0) + a
-# synthetic regression the gate must flag (exit 1), then one mmserved job
-# with lifecycle tracing and the access log, validated by mmtrace.
-echo "==> perf smoke (mmperf run/diff, mmserved -lifecycle-trace)"
-./scripts/perf_smoke.sh
 
 # Certification sweep: every benchmark spec through `mmsynth -certify` at
 # a small GA budget, plus a fault-injection negative control (exit 4).
