@@ -35,12 +35,14 @@ bench-pins:
 	$(GO) test -run TestAllocPins -count=1 ./internal/sched ./internal/synth ./internal/dvs ./internal/ga ./internal/allocpin
 
 # Short native-fuzzing bursts over the untrusted-input readers (spec files
-# and checkpoints); the minimiser is capped so large seed-corpus entries
-# cannot stall the run (see scripts/ci.sh).
+# and checkpoints) and the evaluator's differential check; the minimiser is
+# capped so large seed-corpus entries cannot stall the run (see
+# scripts/ci.sh).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
 	$(GO) test -run='^$$' -fuzz=FuzzCanonical -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
+	$(GO) test -run='^$$' -fuzz=FuzzEvaluateDifferential -fuzztime=5s -fuzzminimizetime=5s ./internal/synth
 
 # Observability smoke: a traced mmsynth run on a small spec, every JSONL
 # event and the metrics snapshot validated by mmtrace, then one mmserved

@@ -14,6 +14,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -302,6 +303,11 @@ type TaskGraph struct {
 
 	succ [][]EdgeID
 	pred [][]EdgeID
+	// order is the topological order and cycleErr the cycle error, both
+	// computed once by reindex: neither depends on a mapping, so the
+	// evaluation loop reads them instead of sorting per candidate.
+	order    []TaskID
+	cycleErr error
 }
 
 // NewTaskGraph builds a task graph and its adjacency indexes. It does not
@@ -319,6 +325,7 @@ func (g *TaskGraph) reindex() {
 		g.succ[e.Src] = append(g.succ[e.Src], e.ID)
 		g.pred[e.Dst] = append(g.pred[e.Dst], e.ID)
 	}
+	g.order, g.cycleErr = g.topoSort()
 }
 
 // Task returns the task with the given ID, or nil when out of range.
@@ -345,14 +352,28 @@ func (g *TaskGraph) In(t TaskID) []EdgeID { return g.pred[t] }
 
 // TopoOrder returns the task IDs in a topological order, or an error if the
 // graph contains a cycle. The order is deterministic: among ready tasks the
-// smallest ID goes first.
+// smallest ID goes first. The slice is the caller's own.
 func (g *TaskGraph) TopoOrder() ([]TaskID, error) {
+	if g.cycleErr != nil {
+		return nil, g.cycleErr
+	}
+	return slices.Clone(g.order), nil
+}
+
+// Order is TopoOrder without the copy: the returned slice is shared by
+// every caller and must not be modified.
+func (g *TaskGraph) Order() ([]TaskID, error) { return g.order, g.cycleErr }
+
+// topoSort is Kahn's algorithm with the ready set in a binary min-heap on
+// task ID, so the smallest ready ID always goes first.
+func (g *TaskGraph) topoSort() ([]TaskID, error) {
 	n := len(g.Tasks)
 	indeg := make([]int, n)
 	for _, e := range g.Edges {
 		indeg[e.Dst]++
 	}
-	ready := make([]TaskID, 0, n)
+	// Ascending IDs already satisfy the heap property.
+	ready := make(idHeap, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			ready = append(ready, TaskID(i))
@@ -360,16 +381,14 @@ func (g *TaskGraph) TopoOrder() ([]TaskID, error) {
 	}
 	order := make([]TaskID, 0, n)
 	for len(ready) > 0 {
-		// Deterministic: pop the smallest ID.
-		sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-		t := ready[0]
-		ready = ready[1:]
+		var t TaskID
+		t, ready = ready.pop()
 		order = append(order, t)
 		for _, eid := range g.succ[t] {
 			d := g.Edges[eid].Dst
 			indeg[d]--
 			if indeg[d] == 0 {
-				ready = append(ready, d)
+				ready = ready.push(d)
 			}
 		}
 	}
@@ -377,6 +396,44 @@ func (g *TaskGraph) TopoOrder() ([]TaskID, error) {
 		return nil, fmt.Errorf("model: task graph contains a cycle (%d of %d tasks ordered)", len(order), n)
 	}
 	return order, nil
+}
+
+// idHeap is a binary min-heap of task IDs.
+type idHeap []TaskID
+
+func (h idHeap) push(t TaskID) idHeap {
+	h = append(h, t)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+func (h idHeap) pop() (TaskID, idHeap) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top, h
 }
 
 // Mode is one operational mode: a task graph annotated with its execution
@@ -626,7 +683,7 @@ func (s *System) validateApp() error {
 				return fmt.Errorf("model: mode %q edge %d has negative size", m.Name, j)
 			}
 		}
-		if _, err := m.Graph.TopoOrder(); err != nil {
+		if err := m.Graph.cycleErr; err != nil {
 			return fmt.Errorf("model: mode %q: %v", m.Name, err)
 		}
 	}

@@ -4,12 +4,15 @@ import (
 	"testing"
 
 	"momosyn/internal/allocpin"
+	"momosyn/internal/model"
 )
 
 // Sinks defeat dead-code elimination of the measured calls.
 var (
 	sinkF float64
 	sinkB bool
+	sinkI int
+	sinkE error
 )
 
 // TestAllocPins proves every //mm:noalloc function in this package runs
@@ -40,21 +43,28 @@ func TestAllocPins(t *testing.T) {
 	c2.energy++
 
 	// A mutable scratch schedule for the scheduling-step pins. Seeding it
-	// via listSchedule fills every predecessor slot scheduleTask reads.
-	scratch, _, err := listSchedule(sys, 0, mapping, SingleCores{}, mob, false)
-	if err != nil {
+	// via a full run fills every predecessor slot scheduleTask reads.
+	var x Scheduler
+	scratch := &Schedule{}
+	if _, err := x.Run(sys, 0, mapping, SingleCores{}, mob, scratch, false); err != nil {
 		t.Fatal(err)
 	}
-	rs := &resourceState{
-		peFree:   make([]float64, len(sys.Arch.PEs)),
-		coreFree: make(map[coreKey][]float64),
-		clFree:   make([]float64, len(sys.Arch.CLs)),
-	}
-	prepCorePools(sys, mode, SingleCores{}, rs)
+	rs := &resourceState{}
+	rs.reset(sys, mode, SingleCores{}, false)
+
+	// Reused targets for the whole-pass pins; the first call sizes them.
+	var mobInto Mobility
+	var runner Scheduler
+	into := &Schedule{}
+	tasks := []model.TaskID{0, 1, 2, 3}
+	used := make([]bool, len(sys.Arch.CLs))
 
 	allocpin.Verify(t, ".", []allocpin.Pin{
 		{Name: "Mobility.Slack", Body: func() { sinkF = mob.Slack(1) }},
 		{Name: "Mobility.fill", Body: func() { mob.fill(sys, mode, 0, mapping, order) }},
+		{Name: "Mobility.Compute", Body: func() { sinkE = mobInto.Compute(sys, 0, mapping) }},
+		{Name: "Mobility.MaxOverlap", Body: func() { sinkI = mob.MaxOverlap(tasks) }},
+		{Name: "Scheduler.Run", Body: func() { _, sinkE = runner.Run(sys, 0, mapping, SingleCores{}, mob, into, true) }},
 		{Name: "commBound", Body: func() { sinkF = commBound(sys, crossEdge, 0, 1, mode.Period) }},
 		{Name: "execTime", Body: func() { sinkF = execTime(sys, mode, 0, 0) }},
 		{Name: "unroutablePenalty", Body: func() { sinkF = unroutablePenalty(mode.Period) }},
@@ -62,6 +72,7 @@ func TestAllocPins(t *testing.T) {
 		{Name: "scheduleComm", Body: func() { sinkF = scheduleComm(sys, mode, mapping[0], rs, scratch, crossEdge) }},
 		{Name: "Schedule.Lateness", Body: func() { sinkF = done.Lateness(sys) }},
 		{Name: "Schedule.DynamicEnergy", Body: func() { sinkF = done.DynamicEnergy() }},
+		{Name: "Schedule.MarkUsedCLs", Body: func() { done.MarkUsedCLs(used) }},
 		{Name: "scheduleCost", Body: func() { c1 = scheduleCost(sys, done) }},
 		{Name: "cost.less", Body: func() { sinkB = c1.less(c2) }},
 	})

@@ -3,7 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"momosyn/internal/energy"
@@ -114,19 +114,40 @@ func (sc *Schedule) DynamicEnergy() float64 {
 // carried by the link during the mode. CLs idle in a mode can be shut down.
 func (sc *Schedule) UsedCLs(arch *model.Arch) []bool {
 	used := make([]bool, len(arch.CLs))
+	sc.MarkUsedCLs(used)
+	return used
+}
+
+// MarkUsedCLs is UsedCLs into a caller-owned slice holding one flag per
+// link, which it overwrites.
+//
+//mm:noalloc
+func (sc *Schedule) MarkUsedCLs(used []bool) {
+	clear(used)
 	for i := range sc.Comms {
 		if sc.Comms[i].Routed && sc.Comms[i].CL != model.NoCL && sc.Comms[i].Time > 0 {
 			used[sc.Comms[i].CL] = true
 		}
 	}
-	return used
+}
+
+// Clone returns a deep copy of the schedule.
+func (sc *Schedule) Clone() *Schedule {
+	c := *sc
+	c.Tasks = slices.Clone(sc.Tasks)
+	c.Comms = slices.Clone(sc.Comms)
+	return &c
 }
 
 // resourceState tracks the next-free time of every sequential resource.
 type resourceState struct {
-	peFree   []float64             // software PEs
-	coreFree map[coreKey][]float64 // hardware core instances
-	clFree   []float64             // communication links
+	peFree []float64 // software PEs
+	clFree []float64 // communication links
+	// pools[pe*nTypes+tt] locates the core-instance pool of type tt on
+	// hardware PE pe inside poolBuf; n == 0 marks a pool the mode lacks.
+	nTypes  int
+	pools   []poolSpan
+	poolBuf []float64
 	// timed enables wall-clock accounting of the communication-mapping
 	// portion of scheduling, accumulated into commTime. Timing is pure
 	// observation: it never influences any scheduling decision.
@@ -134,124 +155,216 @@ type resourceState struct {
 	commTime time.Duration
 }
 
-type coreKey struct {
-	pe model.PEID
-	tt model.TaskTypeID
+// poolSpan is the window poolBuf[off:off+n] holding one core pool's
+// next-free times.
+type poolSpan struct{ off, n int }
+
+// Scheduler is the reusable working state of the list scheduler: resource
+// next-free times, core-instance pools, the ready heap and the in-degree
+// counters. The zero value is ready to use; the buffers grow on the first
+// Run and are reused by every later one. A Scheduler is not safe for
+// concurrent use.
+type Scheduler struct {
+	rs    resourceState
+	ready []model.TaskID
+	indeg []int
+	// mob holds the priorities of the run in progress.
+	mob *Mobility
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short. The contents are stale; callers overwrite or clear them.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		//mm:alloc-ok grows only past the largest size seen; steady state reuses the buffer
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // ListSchedule constructs the schedule of one mode under the given mapping
 // using mobility-driven list scheduling. Tasks are prioritised by latest
 // start time (ALAP), ties broken by mobility then task ID. Communications
 // are mapped greedily to the connecting link giving the earliest arrival.
+// A nil mob is computed. ListSchedule allocates a fresh schedule and
+// scheduler; loops that schedule repeatedly keep a Scheduler and call Run.
 func ListSchedule(s *model.System, modeID model.ModeID, mapping model.Mapping, cores CoreProvider, mob *Mobility) (*Schedule, error) {
-	sc, _, err := listSchedule(s, modeID, mapping, cores, mob, false)
-	return sc, err
-}
-
-// ListScheduleTimed is ListSchedule with phase instrumentation: it
-// additionally returns the wall-clock time spent inside communication
-// mapping (the scheduleComm portion of the run), so callers can report the
-// nested comm-mapping share of scheduling without this package depending on
-// any observability layer.
-func ListScheduleTimed(s *model.System, modeID model.ModeID, mapping model.Mapping, cores CoreProvider, mob *Mobility) (*Schedule, time.Duration, error) {
-	return listSchedule(s, modeID, mapping, cores, mob, true)
-}
-
-func listSchedule(s *model.System, modeID model.ModeID, mapping model.Mapping, cores CoreProvider, mob *Mobility, timed bool) (*Schedule, time.Duration, error) {
-	mode := s.App.Mode(modeID)
-	g := mode.Graph
 	if mob == nil {
 		var err error
 		mob, err = ComputeMobility(s, modeID, mapping)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	n := len(g.Tasks)
-	sc := &Schedule{
-		Mode:  modeID,
-		Tasks: make([]TaskSlot, n),
-		Comms: make([]CommSlot, len(g.Edges)),
+	var x Scheduler
+	sc := &Schedule{}
+	if _, err := x.Run(s, modeID, mapping, cores, mob, sc, false); err != nil {
+		return nil, err
 	}
-	rs := &resourceState{
-		peFree:   make([]float64, len(s.Arch.PEs)),
-		coreFree: make(map[coreKey][]float64),
-		clFree:   make([]float64, len(s.Arch.CLs)),
-		timed:    timed,
-	}
-	prepCorePools(s, mode, cores, rs)
+	return sc, nil
+}
 
-	indeg := make([]int, n)
+// Run is ListSchedule into caller-owned storage: it writes the schedule of
+// the mode into sc, reusing sc's slot slices and the scheduler's buffers,
+// so repeated runs allocate nothing once both are sized. mob must be the
+// mode's mobility under the mapping. With timed set, Run also returns the
+// wall-clock time spent inside communication mapping (the scheduleComm
+// portion), so callers can report the nested comm-mapping share of
+// scheduling without this package depending on any observability layer.
+//
+//mm:noalloc
+func (x *Scheduler) Run(s *model.System, modeID model.ModeID, mapping model.Mapping, cores CoreProvider, mob *Mobility, sc *Schedule, timed bool) (time.Duration, error) {
+	mode := s.App.Mode(modeID)
+	g := mode.Graph
+	n := len(g.Tasks)
+	sc.Mode = modeID
+	sc.Tasks = grow(sc.Tasks, n)
+	sc.Comms = grow(sc.Comms, len(g.Edges))
+	sc.Makespan = 0
+	sc.Unroutable = 0
+	x.rs.reset(s, mode, cores, timed)
+
+	x.indeg = grow(x.indeg, n)
+	clear(x.indeg)
 	for _, e := range g.Edges {
-		indeg[e.Dst]++
+		x.indeg[e.Dst]++
 	}
-	scheduled := make([]bool, n)
-	ready := make([]model.TaskID, 0, n)
+	x.mob = mob
+	x.ready = grow(x.ready, n)[:0]
 	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, model.TaskID(i))
+		if x.indeg[i] == 0 {
+			x.push(model.TaskID(i))
 		}
 	}
 	for done := 0; done < n; done++ {
-		if len(ready) == 0 {
-			return nil, 0, fmt.Errorf("sched: mode %q: dependency cycle", mode.Name)
+		if len(x.ready) == 0 {
+			return 0, cycleError(mode)
 		}
-		sort.Slice(ready, func(i, j int) bool {
-			a, b := ready[i], ready[j]
-			switch {
-			case mob.ALAP[a] < mob.ALAP[b]:
-				return true
-			case mob.ALAP[b] < mob.ALAP[a]:
-				return false
-			}
-			switch sa, sb := mob.Slack(a), mob.Slack(b); {
-			case sa < sb:
-				return true
-			case sb < sa:
-				return false
-			}
-			return a < b
-		})
-		t := ready[0]
-		ready = ready[1:]
-		scheduleTask(s, mode, mapping[modeID], rs, sc, t)
-		scheduled[t] = true
+		t := x.pop()
+		scheduleTask(s, mode, mapping[modeID], &x.rs, sc, t)
 		for _, eid := range g.Out(t) {
 			d := g.Edge(eid).Dst
-			indeg[d]--
-			if indeg[d] == 0 {
-				ready = append(ready, d)
+			x.indeg[d]--
+			if x.indeg[d] == 0 {
+				x.push(d)
 			}
 		}
 	}
-	return sc, rs.commTime, nil
+	return x.rs.commTime, nil
 }
 
-// prepCorePools presizes the per-(PE, type) core-instance pools for every
-// hardware PE and task type the mode contains, so the scheduling loop never
-// has to grow the map or allocate a pool mid-flight.
-func prepCorePools(s *model.System, mode *model.Mode, cores CoreProvider, rs *resourceState) {
+// cycleError reports a mode whose ready list ran dry before every task was
+// scheduled.
+func cycleError(mode *model.Mode) error {
+	return fmt.Errorf("sched: mode %q: dependency cycle", mode.Name)
+}
+
+// before is the ready-list priority: earlier ALAP first, then smaller
+// slack, then smaller task ID. It is a strict total order, so the heap
+// pops tasks in exactly the order a full sort of the ready list would.
+func (x *Scheduler) before(a, b model.TaskID) bool {
+	m := x.mob
+	switch {
+	case m.ALAP[a] < m.ALAP[b]:
+		return true
+	case m.ALAP[b] < m.ALAP[a]:
+		return false
+	}
+	switch sa, sb := m.Slack(a), m.Slack(b); {
+	case sa < sb:
+		return true
+	case sb < sa:
+		return false
+	}
+	return a < b
+}
+
+// push adds a task to the ready heap.
+func (x *Scheduler) push(t model.TaskID) {
+	//mm:alloc-ok never grows: Run presizes ready to the mode's task count
+	x.ready = append(x.ready, t)
+	h := x.ready
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !x.before(h[i], h[p]) {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// pop removes and returns the most urgent ready task.
+func (x *Scheduler) pop() model.TaskID {
+	h := x.ready
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	x.ready = h
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && x.before(h[c+1], h[c]) {
+			c++
+		}
+		if !x.before(h[c], h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top
+}
+
+// reset readies the resource state for scheduling one mode: every resource
+// free at time zero, and one core pool per hardware PE and task type the
+// mode contains, sized by the core provider, so the scheduling loop never
+// has to create a pool mid-flight.
+func (rs *resourceState) reset(s *model.System, mode *model.Mode, cores CoreProvider, timed bool) {
+	rs.peFree = grow(rs.peFree, len(s.Arch.PEs))
+	clear(rs.peFree)
+	rs.clFree = grow(rs.clFree, len(s.Arch.CLs))
+	clear(rs.clFree)
+	rs.nTypes = len(s.Lib.Types)
+	rs.pools = grow(rs.pools, len(s.Arch.PEs)*rs.nTypes)
+	clear(rs.pools)
+	total := 0
 	for _, pe := range s.Arch.PEs {
 		if !pe.Class.IsHardware() {
 			continue
 		}
 		for _, task := range mode.Graph.Tasks {
-			key := coreKey{pe.ID, task.Type}
-			if _, ok := rs.coreFree[key]; ok {
+			sp := &rs.pools[int(pe.ID)*rs.nTypes+int(task.Type)]
+			if sp.n > 0 {
 				continue
 			}
 			cnt := cores.Instances(mode.ID, pe.ID, task.Type)
 			if cnt < 1 {
 				cnt = 1
 			}
-			rs.coreFree[key] = make([]float64, cnt)
+			*sp = poolSpan{off: total, n: cnt}
+			total += cnt
 		}
 	}
+	rs.poolBuf = grow(rs.poolBuf, total)
+	clear(rs.poolBuf)
+	rs.timed = timed
+	rs.commTime = 0
+}
+
+// pool returns the next-free times of the core instances of type tt on
+// hardware PE pe.
+func (rs *resourceState) pool(pe model.PEID, tt model.TaskTypeID) []float64 {
+	sp := rs.pools[int(pe)*rs.nTypes+int(tt)]
+	return rs.poolBuf[sp.off : sp.off+sp.n]
 }
 
 // scheduleTask places one task (and its incoming communications) onto the
 // architecture. All predecessors are already scheduled; the core pools are
-// presized by prepCorePools.
+// laid out by resourceState.reset.
 //
 //mm:noalloc
 func scheduleTask(s *model.System, mode *model.Mode, mapRow []model.PEID, rs *resourceState, sc *Schedule, t model.TaskID) {
@@ -284,7 +397,7 @@ func scheduleTask(s *model.System, mode *model.Mode, mapRow []model.PEID, rs *re
 	var start float64
 	core := -1
 	if pe.Class.IsHardware() {
-		inst := rs.coreFree[coreKey{pe.ID, task.Type}]
+		inst := rs.pool(pe.ID, task.Type)
 		core = 0
 		for i := 1; i < len(inst); i++ {
 			if inst[i] < inst[core] {

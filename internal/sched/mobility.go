@@ -78,25 +78,34 @@ func execTime(s *model.System, mode *model.Mode, t model.TaskID, pe model.PEID) 
 // The ALAP pass anchors sink tasks at their effective deadlines
 // min(deadline, period).
 func ComputeMobility(s *model.System, modeID model.ModeID, mapping model.Mapping) (*Mobility, error) {
-	mode := s.App.Mode(modeID)
-	g := mode.Graph
-	order, err := g.TopoOrder()
-	if err != nil {
+	mob := &Mobility{}
+	if err := mob.Compute(s, modeID, mapping); err != nil {
 		return nil, err
 	}
-	n := len(g.Tasks)
-	mob := &Mobility{
-		ASAP: make([]float64, n),
-		ALAP: make([]float64, n),
-		Exec: make([]float64, n),
-	}
-	mob.fill(s, mode, modeID, mapping, order)
 	return mob, nil
 }
 
-// fill runs the ASAP and ALAP passes into the presized buffers of m. Split
-// from ComputeMobility so everything after buffer setup is provably
-// allocation-free.
+// Compute is ComputeMobility into m: it reuses m's slices when they are
+// large enough, so repeated analyses allocate nothing. The topological
+// order comes from the task graph, which computes it once.
+//
+//mm:noalloc
+func (m *Mobility) Compute(s *model.System, modeID model.ModeID, mapping model.Mapping) error {
+	mode := s.App.Mode(modeID)
+	order, err := mode.Graph.Order()
+	if err != nil {
+		return err
+	}
+	n := len(mode.Graph.Tasks)
+	m.ASAP = grow(m.ASAP, n)
+	m.ALAP = grow(m.ALAP, n)
+	m.Exec = grow(m.Exec, n)
+	m.fill(s, mode, modeID, mapping, order)
+	return nil
+}
+
+// fill runs the ASAP and ALAP passes into the presized buffers of m,
+// overwriting every entry.
 //
 //mm:noalloc
 func (m *Mobility) fill(s *model.System, mode *model.Mode, modeID model.ModeID, mapping model.Mapping, order []model.TaskID) {
@@ -140,44 +149,45 @@ func (m *Mobility) fill(s *model.System, mode *model.Mode, modeID model.ModeID, 
 // execution windows. It estimates how many tasks of one type may want to
 // run in parallel — the demand used for replica core allocation
 // (paper section 4.1, "ImplementHWcores").
+//
+// Touching windows do not overlap. The count peaks just after some window
+// opens, so it is the maximum over window starts t of the windows with
+// start <= t less those with end <= t. The same comparisons decide it as
+// an event sweep with ends sorted before starts at equal times, without
+// building and sorting the events; the task sets are small.
+//
+//mm:noalloc
 func (m *Mobility) MaxOverlap(tasks []model.TaskID) int {
 	if len(tasks) <= 1 {
 		return len(tasks)
 	}
-	type ev struct {
-		t     float64
-		delta int
-	}
-	var evs []ev
-	for _, t := range tasks {
-		start := m.ASAP[t]
-		end := m.ALAP[t] + m.Exec[t]
-		if end <= start {
-			end = start + m.Exec[t]
-		}
-		evs = append(evs, ev{start, +1}, ev{end, -1})
-	}
-	// Sort events; ends before starts at equal time so touching windows do
-	// not count as overlapping.
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := evs[j-1], evs[j]
-			before := b.t < a.t
-			if !before && !(a.t < b.t) { // equal times: order by delta
-				before = b.delta < a.delta
+	best := 0
+	for _, u := range tasks {
+		t := m.ASAP[u]
+		open := 0
+		for _, v := range tasks {
+			start, end := m.window(v)
+			if !(t < start) {
+				open++
 			}
-			if !before {
-				break
+			if !(t < end) {
+				open--
 			}
-			evs[j-1], evs[j] = b, a
 		}
-	}
-	cur, best := 0, 0
-	for _, e := range evs {
-		cur += e.delta
-		if cur > best {
-			best = cur
+		if open > best {
+			best = open
 		}
 	}
 	return best
+}
+
+// window returns the task's execution window: ASAP start to ALAP finish,
+// or one execution time long when the ALAP finish is not later.
+func (m *Mobility) window(t model.TaskID) (start, end float64) {
+	start = m.ASAP[t]
+	end = m.ALAP[t] + m.Exec[t]
+	if end <= start {
+		end = start + m.Exec[t]
+	}
+	return start, end
 }

@@ -14,6 +14,7 @@ var (
 	sinkF   float64
 	sinkB   bool
 	sinkI   int
+	sinkE   error
 )
 
 // TestAllocPins proves every //mm:noalloc function in this package runs
@@ -45,8 +46,14 @@ func TestAllocPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := sys.App.Transitions[0]
-	demand := map[model.TaskTypeID]int{0: 3, 2: 2}
+	demand := make([]int, len(sys.Lib.Types))
+	demand[0], demand[2] = 3, 2
 	hwPE := sys.Arch.PEs[1]
+
+	// Reused targets for the whole-pass pins; the first call sizes them.
+	scratchEval := NewEvaluator(sys, false)
+	var al allocator
+	into := &Allocation{}
 
 	allocpin.Verify(t, ".", []allocpin.Pin{
 		{Name: "mappingHash", Body: func() { sinkU64 = mappingHash(mapping, 1) }},
@@ -56,6 +63,9 @@ func TestAllocPins(t *testing.T) {
 		{Name: "Evaluation.Feasible", Body: func() { sinkB = ev.Feasible() }},
 		{Name: "Evaluation.Reweighted", Body: func() { sinkF = ev.Reweighted(sys, nil) }},
 		{Name: "PowerUpperBound", Body: func() { sinkF = PowerUpperBound(sys) }},
+		{Name: "Evaluator.evaluate", Body: func() { _, sinkE = scratchEval.evaluate(mapping) }},
+		{Name: "allocator.allocate", Body: func() { al.allocate(sys, mapping, mob, false, into) }},
+		{Name: "Allocation.row", Body: func() { sinkI = len(alloc.row(1, hwPE.ID)) }},
 		{Name: "Allocation.Instances", Body: func() { sinkI = alloc.Instances(0, hwPE.ID, 0) }},
 		{Name: "Allocation.TransitionTime", Body: func() { sinkF = alloc.TransitionTime(sys, tr) }},
 		{Name: "capDemand", Body: func() { capDemand(demand) }},

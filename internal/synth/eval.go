@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"momosyn/internal/dvs"
@@ -94,6 +95,13 @@ func (ev *Evaluation) Feasible() bool {
 // Probs overrides the mode execution probabilities used in the objective —
 // the probability-neglecting baseline passes the uniform distribution; nil
 // uses the specification's probabilities.
+//
+// An Evaluator owns the working memory of its evaluations (mobilities, core
+// allocation, per-mode schedules, scheduler state), sized on the first
+// evaluation and reused by every later one. The *Evaluation that Evaluate
+// returns is a copy the caller owns: later evaluations do not change it.
+// An Evaluator is not safe for concurrent use; give every goroutine its
+// own (Synthesize does, so concurrent runs share nothing).
 type Evaluator struct {
 	Sys     *model.System
 	UseDVS  bool
@@ -122,6 +130,44 @@ type Evaluator struct {
 	timings obs.Timings
 	// ub caches PowerUpperBound of the system.
 	ub float64
+	// scratch is the working memory every evaluation overwrites.
+	scratch evalScratch
+}
+
+// evalScratch holds everything one evaluation writes. The evaluation in ev
+// points into the other buffers.
+type evalScratch struct {
+	mobs       []sched.Mobility
+	mobPtrs    []*sched.Mobility // &mobs[m], the form AllocateCores takes
+	alloc      Allocation
+	allocator  allocator
+	scheduler  sched.Scheduler
+	schedules  []sched.Schedule
+	schedPtrs  []*sched.Schedule
+	modePowers []energy.ModePower
+	lateness   []float64
+	transTimes []float64
+	activePE   []bool
+	usedCL     []bool
+	ev         Evaluation
+}
+
+// size shapes the scratch for the system; only the first evaluation
+// allocates.
+func (x *evalScratch) size(s *model.System) {
+	nModes := len(s.App.Modes)
+	x.mobs = grow(x.mobs, nModes)
+	x.mobPtrs = grow(x.mobPtrs, nModes)
+	for m := range x.mobs {
+		x.mobPtrs[m] = &x.mobs[m]
+	}
+	x.schedules = grow(x.schedules, nModes)
+	x.schedPtrs = grow(x.schedPtrs, nModes)
+	x.modePowers = grow(x.modePowers, nModes)
+	x.lateness = grow(x.lateness, nModes)
+	x.transTimes = grow(x.transTimes, len(s.App.Transitions))
+	x.activePE = grow(x.activePE, len(s.Arch.PEs))
+	x.usedCL = grow(x.usedCL, len(s.Arch.CLs))
 }
 
 // Timings returns the cumulative phase breakdown of every instrumented
@@ -221,9 +267,41 @@ func (e *Evaluator) prob(mode model.ModeID) float64 {
 
 // Evaluate runs the full inner loop for the mapping: mobility analysis,
 // core allocation, per-mode communication mapping and scheduling, optional
-// voltage scaling, and the fitness computation of paper Fig. 4.
+// voltage scaling, and the fitness computation of paper Fig. 4. The result
+// is the caller's: it shares no memory with the evaluator, so holding
+// several results of one evaluator is safe. Its Mapping is the argument.
 func (e *Evaluator) Evaluate(mapping model.Mapping) (*Evaluation, error) {
+	ev, err := e.evaluate(mapping)
+	if err != nil {
+		return nil, err
+	}
+	return ev.clone(), nil
+}
+
+// clone returns a deep copy of the evaluation; the mapping is shared.
+func (ev *Evaluation) clone() *Evaluation {
+	c := *ev
+	c.Alloc = ev.Alloc.clone()
+	c.Schedules = make([]*sched.Schedule, len(ev.Schedules))
+	for m, sc := range ev.Schedules {
+		c.Schedules[m] = sc.Clone()
+	}
+	c.ModePowers = slices.Clone(ev.ModePowers)
+	c.Lateness = slices.Clone(ev.Lateness)
+	c.TransTimes = slices.Clone(ev.TransTimes)
+	return &c
+}
+
+// evaluate is Evaluate into the evaluator's scratch: the returned
+// evaluation and everything it points to except the mapping belong to the
+// evaluator and are overwritten by the next call. The GA fitness paths
+// read what they need from it and keep nothing.
+//
+//mm:noalloc
+func (e *Evaluator) evaluate(mapping model.Mapping) (*Evaluation, error) {
 	s := e.Sys
+	x := &e.scratch
+	x.size(s)
 	nModes := len(s.App.Modes)
 	timed := e.Obs.Active()
 	var span obs.Timings
@@ -233,59 +311,51 @@ func (e *Evaluator) Evaluate(mapping model.Mapping) (*Evaluation, error) {
 	if timed {
 		mark = time.Now()
 	}
-	mob := make([]*sched.Mobility, nModes)
 	for m := 0; m < nModes; m++ {
-		mm, err := sched.ComputeMobility(s, model.ModeID(m), mapping)
-		if err != nil {
-			return nil, fmt.Errorf("synth: mode %d: %w", m, err)
+		if err := x.mobs[m].Compute(s, model.ModeID(m), mapping); err != nil {
+			return nil, mobilityError(m, err)
 		}
-		mob[m] = mm
 	}
 	if timed {
 		span.Mobility = time.Since(mark)
 		mark = time.Now()
 	}
-	alloc := AllocateCoresWith(s, mapping, mob, e.NoReplicaCores)
+	x.allocator.allocate(s, mapping, x.mobPtrs, e.NoReplicaCores, &x.alloc)
 	if timed {
 		span.CoreAlloc = time.Since(mark)
 	}
 
-	ev := &Evaluation{
+	ev := &x.ev
+	*ev = Evaluation{
 		Mapping:    mapping,
-		Alloc:      alloc,
-		Schedules:  make([]*sched.Schedule, nModes),
-		ModePowers: make([]energy.ModePower, nModes),
-		Lateness:   make([]float64, nModes),
-		TransTimes: make([]float64, len(s.App.Transitions)),
+		Alloc:      &x.alloc,
+		Schedules:  x.schedPtrs,
+		ModePowers: x.modePowers,
+		Lateness:   x.lateness,
+		TransTimes: x.transTimes,
 	}
 
 	// Lines 09-13: per-mode inner loop.
-	activePE := make([]bool, len(s.Arch.PEs))
 	for m := 0; m < nModes; m++ {
 		mode := s.App.Mode(model.ModeID(m))
-		var sc *sched.Schedule
+		sc := &x.schedules[m]
 		var err error
 		switch {
 		case e.RefineIterations > 0:
-			rng := rand.New(rand.NewSource(int64(mappingHash(mapping, m))))
+			sc, err = e.refine(mapping, m, timed, &span)
+		default:
 			if timed {
 				mark = time.Now()
 			}
-			sc, err = sched.Refine(s, model.ModeID(m), mapping, alloc, mob[m], e.RefineIterations, rng)
-			if timed {
-				span.Refine += time.Since(mark)
-			}
-		case timed:
-			mark = time.Now()
 			var comm time.Duration
-			sc, comm, err = sched.ListScheduleTimed(s, model.ModeID(m), mapping, alloc, mob[m])
-			span.ListSched += time.Since(mark)
-			span.CommMap += comm
-		default:
-			sc, err = sched.ListSchedule(s, model.ModeID(m), mapping, alloc, mob[m])
+			comm, err = x.scheduler.Run(s, model.ModeID(m), mapping, &x.alloc, x.mobPtrs[m], sc, timed)
+			if timed {
+				span.ListSched += time.Since(mark)
+				span.CommMap += comm
+			}
 		}
 		if err != nil {
-			return nil, fmt.Errorf("synth: mode %q: %w", mode.Name, err)
+			return nil, scheduleError(mode, err)
 		}
 		if e.UseDVS {
 			if timed {
@@ -300,14 +370,14 @@ func (e *Evaluator) Evaluate(mapping model.Mapping) (*Evaluation, error) {
 		ev.Lateness[m] = sc.Lateness(s)
 		ev.Unroutable += sc.Unroutable
 
-		for pe := range activePE {
-			activePE[pe] = mapping.UsesPE(model.ModeID(m), model.PEID(pe))
+		for pe := range x.activePE {
+			x.activePE[pe] = mapping.UsesPE(model.ModeID(m), model.PEID(pe))
 		}
-		usedCL := sc.UsedCLs(s.Arch)
+		sc.MarkUsedCLs(x.usedCL)
 		ev.ModePowers[m] = energy.ModePower{
 			DynamicEnergy: sc.DynamicEnergy(),
 			Period:        mode.Period,
-			StaticPower:   energy.StaticPower(s.Arch, activePE, usedCL),
+			StaticPower:   energy.StaticPower(s.Arch, x.activePE, x.usedCL),
 		}
 	}
 
@@ -332,6 +402,31 @@ func (e *Evaluator) Evaluate(mapping model.Mapping) (*Evaluation, error) {
 		e.recordEval(span)
 	}
 	return ev, nil
+}
+
+// refine schedules mode m by stochastic refinement. Unlike the list
+// scheduler it allocates: every candidate is a fresh schedule.
+func (e *Evaluator) refine(mapping model.Mapping, m int, timed bool, span *obs.Timings) (*sched.Schedule, error) {
+	rng := rand.New(rand.NewSource(int64(mappingHash(mapping, m))))
+	var mark time.Time
+	if timed {
+		mark = time.Now()
+	}
+	sc, err := sched.Refine(e.Sys, model.ModeID(m), mapping, &e.scratch.alloc, e.scratch.mobPtrs[m], e.RefineIterations, rng)
+	if timed {
+		span.Refine += time.Since(mark)
+	}
+	return sc, err
+}
+
+// mobilityError wraps a mobility failure of mode m.
+func mobilityError(m int, err error) error {
+	return fmt.Errorf("synth: mode %d: %w", m, err)
+}
+
+// scheduleError wraps a scheduling failure of the mode.
+func scheduleError(mode *model.Mode, err error) error {
+	return fmt.Errorf("synth: mode %q: %w", mode.Name, err)
 }
 
 // penalties fills the timing, area and transition penalty terms.
@@ -364,7 +459,7 @@ func (e *Evaluator) penalties(ev *Evaluation) {
 	// transitions. (The paper multiplies wR·Π tT/tTmax over violating
 	// transitions; we use the equivalent monotone additive form that is 1
 	// when no transition is violated.) ev.TransTimes is presized by
-	// Evaluate. The excesses are summed in model.TransitionLess order, so
+	// evaluate. The excesses are summed in model.TransitionLess order, so
 	// a specification's transition order cannot round the sum differently.
 	trs := s.App.Transitions
 	for i, tr := range trs {

@@ -66,11 +66,20 @@ func (c *Codec) PEAt(genome []int, k int) model.PEID {
 
 // Decode expands a genome into a mapping.
 func (c *Codec) Decode(genome []int) model.Mapping {
-	m := model.NewMapping(c.sys.App)
-	for k, l := range c.loci {
-		m[l.mode][l.task] = c.PEAt(genome, k)
+	return c.decodeInto(nil, genome)
+}
+
+// decodeInto is Decode into dst, which must be nil or a mapping this codec
+// decoded; nil allocates. Every task is written, so a reused dst holds no
+// trace of its previous genome. It returns the mapping written.
+func (c *Codec) decodeInto(dst model.Mapping, genome []int) model.Mapping {
+	if dst == nil {
+		dst = model.NewMapping(c.sys.App)
 	}
-	return m
+	for k, l := range c.loci {
+		dst[l.mode][l.task] = c.PEAt(genome, k)
+	}
+	return dst
 }
 
 // Encode writes the mapping into a fresh genome; PEs absent from a locus's

@@ -7,6 +7,12 @@ import (
 	"momosyn/internal/sched"
 )
 
+// coreKey identifies the core pool of one task type on one hardware PE.
+type coreKey struct {
+	pe model.PEID
+	tt model.TaskTypeID
+}
+
 // The four problem-specific improvement mutations of paper section 4.1.
 // Each operates directly on a genome, using cheap structural checks instead
 // of full evaluations to decide whether and where to intervene.

@@ -48,6 +48,8 @@ type multiProblem struct {
 	codec *Codec
 	eval  *Evaluator
 	cache *fitnessCache[[]float64]
+	// mapping is the decode buffer of uncached evaluations.
+	mapping model.Mapping
 }
 
 func (p *multiProblem) GenomeLen() int    { return p.codec.Len() }
@@ -58,7 +60,8 @@ func (p *multiProblem) Objectives(genome []int) []float64 {
 }
 
 func (p *multiProblem) objectives(genome []int) []float64 {
-	ev, err := p.eval.Evaluate(p.codec.Decode(genome))
+	p.mapping = p.codec.decodeInto(p.mapping, genome)
+	ev, err := p.eval.evaluate(p.mapping)
 	if err != nil {
 		return []float64{math.Inf(1), math.Inf(1)}
 	}

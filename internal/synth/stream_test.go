@@ -14,7 +14,7 @@ import (
 )
 
 // loadSpec reads one of the repository's benchmark specifications.
-func loadSpec(t *testing.T, name string) *model.System {
+func loadSpec(t testing.TB, name string) *model.System {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "specs", name+".spec"))
 	if err != nil {

@@ -206,6 +206,8 @@ type problem struct {
 	eval  *Evaluator
 	cache *fitnessCache[float64]
 	hook  func(genome []int)
+	// mapping is the decode buffer of uncached evaluations.
+	mapping model.Mapping
 }
 
 func (p *problem) GenomeLen() int    { return p.codec.Len() }
@@ -216,7 +218,8 @@ func (p *problem) Fitness(genome []int) float64 {
 		if p.hook != nil {
 			p.hook(genome)
 		}
-		ev, err := p.eval.Evaluate(p.codec.Decode(genome))
+		p.mapping = p.codec.decodeInto(p.mapping, genome)
+		ev, err := p.eval.evaluate(p.mapping)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -530,17 +533,22 @@ func Exhaustive(ctx context.Context, sys *model.System, useDVS bool, probs []flo
 	}
 	eval := Options{UseDVS: useDVS}.newEvaluator(sys, probs)
 	genome := make([]int, codec.Len())
+	var mapping model.Mapping
 	var best *Evaluation
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ev, err := eval.Evaluate(codec.Decode(genome))
+		mapping = codec.decodeInto(mapping, genome)
+		ev, err := eval.evaluate(mapping)
 		if err != nil {
 			return nil, err
 		}
 		if best == nil || ev.Fitness < best.Fitness {
-			best = ev
+			// The scratch evaluation and the decode buffer are reused by
+			// the next candidate; keep copies of both.
+			best = ev.clone()
+			best.Mapping = mapping.Clone()
 		}
 		// Odometer increment.
 		k := 0

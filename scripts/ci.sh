@@ -38,9 +38,10 @@ echo "==> benchmark module (go vet, go test)"
 (cd benchmark && go vet ./... && go test ./...)
 
 # Fuzz smoke: short native-fuzzing bursts over the untrusted-input readers
-# (spec files and checkpoints). The minimise time must be capped — the
-# default 60s minimiser can dwarf the fuzz time itself on the ~30KB seed
-# corpus entries.
+# (spec files and checkpoints) and over the evaluator, whose fuzzer checks
+# fuzzed mappings bit for bit against the reference inner loop. The
+# minimise time must be capped — the default 60s minimiser can dwarf the
+# fuzz time itself on the ~30KB seed corpus entries.
 echo "==> fuzz smoke (specio.FuzzRead)"
 go test -run='^$' -fuzz=FuzzRead -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
 
@@ -49,6 +50,9 @@ go test -run='^$' -fuzz=FuzzCanonical -fuzztime=5s -fuzzminimizetime=5s ./intern
 
 echo "==> fuzz smoke (runctl.FuzzCheckpoint)"
 go test -run='^$' -fuzz=FuzzCheckpoint -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
+
+echo "==> fuzz smoke (synth.FuzzEvaluateDifferential)"
+go test -run='^$' -fuzz=FuzzEvaluateDifferential -fuzztime=5s -fuzzminimizetime=5s ./internal/synth
 
 # Observability smoke: a traced synthesis and benchmark row, every JSONL
 # event and the metrics snapshot schema-validated by mmtrace, then one
