@@ -35,9 +35,9 @@ bench-pins:
 	$(GO) test -run TestAllocPins -count=1 ./internal/sched ./internal/synth ./internal/dvs ./internal/ga ./internal/allocpin
 
 # Short native-fuzzing bursts over the untrusted-input readers (spec files
-# and checkpoints) and the evaluator's differential check; the minimiser is
-# capped so large seed-corpus entries cannot stall the run (see
-# scripts/ci.sh).
+# and checkpoints) and the evaluator's differential check. The minimise
+# time must be capped: the default 60s minimiser can dwarf the fuzz time
+# itself on the ~30KB seed corpus entries.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
 	$(GO) test -run='^$$' -fuzz=FuzzCanonical -fuzztime=5s -fuzzminimizetime=5s ./internal/specio

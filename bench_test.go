@@ -5,7 +5,6 @@
 package momosyn_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"momosyn/internal/bench"
@@ -224,19 +223,6 @@ func BenchmarkGenerate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := gen.Generate(gen.NewParams(int64(i + 1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScheduleRefine measures 20 priority-perturbation refinement
-// iterations of the smart phone's largest mode.
-func BenchmarkScheduleRefine(b *testing.B) {
-	sys, mapping := phoneAndMapping(b)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.Refine(sys, 1, mapping, sched.SingleCores{}, nil, 20, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -276,10 +276,9 @@ func report(w io.Writer, sys *model.System, res *synth.Result, verbose bool) {
 			fmt.Fprintf(w, " (improved/accepted/attempted)\n")
 		}
 		t := res.Timings
-		fmt.Fprintf(w, "phase times : mobility %v, core-alloc %v, list-sched %v (comm-map %v), dvs %v, refine %v, certify %v over %d evaluations\n",
+		fmt.Fprintf(w, "phase times : mobility %v, core-alloc %v, list-sched %v (comm-map %v), dvs %v, certify %v over %d evaluations\n",
 			t.Mobility.Round(1e6), t.CoreAlloc.Round(1e6), t.ListSched.Round(1e6),
-			t.CommMap.Round(1e6), t.DVS.Round(1e6), t.Refine.Round(1e6),
-			t.Certify.Round(1e6), t.Evaluations)
+			t.CommMap.Round(1e6), t.DVS.Round(1e6), t.Certify.Round(1e6), t.Evaluations)
 	}
 	if len(res.Faults) > 0 {
 		fmt.Fprintf(w, "eval faults : %d genome(s) panicked during evaluation and were marked infeasible\n", len(res.Faults))

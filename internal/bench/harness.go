@@ -265,7 +265,6 @@ func (c HarnessConfig) reportRow(table string, row Row, started time.Time, bestP
 		ListSchedNs:  t.ListSched.Nanoseconds(),
 		CommMapNs:    t.CommMap.Nanoseconds(),
 		DVSNs:        t.DVS.Nanoseconds(),
-		RefineNs:     t.Refine.Nanoseconds(),
 		CertifyNs:    t.Certify.Nanoseconds(),
 	})
 }

@@ -43,12 +43,6 @@ func ScaledTime(tmin, vdd, vmax, vt float64) float64 {
 	return tmin * (vdd / vmax) * (num / den) * (num / den)
 }
 
-// SlowdownEnergy returns the pair (scaled time, scaled energy) of a task at
-// the given voltage level.
-func SlowdownEnergy(pmax, tmin, vdd, vmax, vt float64) (t, e float64) {
-	return ScaledTime(tmin, vdd, vmax, vt), TaskEnergy(pmax, tmin, vdd, vmax)
-}
-
 // CommTime returns the transfer time of a message of the given size over
 // the link. A zero-byte message still has zero cost.
 func CommTime(bytes float64, cl *model.CL) float64 {
@@ -111,64 +105,12 @@ func StaticPower(arch *model.Arch, activePE, activeCL []bool) float64 {
 	return p
 }
 
-// VoltageBelow returns the index of the next lower admissible level below
-// index i, or -1 when i already is the lowest level.
-func VoltageBelow(levels []float64, i int) int {
-	if i <= 0 {
-		return -1
-	}
-	return i - 1
-}
-
-// LevelIndex returns the index of the smallest level >= v, snapping upward
-// so the resulting execution never becomes slower than requested. Returns
-// the top index when v exceeds all levels.
-func LevelIndex(levels []float64, v float64) int {
-	for i, l := range levels {
-		if l >= v-1e-12 {
-			return i
-		}
-	}
-	return len(levels) - 1
-}
-
 // EnergySaving returns the dynamic-energy reduction obtained by moving a
 // task of nominal power pmax and nominal time tmin from voltage va down to
 // vb (va > vb) on a PE with nominal voltage vmax. The result is
 // non-negative for va >= vb.
 func EnergySaving(pmax, tmin, va, vb, vmax float64) float64 {
 	return TaskEnergy(pmax, tmin, va, vmax) - TaskEnergy(pmax, tmin, vb, vmax)
-}
-
-// TimeCost returns the execution-time increase incurred by moving a task
-// from voltage va down to vb under the alpha-power law.
-func TimeCost(tmin, va, vb, vmax, vt float64) float64 {
-	return ScaledTime(tmin, vb, vmax, vt) - ScaledTime(tmin, va, vmax, vt)
-}
-
-// BreakEvenVoltage returns the supply voltage at which the task of nominal
-// time tmin exactly fills the given time budget, clamped to [vt*(1+eps),
-// vmax]. It inverts the alpha-power delay law numerically by bisection;
-// the result is useful for snapping to discrete levels.
-func BreakEvenVoltage(tmin, budget, vmax, vt float64) float64 {
-	if budget <= tmin {
-		return vmax
-	}
-	lo := vt + 1e-6*(vmax-vt)
-	hi := vmax
-	// ScaledTime is monotonically decreasing in vdd on (vt, vmax].
-	for iter := 0; iter < 80; iter++ {
-		mid := (lo + hi) / 2
-		if ScaledTime(tmin, mid, vmax, vt) > budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-12 {
-			break
-		}
-	}
-	return hi
 }
 
 // Joules formats are deliberately not provided here; reporting code uses

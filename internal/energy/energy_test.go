@@ -61,13 +61,6 @@ func TestScaledTimeKnownValue(t *testing.T) {
 	}
 }
 
-func TestSlowdownEnergyConsistent(t *testing.T) {
-	tm, e := SlowdownEnergy(2, 3, 2.0, 3.3, 0.8)
-	if tm != ScaledTime(3, 2.0, 3.3, 0.8) || e != TaskEnergy(2, 3, 2.0, 3.3) {
-		t.Error("SlowdownEnergy must match its two components")
-	}
-}
-
 func TestCommTime(t *testing.T) {
 	cl := &model.CL{BytesPerSec: 1e6}
 	if got := CommTime(500, cl); got != 500e-6 {
@@ -121,55 +114,9 @@ func TestStaticPowerShutdown(t *testing.T) {
 	}
 }
 
-func TestLevelIndex(t *testing.T) {
-	levels := []float64{1.2, 1.8, 2.5, 3.3}
-	cases := []struct {
-		v    float64
-		want int
-	}{
-		{1.0, 0}, {1.2, 0}, {1.5, 1}, {1.8, 1}, {2.0, 2}, {3.3, 3}, {4.0, 3},
-	}
-	for _, c := range cases {
-		if got := LevelIndex(levels, c.v); got != c.want {
-			t.Errorf("LevelIndex(%v) = %d, want %d", c.v, got, c.want)
-		}
-	}
-}
-
-func TestVoltageBelow(t *testing.T) {
-	levels := []float64{1.2, 1.8, 3.3}
-	if got := VoltageBelow(levels, 2); got != 1 {
-		t.Errorf("VoltageBelow(2) = %d, want 1", got)
-	}
-	if got := VoltageBelow(levels, 0); got != -1 {
-		t.Errorf("VoltageBelow(0) = %d, want -1", got)
-	}
-}
-
-func TestEnergySavingAndTimeCostSigns(t *testing.T) {
+func TestEnergySavingSign(t *testing.T) {
 	if s := EnergySaving(1, 1, 3.3, 2.5, 3.3); s <= 0 {
 		t.Errorf("lowering voltage must save energy, got %v", s)
-	}
-	if c := TimeCost(1, 3.3, 2.5, 3.3, 0.8); c <= 0 {
-		t.Errorf("lowering voltage must cost time, got %v", c)
-	}
-}
-
-func TestBreakEvenVoltage(t *testing.T) {
-	// Budget equal to tmin needs full voltage.
-	if got := BreakEvenVoltage(1, 1, 3.3, 0.8); got != 3.3 {
-		t.Errorf("tight budget: got %v, want Vmax", got)
-	}
-	// A 2x budget admits a lower voltage; the resulting time must fit.
-	v := BreakEvenVoltage(1, 2, 3.3, 0.8)
-	if v >= 3.3 || v <= 0.8 {
-		t.Fatalf("break-even voltage %v out of range", v)
-	}
-	if tm := ScaledTime(1, v, 3.3, 0.8); tm > 2+1e-6 {
-		t.Errorf("scaled time %v exceeds budget 2", tm)
-	}
-	if tm := ScaledTime(1, v, 3.3, 0.8); tm < 2-1e-3 {
-		t.Errorf("scaled time %v leaves too much budget (not break-even)", tm)
 	}
 }
 
@@ -231,19 +178,6 @@ func TestQuickTimeEnergyTradeoff(t *testing.T) {
 		eA := TaskEnergy(1, 1, va, vmax)
 		eB := TaskEnergy(1, 1, vb, vmax)
 		return tA <= tB+1e-12 && eA >= eB-1e-12 && tA >= 1-1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: BreakEvenVoltage always produces a voltage whose scaled time
-// fits within the budget.
-func TestQuickBreakEvenFits(t *testing.T) {
-	f := func(budgetScale float64) bool {
-		budget := 1 + math.Mod(math.Abs(budgetScale), 20)
-		v := BreakEvenVoltage(1, budget, 3.3, 0.8)
-		return ScaledTime(1, v, 3.3, 0.8) <= budget+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

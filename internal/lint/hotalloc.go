@@ -11,10 +11,9 @@ import (
 // Hotalloc enforces the `//mm:noalloc` contract of the evaluation hot path.
 //
 // The inner synthesis loop (mobility, core allocation, list scheduling,
-// communication mapping, DVS, refinement) runs millions of times per GA
-// run; ROADMAP item 1 requires it to become allocation-free so parallel
-// population evaluation is bounded by arithmetic, not by the allocator and
-// the GC. A function whose doc comment carries `//mm:noalloc` promises
+// communication mapping, DVS) runs millions of times per GA run and is
+// kept allocation-free, so population evaluation is bounded by arithmetic,
+// not by the allocator and the GC. A function whose doc comment carries `//mm:noalloc` promises
 // exactly that, and this pass checks the promise statically: the annotated
 // function — and every same-package function it reaches through static
 // calls — must contain no allocation site. The dynamic counterpart is the

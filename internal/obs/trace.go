@@ -167,7 +167,6 @@ type EvalEvent struct {
 	// inter-PE communications.
 	CommMapNs int64 `json:"comm_map_ns"`
 	DVSNs     int64 `json:"dvs_ns,omitempty"`
-	RefineNs  int64 `json:"refine_ns,omitempty"`
 	TotalNs   int64 `json:"total_ns"`
 }
 
@@ -196,7 +195,6 @@ type BenchRowEvent struct {
 	ListSchedNs int64 `json:"list_sched_ns"`
 	CommMapNs   int64 `json:"comm_map_ns"`
 	DVSNs       int64 `json:"dvs_ns,omitempty"`
-	RefineNs    int64 `json:"refine_ns,omitempty"`
 	CertifyNs   int64 `json:"certify_ns,omitempty"`
 }
 
@@ -451,10 +449,10 @@ func ValidateEvent(ev *Event) error {
 	case EvEval:
 		e := ev.Eval
 		if e.MobilityNs < 0 || e.CoreAllocNs < 0 || e.ListSchedNs < 0 ||
-			e.CommMapNs < 0 || e.DVSNs < 0 || e.RefineNs < 0 || e.TotalNs < 0 {
+			e.CommMapNs < 0 || e.DVSNs < 0 || e.TotalNs < 0 {
 			return fmt.Errorf("obs: eval span %d has a negative duration", e.Seq)
 		}
-		if e.CommMapNs > e.ListSchedNs+e.RefineNs {
+		if e.CommMapNs > e.ListSchedNs {
 			return fmt.Errorf("obs: eval span %d comm-mapping time exceeds its enclosing scheduling time", e.Seq)
 		}
 	case EvSpan:

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -273,6 +274,23 @@ func TestBatchValidation(t *testing.T) {
 		if !strings.Contains(se.Body, tc.want) {
 			t.Fatalf("%s: body %q does not mention %q", tc.name, se.Body, tc.want)
 		}
+	}
+
+	// Stochastic schedule refinement is gone: an options entry that still
+	// sets its knob is refused, not silently run without it.
+	quoted, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"specs":[{"spec":` + string(quoted) + `}],"seeds":[1],"options":[{"refine_iterations":4}]}`
+	resp, err := http.Post(a.ts.URL+"/v1/batches", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "refine_iterations") {
+		t.Fatalf("batch with refine_iterations: status %d body %q, want 400 naming the field", resp.StatusCode, msg)
 	}
 
 	// A refused batch admits nothing — the malformed-spec case in

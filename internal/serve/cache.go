@@ -34,7 +34,6 @@ func keyOptions(req *JobRequest) synth.Options {
 	return synth.Options{
 		UseDVS:               req.DVS,
 		NeglectProbabilities: req.NeglectProbabilities,
-		RefineIterations:     req.RefineIterations,
 		StallWindow:          req.StallWindow,
 		GA: ga.Config{
 			PopSize:        req.GA.PopSize,
@@ -123,7 +122,7 @@ func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) 
 		if err != nil {
 			return nil, nil
 		}
-		man, err := s.fleetManifest(j, j.snapshot(), 0)
+		man, err := renderManifest(j, j.snapshot(), s.cfg.NodeID, 0)
 		if err != nil {
 			return nil, nil
 		}

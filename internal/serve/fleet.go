@@ -21,44 +21,6 @@ import (
 // was partitioned can never clobber the state of a job another node
 // reclaimed. See docs/FLEET.md for the protocol and its failure matrix.
 
-// fleetManifestValid accepts a fleet manifest document for the given job.
-func fleetManifestValid(job string) func([]byte) error {
-	return func(data []byte) error {
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return err
-		}
-		if m.ID != job {
-			return fmt.Errorf("manifest names job %q, want %q", m.ID, job)
-		}
-		if !m.State.valid() {
-			return fmt.Errorf("unknown state %q", m.State)
-		}
-		return nil
-	}
-}
-
-// fleetManifest renders the job's manifest for a fleet persist at the
-// given epoch.
-func (s *Server) fleetManifest(j *Job, snap jobSnapshot, epoch int) ([]byte, error) {
-	m := manifest{
-		ID:          j.ID,
-		Request:     j.Request,
-		System:      j.system,
-		State:       snap.State,
-		Error:       snap.Err,
-		Created:     snap.Created,
-		Started:     snap.Started,
-		Finished:    snap.Finished,
-		ResumedFrom: snap.ResumedFrom,
-		Node:        s.cfg.NodeID,
-		Epoch:       epoch,
-		Cached:      snap.Cached,
-	}
-	m.Attempts, m.NotBefore = manifestRetry(snap)
-	return json.MarshalIndent(&m, "", "  ")
-}
-
 // submitFleet publishes a new job into the fleet directory. The caller has
 // already validated the request, resolved the spec inline and checked
 // admission.
@@ -75,7 +37,7 @@ func (s *Server) submitFleet(req JobRequest, system string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	man, err := s.fleetManifest(j, j.snapshot(), 0)
+	man, err := renderManifest(j, j.snapshot(), s.cfg.NodeID, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -179,18 +141,18 @@ func (s *Server) adoptFleetJob(id string) (*Job, error) {
 	if err := json.Unmarshal(spec, &req); err != nil {
 		return nil, fmt.Errorf("spec document: %w", err)
 	}
-	data, _, err := s.fleetStore.Latest(id, fleet.KindManifest, fleetManifestValid(id))
+	data, _, err := s.fleetStore.Latest(id, fleet.KindManifest, manifestValid(id))
 	if err != nil {
 		return nil, err
 	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := decodeManifest(data, id)
+	if err != nil {
 		return nil, err
 	}
 	// system is set before the job becomes visible to handlers, which read
 	// it without the job lock by the immutability convention.
 	j := &Job{ID: id, Request: req, system: m.System}
-	j.applyManifest(&m)
+	j.applyManifest(m)
 	return j, nil
 }
 
@@ -198,12 +160,12 @@ func (s *Server) adoptFleetJob(id string) (*Job, error) {
 // manifest. Unless held is set it refuses to touch a job this node holds a
 // lease on — the local run owns that view.
 func (s *Server) refreshFleetJob(j *Job, held bool) error {
-	data, _, err := s.fleetStore.Latest(j.ID, fleet.KindManifest, fleetManifestValid(j.ID))
+	data, _, err := s.fleetStore.Latest(j.ID, fleet.KindManifest, manifestValid(j.ID))
 	if err != nil {
 		return err
 	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := decodeManifest(data, j.ID)
+	if err != nil {
 		return err
 	}
 	j.mu.Lock()
@@ -211,7 +173,7 @@ func (s *Server) refreshFleetJob(j *Job, held bool) error {
 	if j.lease != nil && !held {
 		return nil // raced with a local claim
 	}
-	j.applyManifestLocked(&m)
+	j.applyManifestLocked(m)
 	return nil
 }
 
@@ -343,7 +305,7 @@ func (s *Server) claimJob(j *Job) bool {
 		}
 		j.mu.Unlock()
 		s.emitTerminal(j, prev, StateQuarantined, attempts, dwellNs, lease.Epoch, cause)
-		if data, merr := s.fleetManifest(j, j.snapshot(), lease.Epoch); merr == nil {
+		if data, merr := renderManifest(j, j.snapshot(), s.cfg.NodeID, lease.Epoch); merr == nil {
 			if werr := lease.Write(fleet.KindManifest, data); werr != nil {
 				s.logf("serve: fleet: quarantine %s: %v", j.ID, werr)
 			}
@@ -369,7 +331,7 @@ func (s *Server) claimJob(j *Job) bool {
 		}
 		j.mu.Unlock()
 		s.emitTerminal(j, prev, StateCancelled, attempts, dwellNs, lease.Epoch, "cancelled by client")
-		if data, merr := s.fleetManifest(j, j.snapshot(), lease.Epoch); merr == nil {
+		if data, merr := renderManifest(j, j.snapshot(), s.cfg.NodeID, lease.Epoch); merr == nil {
 			if werr := lease.Write(fleet.KindManifest, data); werr != nil {
 				s.logf("serve: fleet: cancel %s: %v", j.ID, werr)
 			}
@@ -556,7 +518,7 @@ func (s *Server) fleetPersistSnap(j *Job, snap jobSnapshot) {
 	if lease == nil {
 		return
 	}
-	data, err := s.fleetManifest(j, snap, lease.Epoch)
+	data, err := renderManifest(j, snap, s.cfg.NodeID, lease.Epoch)
 	if err == nil {
 		err = lease.Write(fleet.KindManifest, data)
 	}

@@ -71,7 +71,6 @@ type JobRequest struct {
 	NeglectProbabilities bool     `json:"neglect_probabilities,omitempty"`
 	Seed                 int64    `json:"seed,omitempty"`
 	GA                   GAParams `json:"ga,omitempty"`
-	RefineIterations     int      `json:"refine_iterations,omitempty"`
 	StallWindow          int      `json:"stall_window,omitempty"`
 	// Certify defaults to true: results leave the server certified by the
 	// independent verifier unless the client opts out explicitly.

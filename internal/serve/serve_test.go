@@ -325,6 +325,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"empty", `{}`, http.StatusBadRequest, "one of spec or spec_name"},
 		{"both", `{"spec":"x","spec_name":"y"}`, http.StatusBadRequest, "mutually exclusive"},
 		{"unknown-field", `{"spec":"x","bogus":1}`, http.StatusBadRequest, "bogus"},
+		// Stochastic schedule refinement is gone; its knob is refused, not ignored.
+		{"refine-iterations", `{"spec":"x","refine_iterations":4}`, http.StatusBadRequest, "refine_iterations"},
 		{"malformed-json", `{"spec":`, http.StatusBadRequest, "request body"},
 		{"bad-spec", `{"spec":"pe cpu class=gpp\nfrobnicate"}`, http.StatusBadRequest, "line 2"},
 		{"no-spec-dir", `{"spec_name":"mul1"}`, http.StatusBadRequest, "no spec directory"},

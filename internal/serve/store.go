@@ -48,14 +48,55 @@ type manifest struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-// manifestRetry renders the job's retry fields for a manifest.
-func manifestRetry(snap jobSnapshot) (int, *time.Time) {
-	var nb *time.Time
-	if !snap.NotBefore.IsZero() {
-		t := snap.NotBefore
-		nb = &t
+// renderManifest renders the job's manifest document from a snapshot.
+// node and epoch are fleet provenance; single-node mode passes "" and 0,
+// which the encoding omits, so both modes share one layout.
+func renderManifest(j *Job, snap jobSnapshot, node string, epoch int) ([]byte, error) {
+	m := manifest{
+		ID:          j.ID,
+		Request:     j.Request,
+		System:      j.system,
+		State:       snap.State,
+		Error:       snap.Err,
+		Created:     snap.Created,
+		Started:     snap.Started,
+		Finished:    snap.Finished,
+		ResumedFrom: snap.ResumedFrom,
+		Attempts:    snap.Attempts,
+		Node:        node,
+		Epoch:       epoch,
+		Cached:      snap.Cached,
 	}
-	return snap.Attempts, nb
+	if !snap.NotBefore.IsZero() {
+		nb := snap.NotBefore
+		m.NotBefore = &nb
+	}
+	return json.MarshalIndent(&m, "", "  ")
+}
+
+// decodeManifest parses a manifest document and checks that it is usable
+// for job id: valid JSON, naming that job, in a known state. Single-node
+// recovery and the fleet's latest-valid reader both go through it.
+func decodeManifest(data []byte, id string) (*manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("corrupt manifest: %w", err)
+	}
+	if m.ID != id {
+		return nil, fmt.Errorf("corrupt manifest: names job %q, want %q", m.ID, id)
+	}
+	if !m.State.valid() {
+		return nil, fmt.Errorf("corrupt manifest: unknown state %q", m.State)
+	}
+	return &m, nil
+}
+
+// manifestValid is decodeManifest as a fleet-store validator.
+func manifestValid(id string) func([]byte) error {
+	return func(data []byte) error {
+		_, err := decodeManifest(data, id)
+		return err
+	}
 }
 
 const (
@@ -84,20 +125,7 @@ func (s *Server) persistSnap(j *Job, snap jobSnapshot) {
 		s.fleetPersistSnap(j, snap)
 		return
 	}
-	m := manifest{
-		ID:          j.ID,
-		Request:     j.Request,
-		System:      j.system,
-		State:       snap.State,
-		Error:       snap.Err,
-		Created:     snap.Created,
-		Started:     snap.Started,
-		Finished:    snap.Finished,
-		ResumedFrom: snap.ResumedFrom,
-		Cached:      snap.Cached,
-	}
-	m.Attempts, m.NotBefore = manifestRetry(snap)
-	data, err := json.MarshalIndent(&m, "", "  ")
+	data, err := renderManifest(j, snap, "", 0)
 	if err == nil {
 		err = durable.WriteAtomic(s.cfg.FS, filepath.Join(j.dir, manifestFile), data)
 	}
@@ -167,9 +195,9 @@ func (s *Server) recoverJobs() (requeue []*Job, maxSeq int, err error) {
 			skipped.Inc()
 			continue
 		}
-		var m manifest
-		if reason := decodeManifest(data, name, &m); reason != "" {
-			s.logf("serve: recovery: skipping %s: %s", path, reason)
+		m, err := decodeManifest(data, name)
+		if err != nil {
+			s.logf("serve: recovery: skipping %s: %v", path, err)
 			skipped.Inc()
 			continue
 		}
@@ -223,21 +251,6 @@ func (s *Server) recoverJobs() (requeue []*Job, maxSeq int, err error) {
 		s.order = append(s.order, j.ID)
 	}
 	return requeue, maxSeq, nil
-}
-
-// decodeManifest validates a recovered manifest, returning a human-readable
-// rejection reason ("" when the manifest is usable).
-func decodeManifest(data []byte, name string, m *manifest) string {
-	if err := json.Unmarshal(data, m); err != nil {
-		return fmt.Sprintf("corrupt manifest: %v", err)
-	}
-	if m.ID != name {
-		return fmt.Sprintf("corrupt manifest: names job %q", m.ID)
-	}
-	if !m.State.valid() {
-		return fmt.Sprintf("corrupt manifest: unknown state %q", m.State)
-	}
-	return ""
 }
 
 // persistRecovered persists a state decision made during recovery. It runs

@@ -18,7 +18,10 @@ import (
 // rendering, which printed a value in its largest unit even when that text
 // parsed back to a neighbouring float (0.018 as "18ms"), so texts that parse
 // to different models could share one key.
-const EngineVersion = "momosyn-synth/3"
+//
+// Version 4 drops refine_iterations from the key: stochastic schedule
+// refinement is gone, so every key now describes a plain list-scheduled run.
+const EngineVersion = "momosyn-synth/4"
 
 // CanonicalOptions renders the result-shaping subset of Options in a
 // canonical, versioned byte form for content-addressed keying. Two Options
@@ -37,7 +40,6 @@ func CanonicalOptions(o Options) []byte {
 	writeBool(&b, "dvs_sw_only", o.DVSSoftwareOnly)
 	writeBool(&b, "no_replica_cores", o.NoReplicaCores)
 	writeBool(&b, "no_improvement_mutations", o.NoImprovementMutations)
-	writeInt(&b, "refine_iterations", o.RefineIterations)
 	writeInt(&b, "stall_window", o.StallWindow)
 	fmt.Fprintf(&b, "seed=%d\n", o.Seed)
 	writeBool(&b, "certify", o.Certify)

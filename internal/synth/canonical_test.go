@@ -2,6 +2,7 @@ package synth
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"momosyn/internal/ga"
@@ -14,6 +15,10 @@ func TestCanonicalOptions(t *testing.T) {
 	want := string(CanonicalOptions(base))
 	if want == "" {
 		t.Fatal("canonical options are empty")
+	}
+	// Refinement is gone from the engine, so it is gone from the key.
+	if strings.Contains(want, "refine") {
+		t.Fatalf("canonical options still key on refinement:\n%s", want)
 	}
 
 	runtime := base
@@ -30,7 +35,6 @@ func TestCanonicalOptions(t *testing.T) {
 		"seed":        func(o *Options) { o.Seed = 43 },
 		"dvs":         func(o *Options) { o.UseDVS = false },
 		"neglect":     func(o *Options) { o.NeglectProbabilities = true },
-		"refine":      func(o *Options) { o.RefineIterations = 5 },
 		"stall":       func(o *Options) { o.StallWindow = 9 },
 		"certify":     func(o *Options) { o.Certify = true },
 		"weights":     func(o *Options) { o.Weights.Area = 1.25 },

@@ -2,13 +2,11 @@ package synth
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
 
 	"momosyn/internal/ga"
-	"momosyn/internal/model"
 )
 
 // canonicalReport renders everything observable about a synthesis result —
@@ -66,36 +64,5 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	a, b := canonicalReport(first), canonicalReport(second)
 	if a != b {
 		t.Fatalf("same seed, different synthesis:\n--- first ---\n%s--- second ---\n%s", a, b)
-	}
-}
-
-// TestMappingHashMatchesFNV pins the hand-inlined FNV-1a in mappingHash to
-// the hash/fnv reference: the hash seeds the refinement RNG, so a silent
-// divergence would change every RefineIterations > 0 synthesis.
-func TestMappingHashMatchesFNV(t *testing.T) {
-	cases := []struct {
-		m    model.Mapping
-		mode int
-	}{
-		{model.Mapping{}, 0},
-		{model.Mapping{{0}}, 0},
-		{model.Mapping{{0, 1}, {2}}, 1},
-		{model.Mapping{{300, 5}, {0, 0, 7}}, 2}, // PE id above one byte
-	}
-	for _, c := range cases {
-		h := fnv.New64a()
-		var b [2]byte
-		b[0] = byte(c.mode)
-		h.Write(b[:1])
-		for _, row := range c.m {
-			for _, pe := range row {
-				b[0] = byte(pe)
-				b[1] = byte(int(pe) >> 8)
-				h.Write(b[:])
-			}
-		}
-		if got, want := mappingHash(c.m, c.mode), h.Sum64(); got != want {
-			t.Errorf("mappingHash(%v, %d) = %#x, want %#x (hash/fnv reference)", c.m, c.mode, got, want)
-		}
 	}
 }

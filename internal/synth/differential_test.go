@@ -133,7 +133,7 @@ func checkDifferential(e *Evaluator, mapping model.Mapping) string {
 	if d := diffOf("ev", ref.ev, got); d != "" {
 		return d
 	}
-	if e.UseDVS || e.RefineIterations > 0 {
+	if e.UseDVS {
 		return ""
 	}
 	mob := make([]*sched.Mobility, len(s.App.Modes))

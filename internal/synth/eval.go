@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -12,34 +11,6 @@ import (
 	"momosyn/internal/obs"
 	"momosyn/internal/sched"
 )
-
-// FNV-1a parameters (FNV-0 offset basis and 64-bit prime), inlined so
-// mappingHash needs no hash.Hash64 allocation. The byte sequence hashed is
-// identical to writing byte(mode) then, per PE, the two little-endian low
-// bytes through hash/fnv, so seeds are unchanged.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// mappingHash derives a deterministic refinement seed from a mapping and
-// mode index.
-//
-//mm:noalloc
-func mappingHash(m model.Mapping, mode int) uint64 {
-	h := uint64(fnvOffset64)
-	h ^= uint64(byte(mode))
-	h *= fnvPrime64
-	for _, row := range m {
-		for _, pe := range row {
-			h ^= uint64(byte(pe))
-			h *= fnvPrime64
-			h ^= uint64(byte(int(pe) >> 8))
-			h *= fnvPrime64
-		}
-	}
-	return h
-}
 
 // Weights tune the penalty aggressiveness of the mapping fitness
 // FM = p̄ · tp · areaTerm · transitionTerm (paper section 4.1).
@@ -112,11 +83,6 @@ type Evaluator struct {
 	// NoReplicaCores disables the replica-core allocation for parallel
 	// low-mobility tasks (paper Fig. 4 line 5). Ablation switch.
 	NoReplicaCores bool
-	// RefineIterations > 0 enables stochastic schedule refinement
-	// (sched.Refine) with that many priority perturbations per mode. The
-	// refinement RNG is derived from the mapping so evaluation stays
-	// deterministic and cacheable.
-	RefineIterations int
 	// Probs, when non-nil, replaces the per-mode execution probabilities in
 	// the average-power objective. Length must equal the number of modes.
 	Probs []float64
@@ -182,12 +148,8 @@ func (e *Evaluator) recordEval(t obs.Timings) {
 	r := e.Obs
 	r.ObservePhase(obs.PhaseMobility, t.Mobility)
 	r.ObservePhase(obs.PhaseCoreAlloc, t.CoreAlloc)
-	if t.Refine > 0 {
-		r.ObservePhase(obs.PhaseRefine, t.Refine)
-	} else {
-		r.ObservePhase(obs.PhaseListSched, t.ListSched)
-		r.ObservePhase(obs.PhaseCommMap, t.CommMap)
-	}
+	r.ObservePhase(obs.PhaseListSched, t.ListSched)
+	r.ObservePhase(obs.PhaseCommMap, t.CommMap)
 	if t.DVS > 0 {
 		r.ObservePhase(obs.PhaseDVS, t.DVS)
 	}
@@ -200,7 +162,6 @@ func (e *Evaluator) recordEval(t obs.Timings) {
 			ListSchedNs: t.ListSched.Nanoseconds(),
 			CommMapNs:   t.CommMap.Nanoseconds(),
 			DVSNs:       t.DVS.Nanoseconds(),
-			RefineNs:    t.Refine.Nanoseconds(),
 			TotalNs:     t.Total().Nanoseconds(),
 		})
 	}
@@ -339,23 +300,16 @@ func (e *Evaluator) evaluate(mapping model.Mapping) (*Evaluation, error) {
 	for m := 0; m < nModes; m++ {
 		mode := s.App.Mode(model.ModeID(m))
 		sc := &x.schedules[m]
-		var err error
-		switch {
-		case e.RefineIterations > 0:
-			sc, err = e.refine(mapping, m, timed, &span)
-		default:
-			if timed {
-				mark = time.Now()
-			}
-			var comm time.Duration
-			comm, err = x.scheduler.Run(s, model.ModeID(m), mapping, &x.alloc, x.mobPtrs[m], sc, timed)
-			if timed {
-				span.ListSched += time.Since(mark)
-				span.CommMap += comm
-			}
+		if timed {
+			mark = time.Now()
 		}
+		comm, err := x.scheduler.Run(s, model.ModeID(m), mapping, &x.alloc, x.mobPtrs[m], sc, timed)
 		if err != nil {
 			return nil, scheduleError(mode, err)
+		}
+		if timed {
+			span.ListSched += time.Since(mark)
+			span.CommMap += comm
 		}
 		if e.UseDVS {
 			if timed {
@@ -402,21 +356,6 @@ func (e *Evaluator) evaluate(mapping model.Mapping) (*Evaluation, error) {
 		e.recordEval(span)
 	}
 	return ev, nil
-}
-
-// refine schedules mode m by stochastic refinement. Unlike the list
-// scheduler it allocates: every candidate is a fresh schedule.
-func (e *Evaluator) refine(mapping model.Mapping, m int, timed bool, span *obs.Timings) (*sched.Schedule, error) {
-	rng := rand.New(rand.NewSource(int64(mappingHash(mapping, m))))
-	var mark time.Time
-	if timed {
-		mark = time.Now()
-	}
-	sc, err := sched.Refine(e.Sys, model.ModeID(m), mapping, &e.scratch.alloc, e.scratch.mobPtrs[m], e.RefineIterations, rng)
-	if timed {
-		span.Refine += time.Since(mark)
-	}
-	return sc, err
 }
 
 // mobilityError wraps a mobility failure of mode m.

@@ -3,7 +3,6 @@ package synth
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"momosyn/internal/dvs"
@@ -519,8 +518,8 @@ type refEvaluation struct {
 	ev    *Evaluation
 }
 
-// refEvaluate is the old Evaluate over the reference pieces. Refinement,
-// DVS and the penalties are unchanged code and are shared with the live
+// refEvaluate is the old Evaluate over the reference pieces. DVS and the
+// penalties are unchanged code and are shared with the live
 // evaluator; the reference allocation is converted for the penalties.
 func refEvaluate(e *Evaluator, mapping model.Mapping) (*refEvaluation, error) {
 	s := e.Sys
@@ -545,14 +544,7 @@ func refEvaluate(e *Evaluator, mapping model.Mapping) (*refEvaluation, error) {
 	activePE := make([]bool, len(s.Arch.PEs))
 	for m := 0; m < nModes; m++ {
 		mode := s.App.Mode(model.ModeID(m))
-		var sc *sched.Schedule
-		var err error
-		if e.RefineIterations > 0 {
-			rng := rand.New(rand.NewSource(int64(mappingHash(mapping, m))))
-			sc, err = sched.Refine(s, model.ModeID(m), mapping, ralloc, mob[m], e.RefineIterations, rng)
-		} else {
-			sc, err = refListSchedule(s, model.ModeID(m), mapping, ralloc, mob[m])
-		}
+		sc, err := refListSchedule(s, model.ModeID(m), mapping, ralloc, mob[m])
 		if err != nil {
 			return nil, fmt.Errorf("synth: mode %q: %w", mode.Name, err)
 		}

@@ -53,9 +53,6 @@ type Options struct {
 	// NoImprovementMutations disables the four problem-specific mutation
 	// operators of paper section 4.1 (ablation switch).
 	NoImprovementMutations bool
-	// RefineIterations > 0 enables per-mode stochastic schedule refinement
-	// in the inner loop (slower, occasionally tighter schedules).
-	RefineIterations int
 	// GA tunes the genetic engine; zero values select engine defaults.
 	GA ga.Config
 	// Seed seeds the run's RNG.
@@ -119,9 +116,9 @@ type Options struct {
 // fingerprint pins the options that shape the search trajectory, so a
 // checkpoint refuses to resume under a different configuration.
 func (o Options) fingerprint() string {
-	return fmt.Sprintf("dvs=%v neglect=%v swonly=%v norep=%v nomut=%v refine=%d ga=%+v w=%+v stall=%d",
+	return fmt.Sprintf("dvs=%v neglect=%v swonly=%v norep=%v nomut=%v ga=%+v w=%+v stall=%d",
 		o.UseDVS, o.NeglectProbabilities, o.DVSSoftwareOnly, o.NoReplicaCores,
-		o.NoImprovementMutations, o.RefineIterations, o.GA, o.Weights, o.StallWindow)
+		o.NoImprovementMutations, o.GA, o.Weights, o.StallWindow)
 }
 
 // Result is the outcome of one synthesis run.
@@ -471,9 +468,8 @@ func (o Options) newEvaluator(sys *model.System, probs []float64) *Evaluator {
 	}
 	return &Evaluator{
 		Sys: sys, UseDVS: o.UseDVS, Weights: w, Probs: probs,
-		DVSSoftwareOnly:  o.DVSSoftwareOnly,
-		NoReplicaCores:   o.NoReplicaCores,
-		RefineIterations: o.RefineIterations,
+		DVSSoftwareOnly: o.DVSSoftwareOnly,
+		NoReplicaCores:  o.NoReplicaCores,
 	}
 }
 

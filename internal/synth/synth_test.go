@@ -521,70 +521,3 @@ func TestUniformProbs(t *testing.T) {
 		t.Errorf("uniform probs = %v", p)
 	}
 }
-
-func TestSynthesizeWithRefinement(t *testing.T) {
-	sys := testSystem(t)
-	res, err := Synthesize(sys, Options{
-		GA:               ga.Config{PopSize: 16, MaxGenerations: 30, Stagnation: 10},
-		Seed:             1,
-		RefineIterations: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Best.Feasible() {
-		t.Fatal("refined synthesis must stay feasible")
-	}
-	// Determinism: refinement seeds derive from the mapping, so repeated
-	// evaluation of the same mapping gives identical results.
-	ev := &Evaluator{Sys: sys, Weights: DefaultWeights(), RefineIterations: 8}
-	a, err := ev.Evaluate(res.Best.Mapping)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ev.Evaluate(res.Best.Mapping.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fitness != b.Fitness {
-		t.Error("refined evaluation not deterministic")
-	}
-}
-
-func TestRefinementNeverWorseInEvaluator(t *testing.T) {
-	sys := testSystem(t)
-	codec, _ := NewCodec(sys)
-	plain := &Evaluator{Sys: sys, Weights: DefaultWeights()}
-	refined := &Evaluator{Sys: sys, Weights: DefaultWeights(), RefineIterations: 10}
-	genome := make([]int, codec.Len())
-	for {
-		m := codec.Decode(genome)
-		a, err := plain.Evaluate(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := refined.Evaluate(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Refinement optimises lateness/makespan/energy lexicographically;
-		// the total lateness must never grow.
-		for mi := range a.Lateness {
-			if b.Lateness[mi] > a.Lateness[mi]+1e-9 {
-				t.Fatalf("refinement increased lateness in mode %d", mi)
-			}
-		}
-		k := 0
-		for k < len(genome) {
-			genome[k]++
-			if genome[k] < codec.Alleles(k) {
-				break
-			}
-			genome[k] = 0
-			k++
-		}
-		if k == len(genome) {
-			break
-		}
-	}
-}

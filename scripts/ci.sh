@@ -11,13 +11,10 @@ go vet ./...
 # Domain invariant checkers: determinism of the stochastic kernels,
 # cancellation flow, float-comparison discipline, goroutine panic barriers,
 # enum-switch exhaustiveness, hot-path allocations, lock discipline and
-# rename durability. See docs/LINT.md.
-echo "==> mmlint"
-go run ./cmd/mmlint ./...
-
-# Self-lint: the analyzer framework is held to its own rules.
-echo "==> mmlint self-lint"
-go run ./cmd/mmlint ./internal/lint/...
+# rename durability, plus a self-lint that holds the analyzer framework
+# to its own rules. See docs/LINT.md.
+echo "==> mmlint (make lint: module-wide, then self-lint)"
+make lint
 
 # Allocation pins: every //mm:noalloc function must prove
 # testing.AllocsPerRun == 0 with 1:1 annotation/pin coverage
@@ -42,17 +39,8 @@ echo "==> benchmark module (go vet, go test)"
 # fuzzed mappings bit for bit against the reference inner loop. The
 # minimise time must be capped — the default 60s minimiser can dwarf the
 # fuzz time itself on the ~30KB seed corpus entries.
-echo "==> fuzz smoke (specio.FuzzRead)"
-go test -run='^$' -fuzz=FuzzRead -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
-
-echo "==> fuzz smoke (specio.FuzzCanonical)"
-go test -run='^$' -fuzz=FuzzCanonical -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
-
-echo "==> fuzz smoke (runctl.FuzzCheckpoint)"
-go test -run='^$' -fuzz=FuzzCheckpoint -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
-
-echo "==> fuzz smoke (synth.FuzzEvaluateDifferential)"
-go test -run='^$' -fuzz=FuzzEvaluateDifferential -fuzztime=5s -fuzzminimizetime=5s ./internal/synth
+echo "==> fuzz smoke (make fuzz-smoke: FuzzRead, FuzzCanonical, FuzzCheckpoint, FuzzEvaluateDifferential)"
+make fuzz-smoke
 
 # Observability smoke: a traced synthesis and benchmark row, every JSONL
 # event and the metrics snapshot schema-validated by mmtrace, then one
