@@ -35,7 +35,8 @@ bench-pins:
 	$(GO) test -run TestAllocPins -count=1 ./internal/sched ./internal/synth ./internal/dvs ./internal/ga ./internal/allocpin
 
 # Short native-fuzzing bursts over the untrusted-input readers (spec files
-# and checkpoints) and the evaluator's differential check. The minimise
+# and checkpoints) and the differential checks of the evaluator and of
+# voltage scaling against their reference copies. The minimise
 # time must be capped: the default 60s minimiser can dwarf the fuzz time
 # itself on the ~30KB seed corpus entries.
 fuzz-smoke:
@@ -43,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCanonical -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
 	$(GO) test -run='^$$' -fuzz=FuzzEvaluateDifferential -fuzztime=5s -fuzzminimizetime=5s ./internal/synth
+	$(GO) test -run='^$$' -fuzz=FuzzScaleDifferential -fuzztime=5s -fuzzminimizetime=5s ./internal/dvs
 
 # Observability smoke: a traced mmsynth run on a small spec, every JSONL
 # event and the metrics snapshot validated by mmtrace, then one mmserved

@@ -161,19 +161,30 @@ func BenchmarkListSchedule(b *testing.B) {
 }
 
 // BenchmarkDVSScale measures greedy voltage selection on a scheduled
-// smart-phone mode.
+// smart-phone mode: through a reused Scaler, as the evaluator runs it, and
+// through the one-shot Scale, which sizes a fresh Scaler every call.
 func BenchmarkDVSScale(b *testing.B) {
 	sys, mapping := phoneAndMapping(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sc, err := sched.ListSchedule(sys, 1, mapping, sched.SingleCores{}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		dvs.Scale(sys, sc)
+	var x dvs.Scaler
+	for _, bc := range []struct {
+		name  string
+		scale func(*sched.Schedule) bool
+	}{
+		{"reused", func(sc *sched.Schedule) bool { return x.Run(sys, sc, dvs.Config{}) }},
+		{"oneshot", func(sc *sched.Schedule) bool { return dvs.Scale(sys, sc) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sc, err := sched.ListSchedule(sys, 1, mapping, sched.SingleCores{}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				bc.scale(sc)
+			}
+		})
 	}
 }
 

@@ -8,11 +8,18 @@
 // voltage, so the potentially parallel core executions are folded into an
 // equivalent chain of sequential virtual tasks (segments); voltages are
 // then selected per segment exactly as for software tasks.
+//
+// A Scaler owns the working memory of scaling — the constraint graph, its
+// edge lists, the Fig. 5 event sweep and the write-back accumulators — and
+// reuses it across calls, so loops that scale repeatedly (the synthesis
+// evaluator) allocate nothing once it is sized. Scale, ScaleWith and
+// Transform run the same code on a fresh Scaler per call.
 package dvs
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"momosyn/internal/energy"
 	"momosyn/internal/model"
@@ -24,9 +31,10 @@ import (
 // hardware PE is constant and non-empty.
 type Segment struct {
 	Start, End float64
-	// Power is the summed nominal dynamic power of the active cores.
+	// Power is the summed nominal dynamic power of the active cores, added
+	// in ascending slot order.
 	Power float64
-	// Active lists the tasks executing during the segment.
+	// Active lists the tasks executing during the segment, ascending.
 	Active []model.TaskID
 }
 
@@ -38,46 +46,14 @@ func (s Segment) Duration() float64 { return s.End - s.Start }
 // Transform folds the (possibly parallel) executions of the given task
 // slots — all on one hardware PE — into the sequential virtual-task chain
 // of paper Fig. 5. Slots must have strictly positive durations; empty gaps
-// between executions produce no segment.
+// between executions produce no segment. The Active lists of the returned
+// segments share one backing array.
 func Transform(slots []sched.TaskSlot) []Segment {
-	type ev struct {
-		t     float64
-		delta int // +1 start, -1 end
-		slot  int
-	}
-	var evs []ev
-	for i := range slots {
-		evs = append(evs, ev{slots[i].Start, +1, i}, ev{slots[i].Finish, -1, i})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		switch {
-		case evs[i].t < evs[j].t:
-			return true
-		case evs[j].t < evs[i].t:
-			return false
-		}
-		// Ends before starts so zero-length overlaps do not merge segments.
-		return evs[i].delta < evs[j].delta
-	})
-	active := make(map[int]bool)
-	var segs []Segment
-	prev := math.Inf(-1)
-	for _, e := range evs {
-		if len(active) > 0 && e.t > prev {
-			seg := Segment{Start: prev, End: e.t}
-			for si := range active {
-				seg.Power += slots[si].Power
-				seg.Active = append(seg.Active, slots[si].Task)
-			}
-			sort.Slice(seg.Active, func(i, j int) bool { return seg.Active[i] < seg.Active[j] })
-			segs = append(segs, seg)
-		}
-		if e.delta > 0 {
-			active[e.slot] = true
-		} else {
-			delete(active, e.slot)
-		}
-		prev = e.t
+	var x Scaler
+	x.transform(slots)
+	segs := make([]Segment, len(x.segs))
+	for i, sp := range x.segs {
+		segs[i] = Segment{Start: sp.start, End: sp.end, Power: sp.power, Active: x.segTasks[sp.lo:sp.hi]}
 	}
 	return segs
 }
@@ -93,16 +69,22 @@ type node struct {
 	deadline float64   // +Inf when unconstrained
 	scalable bool
 
+	// preds and succs are windows into the Scaler's edge buffers.
 	preds, succs []int32
 
 	start, finish, lf float64
 
+	// The next voltage step, cached by greedyScale: it changes only when
+	// this node's level does. canStep is false when no step would save
+	// energy.
+	canStep                    bool
+	stepDur, stepDt, stepRatio float64
+
 	// Bookkeeping to write results back to the schedule.
-	task  model.TaskID // valid when kind == nkTask
-	edge  model.EdgeID // valid when kind == nkComm
-	segPE model.PEID   // valid when kind == nkSeg
-	seg   Segment      // valid when kind == nkSeg
-	kind  nodeKind
+	task   model.TaskID // valid when kind == nkTask
+	edge   model.EdgeID // valid when kind == nkComm
+	lo, hi int32        // active tasks segTasks[lo:hi], valid when kind == nkSeg
+	kind   nodeKind
 }
 
 type nodeKind uint8
@@ -122,6 +104,72 @@ type graph struct {
 	startOf, endOf []int32
 }
 
+// edge is one precedence or resource-order constraint, from before to.
+type edge struct{ from, to int32 }
+
+// span is a segment under construction; its active tasks are
+// segTasks[lo:hi].
+type span struct {
+	start, end, power float64
+	lo, hi            int32
+}
+
+// event is a slot boundary of the Fig. 5 sweep: delta +1 starts the slot,
+// -1 ends it.
+type event struct {
+	t     float64
+	delta int8
+	slot  int32
+}
+
+// chainRef places one node on a resource: a communication link (pe -1,
+// id the link) or a core instance (id the task type and core the
+// instance on hardware; both -1 on software PEs). Sorted by (pe, id,
+// core, start, node), equal resources form consecutive runs in activity
+// order.
+type chainRef struct {
+	pe, id, core int32
+	start        float64
+	node         int32
+}
+
+// acc accumulates the write-back of one segmented hardware task.
+type acc struct {
+	start, finish float64
+	energyJ       float64
+	minLevel      int
+	seen          bool
+}
+
+// Scaler selects supply voltages into working memory it owns: the
+// constraint graph and every buffer its construction and write-back use
+// are sized on the first call and reused by later ones. A Scaler is not
+// safe for concurrent use; the zero value is ready.
+type Scaler struct {
+	g                graph
+	edges            []edge
+	npred, nsucc     []int32 // per-node edge counts; npred doubles as Kahn's in-degree
+	predBuf, succBuf []int32
+	hwSlots          []sched.TaskSlot // the DVS hardware PE being transformed
+	evs              []event
+	active           []bool
+	segs             []span
+	segTasks         []model.TaskID
+	lastSeg          []int32 // per task: the segment node it finishes in
+	refs             []chainRef
+	accs             []acc // per task
+}
+
+// grow returns buf resized to n, reallocating only when its capacity is
+// short. The contents are stale; callers overwrite or clear them.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		//mm:alloc-ok grows only past the largest size seen; steady state reuses the buffer
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // Config tunes voltage selection. The zero value is the paper's full
 // technique.
 type Config struct {
@@ -130,6 +178,12 @@ type Config struct {
 	// DVS of [10]/[11] that the paper extends, and is used by the ablation
 	// experiments.
 	SoftwareOnly bool
+}
+
+// segmented reports whether the PE's tasks are scaled through the Fig. 5
+// segment chain rather than as plain nodes.
+func (cfg Config) segmented(pe *model.PE) bool {
+	return pe.Class.IsHardware() && pe.Scalable() && !cfg.SoftwareOnly
 }
 
 // Scale selects supply voltages for all scalable activities of the
@@ -144,52 +198,63 @@ func Scale(s *model.System, sc *sched.Schedule) bool {
 	return ScaleWith(s, sc, Config{})
 }
 
-// ScaleWith is Scale with explicit configuration.
+// ScaleWith is Scale with explicit configuration. It allocates a fresh
+// Scaler; loops that scale repeatedly keep one and call Run.
 func ScaleWith(s *model.System, sc *sched.Schedule, cfg Config) bool {
+	var x Scaler
+	return x.Run(s, sc, cfg)
+}
+
+// Run is ScaleWith into the scaler's working memory: once the buffers
+// have seen a graph of the size, it allocates nothing.
+//
+//mm:noalloc
+func (x *Scaler) Run(s *model.System, sc *sched.Schedule, cfg Config) bool {
 	if sc.Unroutable > 0 || sc.Lateness(s) > 1e-9 {
 		return false
 	}
-	g := buildGraph(s, sc, cfg)
-	if g == nil {
+	if !x.build(s, sc, cfg) {
 		return false
 	}
-	changed := greedyScale(g)
-	writeBack(s, sc, g)
+	changed := greedyScale(&x.g)
+	x.writeBack(sc)
 	return changed
 }
 
-// buildGraph assembles the constraint graph: task/segment/communication
-// nodes, precedence edges via communications, and resource-order chains for
+// build assembles the constraint graph: task/segment/communication nodes,
+// precedence edges via communications, and resource-order chains for
 // software PEs, hardware core instances, DVS hardware segments and CLs.
-// Returns nil when the graph has no scalable node.
-func buildGraph(s *model.System, sc *sched.Schedule, cfg Config) *graph {
+// Returns false when the graph has no scalable node (or, on an internal
+// inconsistency, a cycle).
+//
+//mm:noalloc
+func (x *Scaler) build(s *model.System, sc *sched.Schedule, cfg Config) bool {
 	mode := s.App.Mode(sc.Mode)
 	tg := mode.Graph
 	n := len(tg.Tasks)
-	g := &graph{
-		startOf: make([]int32, n),
-		endOf:   make([]int32, n),
-	}
+	g := &x.g
+	g.nodes = g.nodes[:0]
+	g.startOf = grow(g.startOf, n)
+	g.endOf = grow(g.endOf, n)
 	for i := range g.startOf {
 		g.startOf[i] = -1
 		g.endOf[i] = -1
 	}
+	x.edges = x.edges[:0]
+	x.segTasks = x.segTasks[:0]
 
 	anyScalable := false
-	// Group hardware-DVS slots per PE; emit plain nodes for the rest.
-	hwSlots := make(map[model.PEID][]sched.TaskSlot)
+	// Plain nodes for every task not on a DVS hardware PE.
 	for ti := range sc.Tasks {
-		slot := sc.Tasks[ti]
+		slot := &sc.Tasks[ti]
 		pe := s.Arch.PE(slot.PE)
-		if pe.Class.IsHardware() && pe.Scalable() && !cfg.SoftwareOnly {
-			hwSlots[pe.ID] = append(hwSlots[pe.ID], slot)
+		if cfg.segmented(pe) {
 			continue
 		}
 		scal := pe.Scalable() && pe.Class.IsSoftware()
-		if scal {
-			anyScalable = true
-		}
+		anyScalable = anyScalable || scal
 		id := int32(len(g.nodes))
+		//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
 		g.nodes = append(g.nodes, node{
 			kind:     nkTask,
 			task:     slot.Task,
@@ -204,70 +269,27 @@ func buildGraph(s *model.System, sc *sched.Schedule, cfg Config) *graph {
 		g.startOf[slot.Task] = id
 		g.endOf[slot.Task] = id
 	}
-	// Segment nodes for DVS hardware PEs (Fig. 5 transformation).
-	var hwPEs []model.PEID
-	for pe := range hwSlots {
-		hwPEs = append(hwPEs, pe)
-	}
-	sort.Slice(hwPEs, func(i, j int) bool { return hwPEs[i] < hwPEs[j] })
-	for _, peID := range hwPEs {
-		pe := s.Arch.PE(peID)
-		slots := hwSlots[peID]
-		segs := Transform(slots)
-		anyScalable = anyScalable || len(segs) > 0
-		lastSeg := make(map[model.TaskID]int32)
-		var prev int32 = -1
-		for _, seg := range segs {
-			id := int32(len(g.nodes))
-			g.nodes = append(g.nodes, node{
-				kind:     nkSeg,
-				segPE:    peID,
-				seg:      seg,
-				dur:      seg.Duration(),
-				nom:      seg.Duration(),
-				power:    seg.Power,
-				pe:       pe,
-				level:    maxLevel(pe),
-				deadline: math.Inf(1),
-				scalable: true,
-			})
-			if prev >= 0 {
-				addEdge(g, prev, id)
-			}
-			prev = id
-			for _, t := range seg.Active {
-				if g.startOf[t] < 0 {
-					g.startOf[t] = id
-				}
-				lastSeg[t] = id
-			}
-		}
-		// Deadlines attach to the segment in which each task finishes.
-		for t, id := range lastSeg {
-			g.endOf[t] = id
-			d := tg.Task(t).EffectiveDeadline(mode.Period)
-			if d < g.nodes[id].deadline {
-				g.nodes[id].deadline = d
-			}
+	// Segment nodes for DVS hardware PEs (Fig. 5 transformation), PE by PE.
+	x.lastSeg = grow(x.lastSeg, n)
+	for _, pe := range s.Arch.PEs {
+		if cfg.segmented(pe) && x.segmentPE(s, sc, pe) {
+			anyScalable = true
 		}
 	}
 	if !anyScalable {
-		return nil
+		return false
 	}
 
-	// Communication nodes and precedence edges.
-	clChains := make(map[model.CLID][]int32)
-	type commRef struct {
-		node  int32
-		start float64
-	}
-	clSlots := make(map[model.CLID][]commRef)
+	// Communication nodes and precedence edges; every routed transfer is
+	// also placed on its link's chain.
+	x.refs = x.refs[:0]
 	for ei := range sc.Comms {
-		cs := sc.Comms[ei]
+		cs := &sc.Comms[ei]
 		e := tg.Edge(model.EdgeID(ei))
 		src, dst := g.endOf[e.Src], g.startOf[e.Dst]
 		if cs.Routed && cs.CL != model.NoCL && cs.Time > 0 {
 			id := int32(len(g.nodes))
+			//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
 			g.nodes = append(g.nodes, node{
 				kind:     nkComm,
 				edge:     model.EdgeID(ei),
@@ -276,90 +298,169 @@ func buildGraph(s *model.System, sc *sched.Schedule, cfg Config) *graph {
 				power:    cs.Power,
 				deadline: math.Inf(1),
 			})
-			addEdge(g, src, id)
-			addEdge(g, id, dst)
-			clSlots[cs.CL] = append(clSlots[cs.CL], commRef{id, cs.Start})
+			x.addEdge(src, id)
+			x.addEdge(id, dst)
+			//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
+			x.refs = append(x.refs, chainRef{pe: -1, id: int32(cs.CL), core: -1, start: cs.Start, node: id})
 		} else {
-			addEdge(g, src, dst)
+			x.addEdge(src, dst)
 		}
 	}
-	for cl, refs := range clSlots {
-		sort.Slice(refs, func(i, j int) bool {
-			switch {
-			case refs[i].start < refs[j].start:
-				return true
-			case refs[j].start < refs[i].start:
-				return false
-			}
-			return refs[i].node < refs[j].node
-		})
-		for _, r := range refs {
-			clChains[cl] = append(clChains[cl], r.node)
-		}
-		chain := clChains[cl]
-		for i := 1; i < len(chain); i++ {
-			addEdge(g, chain[i-1], chain[i])
-		}
-	}
-
-	// Resource chains for software PEs and non-DVS hardware core instances.
-	type resKey struct {
-		pe   model.PEID
-		tt   model.TaskTypeID
-		core int
-	}
-	chains := make(map[resKey][]int32)
-	var keys []resKey
+	// Resource chains for software PEs and non-DVS hardware core instances
+	// (DVS hardware is ordered by its segment chain).
 	for ti := range sc.Tasks {
-		slot := sc.Tasks[ti]
+		slot := &sc.Tasks[ti]
 		pe := s.Arch.PE(slot.PE)
-		if pe.Class.IsHardware() && pe.Scalable() && !cfg.SoftwareOnly {
-			continue // ordering enforced by the segment chain
+		if cfg.segmented(pe) {
+			continue
 		}
-		var k resKey
+		r := chainRef{pe: int32(slot.PE), id: -1, core: -1, start: slot.Start, node: g.startOf[slot.Task]}
 		if pe.Class.IsHardware() {
-			k = resKey{slot.PE, tg.Task(slot.Task).Type, slot.Core}
-		} else {
-			k = resKey{slot.PE, -1, -1}
+			r.id, r.core = int32(tg.Task(slot.Task).Type), int32(slot.Core)
 		}
-		if _, ok := chains[k]; !ok {
-			keys = append(keys, k)
-		}
-		chains[k] = append(chains[k], g.startOf[slot.Task])
+		//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
+		x.refs = append(x.refs, r)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.pe != b.pe {
-			return a.pe < b.pe
-		}
-		if a.tt != b.tt {
-			return a.tt < b.tt
-		}
-		return a.core < b.core
-	})
-	for _, k := range keys {
-		chain := chains[k]
-		sort.Slice(chain, func(i, j int) bool {
-			a, b := chain[i], chain[j]
-			sa := sc.Tasks[g.nodes[a].task].Start
-			sb := sc.Tasks[g.nodes[b].task].Start
-			switch {
-			case sa < sb:
-				return true
-			case sb < sa:
-				return false
-			}
-			return a < b
-		})
-		for i := 1; i < len(chain); i++ {
-			addEdge(g, chain[i-1], chain[i])
+	slices.SortFunc(x.refs, cmpChainRef)
+	for i := 1; i < len(x.refs); i++ {
+		a, b := &x.refs[i-1], &x.refs[i]
+		if a.pe == b.pe && a.id == b.id && a.core == b.core {
+			x.addEdge(a.node, b.node)
 		}
 	}
 
-	if !topoSort(g) {
-		return nil
+	x.link()
+	return x.topoSort()
+}
+
+// cmpChainRef orders chain references by (pe, id, core, start, node).
+func cmpChainRef(a, b chainRef) int {
+	switch {
+	case a.pe != b.pe:
+		return cmp.Compare(a.pe, b.pe)
+	case a.id != b.id:
+		return cmp.Compare(a.id, b.id)
+	case a.core != b.core:
+		return cmp.Compare(a.core, b.core)
+	case a.start < b.start:
+		return -1
+	case b.start < a.start:
+		return 1
 	}
-	return g
+	return cmp.Compare(a.node, b.node)
+}
+
+// segmentPE appends the segment chain of one DVS hardware PE to the graph
+// and attaches each task's deadline to the segment it finishes in. It
+// reports whether the PE produced any segment.
+//
+//mm:noalloc
+func (x *Scaler) segmentPE(s *model.System, sc *sched.Schedule, pe *model.PE) bool {
+	mode := s.App.Mode(sc.Mode)
+	g := &x.g
+	x.hwSlots = x.hwSlots[:0]
+	for ti := range sc.Tasks {
+		if sc.Tasks[ti].PE == pe.ID {
+			//mm:alloc-ok grows only past the largest PE seen; steady state reuses the buffer
+			x.hwSlots = append(x.hwSlots, sc.Tasks[ti])
+			x.lastSeg[sc.Tasks[ti].Task] = -1
+		}
+	}
+	x.transform(x.hwSlots)
+	var prev int32 = -1
+	for _, sp := range x.segs {
+		id := int32(len(g.nodes))
+		//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
+		g.nodes = append(g.nodes, node{
+			kind:     nkSeg,
+			lo:       sp.lo,
+			hi:       sp.hi,
+			dur:      sp.end - sp.start,
+			nom:      sp.end - sp.start,
+			power:    sp.power,
+			pe:       pe,
+			level:    maxLevel(pe),
+			deadline: math.Inf(1),
+			scalable: true,
+		})
+		x.addEdge(prev, id)
+		prev = id
+		for _, t := range x.segTasks[sp.lo:sp.hi] {
+			if g.startOf[t] < 0 {
+				g.startOf[t] = id
+			}
+			x.lastSeg[t] = id
+		}
+	}
+	// Deadlines attach to the segment in which each task finishes.
+	for i := range x.hwSlots {
+		t := x.hwSlots[i].Task
+		id := x.lastSeg[t]
+		if id < 0 {
+			continue
+		}
+		g.endOf[t] = id
+		if d := mode.Graph.Task(t).EffectiveDeadline(mode.Period); d < g.nodes[id].deadline {
+			g.nodes[id].deadline = d
+		}
+	}
+	return len(x.segs) > 0
+}
+
+// transform is Transform into the scaler: it replaces segs with the
+// segments of the slots and appends their active tasks to segTasks. The
+// segment power adds the active slots in ascending slot order.
+//
+//mm:noalloc
+func (x *Scaler) transform(slots []sched.TaskSlot) {
+	x.evs = grow(x.evs, 2*len(slots))
+	for i := range slots {
+		x.evs[2*i] = event{slots[i].Start, +1, int32(i)}
+		x.evs[2*i+1] = event{slots[i].Finish, -1, int32(i)}
+	}
+	slices.SortFunc(x.evs, cmpEvent)
+	x.active = grow(x.active, len(slots))
+	clear(x.active)
+	nActive := 0
+	x.segs = x.segs[:0]
+	prev := math.Inf(-1)
+	for _, e := range x.evs {
+		if nActive > 0 && e.t > prev {
+			sp := span{start: prev, end: e.t, lo: int32(len(x.segTasks))}
+			for si := range slots {
+				if x.active[si] {
+					sp.power += slots[si].Power
+					//mm:alloc-ok grows only past the largest total seen; steady state reuses the buffer
+					x.segTasks = append(x.segTasks, slots[si].Task)
+				}
+			}
+			sp.hi = int32(len(x.segTasks))
+			slices.Sort(x.segTasks[sp.lo:sp.hi])
+			//mm:alloc-ok grows only past the largest PE seen; steady state reuses the buffer
+			x.segs = append(x.segs, sp)
+		}
+		if on := e.delta > 0; x.active[e.slot] != on {
+			x.active[e.slot] = on
+			if on {
+				nActive++
+			} else {
+				nActive--
+			}
+		}
+		prev = e.t
+	}
+}
+
+// cmpEvent orders sweep events by time, ends before starts so that
+// zero-length overlaps do not merge segments.
+func cmpEvent(a, b event) int {
+	switch {
+	case a.t < b.t:
+		return -1
+	case b.t < a.t:
+		return 1
+	}
+	return int(a.delta) - int(b.delta)
 }
 
 // maxLevel returns the top voltage-level index of the PE, or -1 when the
@@ -373,43 +474,73 @@ func maxLevel(pe *model.PE) int {
 	return len(pe.Levels) - 1
 }
 
-func addEdge(g *graph, from, to int32) {
+// addEdge records the constraint from before to; edges touching a
+// missing node (-1) and self-loops are dropped.
+func (x *Scaler) addEdge(from, to int32) {
 	if from < 0 || to < 0 || from == to {
 		return
 	}
-	g.nodes[from].succs = append(g.nodes[from].succs, to)
-	g.nodes[to].preds = append(g.nodes[to].preds, from)
+	//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
+	x.edges = append(x.edges, edge{from, to})
 }
 
-// topoSort fills g.order (Kahn); returns false on a cycle, which indicates
-// an internal inconsistency and disables scaling.
-func topoSort(g *graph) bool {
-	n := len(g.nodes)
-	indeg := make([]int, n)
+// link lays the edges out as per-node windows of predBuf and succBuf, in
+// insertion order.
+func (x *Scaler) link() {
+	g := &x.g
+	nn := len(g.nodes)
+	x.npred = grow(x.npred, nn)
+	x.nsucc = grow(x.nsucc, nn)
+	clear(x.npred)
+	clear(x.nsucc)
+	for _, e := range x.edges {
+		x.nsucc[e.from]++
+		x.npred[e.to]++
+	}
+	x.predBuf = grow(x.predBuf, len(x.edges))
+	x.succBuf = grow(x.succBuf, len(x.edges))
+	var po, so int32
 	for i := range g.nodes {
-		for range g.nodes[i].preds {
-			indeg[i]++
+		nd := &g.nodes[i]
+		nd.preds = x.predBuf[po:po:(po + x.npred[i])]
+		nd.succs = x.succBuf[so:so:(so + x.nsucc[i])]
+		po += x.npred[i]
+		so += x.nsucc[i]
+	}
+	for _, e := range x.edges {
+		f, t := &g.nodes[e.from], &g.nodes[e.to]
+		f.succs = f.succs[:len(f.succs)+1]
+		f.succs[len(f.succs)-1] = e.to
+		t.preds = t.preds[:len(t.preds)+1]
+		t.preds[len(t.preds)-1] = e.from
+	}
+}
+
+// topoSort fills g.order (Kahn, FIFO, the order buffer doubling as the
+// queue) and consumes npred as the in-degrees. It returns false on a
+// cycle, which indicates an internal inconsistency and disables scaling.
+func (x *Scaler) topoSort() bool {
+	g := &x.g
+	nn := len(g.nodes)
+	order := grow(g.order, nn)
+	tail := 0
+	for i := 0; i < nn; i++ {
+		if x.npred[i] == 0 {
+			order[tail] = int32(i)
+			tail++
 		}
 	}
-	queue := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	g.order = g.order[:0]
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		g.order = append(g.order, v)
-		for _, w := range g.nodes[v].succs {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
+	for head := 0; head < tail; head++ {
+		for _, w := range g.nodes[order[head]].succs {
+			x.npred[w]--
+			if x.npred[w] == 0 {
+				order[tail] = w
+				tail++
 			}
 		}
 	}
-	return len(g.order) == n
+	g.order = order[:tail]
+	return tail == nn
 }
 
 // timestamp runs the forward (earliest start/finish) and backward (latest
@@ -443,64 +574,73 @@ func timestamp(g *graph) {
 }
 
 // greedyScale repeatedly applies the single voltage-step move with the
-// best energy-saving per added delay until no feasible move remains.
+// best energy-saving per added delay until no feasible move remains. Ties
+// go to the lowest node index.
 //
 //mm:noalloc
 func greedyScale(g *graph) bool {
+	for i := range g.nodes {
+		nextStep(&g.nodes[i])
+	}
 	changed := false
 	for {
 		timestamp(g)
 		best := -1
 		bestRatio := 0.0
-		var bestDur float64
 		for i := range g.nodes {
 			nd := &g.nodes[i]
-			if !nd.scalable || nd.level <= 0 || nd.nom <= 0 {
+			if !nd.canStep || nd.stepDt > nd.lf-nd.finish+1e-12 {
 				continue
 			}
-			pe := nd.pe
-			vCur := pe.Levels[nd.level]
-			vNext := pe.Levels[nd.level-1]
-			newDur := energy.ScaledTime(nd.nom, vNext, pe.Vmax, pe.Vt)
-			dt := newDur - nd.dur
-			if dt <= 0 {
-				continue
-			}
-			slack := nd.lf - nd.finish
-			if dt > slack+1e-12 {
-				continue
-			}
-			gain := energy.EnergySaving(nd.power, nd.nom, vCur, vNext, pe.Vmax)
-			if gain <= 0 {
-				continue
-			}
-			if r := gain / dt; r > bestRatio {
-				bestRatio = r
+			if nd.stepRatio > bestRatio {
+				bestRatio = nd.stepRatio
 				best = i
-				bestDur = newDur
 			}
 		}
 		if best < 0 {
 			return changed
 		}
-		g.nodes[best].level--
-		g.nodes[best].dur = bestDur
+		nd := &g.nodes[best]
+		nd.level--
+		nd.dur = nd.stepDur
+		nextStep(nd)
 		changed = true
 	}
 }
 
+// nextStep caches the node's next voltage step down: the stretched
+// duration, the delay it adds and its energy saving per unit of delay.
+func nextStep(nd *node) {
+	nd.canStep = false
+	if !nd.scalable || nd.level <= 0 || nd.nom <= 0 {
+		return
+	}
+	pe := nd.pe
+	vCur := pe.Levels[nd.level]
+	vNext := pe.Levels[nd.level-1]
+	newDur := energy.ScaledTime(nd.nom, vNext, pe.Vmax, pe.Vt)
+	dt := newDur - nd.dur
+	if dt <= 0 {
+		return
+	}
+	gain := energy.EnergySaving(nd.power, nd.nom, vCur, vNext, pe.Vmax)
+	if gain <= 0 {
+		return
+	}
+	nd.canStep = true
+	nd.stepDur, nd.stepDt, nd.stepRatio = newDur, dt, gain/dt
+}
+
 // writeBack transfers the scaled timing, voltages and energies from the
 // constraint graph into the schedule slots.
-func writeBack(s *model.System, sc *sched.Schedule, g *graph) {
+//
+//mm:noalloc
+func (x *Scaler) writeBack(sc *sched.Schedule) {
+	g := &x.g
 	timestamp(g)
 	// Per-task accumulation for segmented hardware tasks.
-	type acc struct {
-		start, finish float64
-		energyJ       float64
-		minLevel      int
-		seen          bool
-	}
-	accs := make(map[model.TaskID]*acc)
+	x.accs = grow(x.accs, len(sc.Tasks))
+	clear(x.accs)
 	makespan := 0.0
 	for i := range g.nodes {
 		nd := &g.nodes[i]
@@ -525,15 +665,10 @@ func writeBack(s *model.System, sc *sched.Schedule, g *graph) {
 		case nkSeg:
 			v := nd.pe.Levels[nd.level]
 			r := v / nd.pe.Vmax
-			for _, t := range nd.seg.Active {
-				a := accs[t]
-				if a == nil {
-					a = &acc{start: nd.start, minLevel: nd.level}
-					accs[t] = a
-				}
+			for _, t := range x.segTasks[nd.lo:nd.hi] {
+				a := &x.accs[t]
 				if !a.seen {
-					a.start = nd.start
-					a.seen = true
+					*a = acc{start: nd.start, minLevel: nd.level, seen: true}
 				} else if nd.start < a.start {
 					a.start = nd.start
 				}
@@ -550,12 +685,14 @@ func writeBack(s *model.System, sc *sched.Schedule, g *graph) {
 			}
 		}
 	}
-	for t, a := range accs {
-		slot := &sc.Tasks[t]
-		slot.Start = a.start
-		slot.Finish = a.finish
-		slot.VoltIdx = a.minLevel
-		slot.Energy = a.energyJ
+	for t := range x.accs {
+		if a := &x.accs[t]; a.seen {
+			slot := &sc.Tasks[t]
+			slot.Start = a.start
+			slot.Finish = a.finish
+			slot.VoltIdx = a.minLevel
+			slot.Energy = a.energyJ
+		}
 	}
 	sc.Makespan = makespan
 }

@@ -82,6 +82,32 @@ func TestTransformEmpty(t *testing.T) {
 	}
 }
 
+// TestTransformSumsPowerInSlotOrder pins the order of the segment-power
+// sum: three slots overlap on one interval, and their powers are chosen so
+// that float addition in another order gives a different result. A sum in
+// set-iteration order differs between runs, so the check repeats.
+func TestTransformSumsPowerInSlotOrder(t *testing.T) {
+	a, b, c := 0.1, 0.2, 0.3
+	if want, other := (a+b)+c, (b+c)+a; want == other {
+		t.Fatalf("powers %v %v %v do not expose the summation order", a, b, c)
+	}
+	slots := []sched.TaskSlot{
+		{Task: 0, Start: 0, Finish: 1, Power: a},
+		{Task: 1, Start: 0, Finish: 1, Power: b},
+		{Task: 2, Start: 0, Finish: 1, Power: c},
+	}
+	want := math.Float64bits((a + b) + c)
+	for rep := 0; rep < 200; rep++ {
+		segs := Transform(slots)
+		if len(segs) != 1 {
+			t.Fatalf("got %d segments, want 1: %+v", len(segs), segs)
+		}
+		if got := math.Float64bits(segs[0].Power); got != want {
+			t.Fatalf("rep %d: segment power %v, want %v summed in slot order", rep, segs[0].Power, (a+b)+c)
+		}
+	}
+}
+
 // dvsSystem builds one DVS GPP (levels 1.2/1.8/2.5/3.3) with a chain of two
 // tasks and a generous period, so scaling has room.
 func dvsSystem(t *testing.T, period float64) *model.System {

@@ -308,7 +308,7 @@ func TestEvaluateScratchReuse(t *testing.T) {
 
 // TestEvaluateAllocFreeOnSpecs extends the Evaluator.evaluate pin to every
 // shipped specification: once the scratch has seen a set of mappings,
-// evaluating them again with DVS off allocates nothing.
+// evaluating them again allocates nothing, with DVS off and on.
 func TestEvaluateAllocFreeOnSpecs(t *testing.T) {
 	for _, name := range benchmarkSpecNames() {
 		sys := loadSpec(t, name)
@@ -316,22 +316,24 @@ func TestEvaluateAllocFreeOnSpecs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(11))
-		mappings := make([]model.Mapping, 8)
-		e := NewEvaluator(sys, false)
-		for i := range mappings {
-			mappings[i] = codec.Decode(randomGenome(codec, rng))
-			if _, err := e.evaluate(mappings[i]); err != nil {
-				t.Fatal(err)
+		for _, useDVS := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(11))
+			mappings := make([]model.Mapping, 8)
+			e := NewEvaluator(sys, useDVS)
+			for i := range mappings {
+				mappings[i] = codec.Decode(randomGenome(codec, rng))
+				if _, err := e.evaluate(mappings[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		i := 0
-		allocs := testing.AllocsPerRun(len(mappings)*4, func() {
-			_, _ = e.evaluate(mappings[i%len(mappings)])
-			i++
-		})
-		if allocs != 0 {
-			t.Errorf("%s: evaluate allocates %.2f times per call after warm-up", name, allocs)
+			i := 0
+			allocs := testing.AllocsPerRun(len(mappings)*4, func() {
+				_, _ = e.evaluate(mappings[i%len(mappings)])
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s dvs=%v: evaluate allocates %.2f times per call after warm-up", name, useDVS, allocs)
+			}
 		}
 	}
 }

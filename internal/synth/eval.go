@@ -68,9 +68,10 @@ func (ev *Evaluation) Feasible() bool {
 // uses the specification's probabilities.
 //
 // An Evaluator owns the working memory of its evaluations (mobilities, core
-// allocation, per-mode schedules, scheduler state), sized on the first
-// evaluation and reused by every later one. The *Evaluation that Evaluate
-// returns is a copy the caller owns: later evaluations do not change it.
+// allocation, per-mode schedules, scheduler state, the voltage scaler's
+// constraint graph), sized on the first evaluation and reused by every
+// later one. The *Evaluation that Evaluate returns is a copy the caller
+// owns: later evaluations do not change it.
 // An Evaluator is not safe for concurrent use; give every goroutine its
 // own (Synthesize does, so concurrent runs share nothing).
 type Evaluator struct {
@@ -108,6 +109,7 @@ type evalScratch struct {
 	alloc      Allocation
 	allocator  allocator
 	scheduler  sched.Scheduler
+	scaler     dvs.Scaler
 	schedules  []sched.Schedule
 	schedPtrs  []*sched.Schedule
 	modePowers []energy.ModePower
@@ -315,7 +317,7 @@ func (e *Evaluator) evaluate(mapping model.Mapping) (*Evaluation, error) {
 			if timed {
 				mark = time.Now()
 			}
-			dvs.ScaleWith(s, sc, dvs.Config{SoftwareOnly: e.DVSSoftwareOnly})
+			x.scaler.Run(s, sc, dvs.Config{SoftwareOnly: e.DVSSoftwareOnly})
 			if timed {
 				span.DVS += time.Since(mark)
 			}

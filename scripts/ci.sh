@@ -35,11 +35,12 @@ echo "==> benchmark module (go vet, go test)"
 (cd benchmark && go vet ./... && go test ./...)
 
 # Fuzz smoke: short native-fuzzing bursts over the untrusted-input readers
-# (spec files and checkpoints) and over the evaluator, whose fuzzer checks
-# fuzzed mappings bit for bit against the reference inner loop. The
+# (spec files and checkpoints) and over the evaluator and voltage scaling,
+# whose fuzzers check fuzzed mappings bit for bit against the reference
+# inner loop and the reference scaler. The
 # minimise time must be capped — the default 60s minimiser can dwarf the
 # fuzz time itself on the ~30KB seed corpus entries.
-echo "==> fuzz smoke (make fuzz-smoke: FuzzRead, FuzzCanonical, FuzzCheckpoint, FuzzEvaluateDifferential)"
+echo "==> fuzz smoke (make fuzz-smoke: FuzzRead, FuzzCanonical, FuzzCheckpoint, FuzzEvaluateDifferential, FuzzScaleDifferential)"
 make fuzz-smoke
 
 # Observability smoke: a traced synthesis and benchmark row, every JSONL
