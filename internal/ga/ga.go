@@ -234,6 +234,13 @@ type engine struct {
 	pop      []individual
 	evals    int
 	mutStats []MutatorStats
+	// weights are the rank-selection weights of a population of len(pop).
+	weights []float64
+	// offspring is the buffer one generation's children are bred into.
+	offspring []individual
+	// spare holds the genomes of replaced individuals, which the next
+	// generation's children are bred into instead of fresh slices.
+	spare [][]int
 }
 
 // Run executes the GA and returns the best genome found. Improvement
@@ -275,6 +282,7 @@ func RunControlled(p Problem, cfg Config, rc RunControl, rng *rand.Rand, mutator
 		e.initPopulation()
 		best = e.cloneBest()
 	}
+	e.weights = e.rankWeights()
 
 	lastCheckpoint := -1
 	for ; gen < cfg.MaxGenerations && stagnant < cfg.Stagnation; gen++ {
@@ -284,9 +292,10 @@ func RunControlled(p Problem, cfg Config, rc RunControl, rng *rand.Rand, mutator
 			break
 		}
 		e.generation()
-		cur := e.cloneBest()
-		if cur.fitness < best.fitness-1e-15 {
-			best = cur
+		// best's genome is the run's own copy; nothing else holds it.
+		if top := e.pop[0]; top.fitness < best.fitness-1e-15 {
+			best.genome = append(best.genome[:0], top.genome...)
+			best.fitness = top.fitness
 			stagnant = 0
 		} else {
 			stagnant++
@@ -364,11 +373,12 @@ func randomGenome(s genomeSpace, rng *rand.Rand) []int {
 	return g
 }
 
-// crossover performs two-point crossover of the parents, returning one
-// child (the second is implicitly explored by later generations).
-func crossover(a, b []int, rng *rand.Rand) []int {
+// crossover performs two-point crossover of the parents into child's
+// storage (nil allocates; it must not alias a parent), returning one child
+// (the second is implicitly explored by later generations).
+func crossover(child, a, b []int, rng *rand.Rand) []int {
 	n := len(a)
-	child := append([]int(nil), a...)
+	child = append(child[:0], a...)
 	if n < 2 {
 		return child
 	}
@@ -530,19 +540,30 @@ func (e *engine) selectParent(weights []float64) int {
 
 // generation produces offspring, inserts them replacing the worst
 // individuals, and applies the improvement mutators.
+//
+// Children are bred into the genomes of the individuals the previous
+// generation replaced, so a steady-state generation allocates no genome.
+// The population never shares a genome slice (initPopulation, restore and
+// injectDiversity give every individual its own, and the run's best is a
+// copy), so a replaced individual's genome is free once it is replaced.
 func (e *engine) generation() {
-	weights := e.rankWeights()
-	offspring := make([]individual, 0, e.cfg.Offspring)
+	offspring := e.offspring[:0]
 	for len(offspring) < e.cfg.Offspring {
-		pa := e.selectParent(weights)
-		pb := e.selectParent(weights)
-		child := crossover(e.pop[pa].genome, e.pop[pb].genome, e.rng)
+		pa := e.selectParent(e.weights)
+		pb := e.selectParent(e.weights)
+		var buf []int
+		if k := len(e.spare); k > 0 {
+			buf, e.spare = e.spare[k-1], e.spare[:k-1]
+		}
+		child := crossover(buf, e.pop[pa].genome, e.pop[pb].genome, e.rng)
 		mutate(e.p, child, e.cfg.MutationRate, e.rng)
 		offspring = append(offspring, individual{genome: child, fitness: e.eval(child)})
 	}
+	e.offspring = offspring
 	// Offspring insertion: replace the tail (worst) of the population.
 	n := len(e.pop)
 	for i, child := range offspring {
+		e.spare = append(e.spare, e.pop[n-1-i].genome)
 		e.pop[n-1-i] = child
 	}
 	e.sortPop()

@@ -101,7 +101,7 @@ func RunNSGA2(ctx context.Context, p MultiProblem, cfg Config, rng *rand.Rand, s
 		for len(offspring) < cfg.PopSize {
 			pa := pop[tournament2(pop, rng)]
 			pb := pop[tournament2(pop, rng)]
-			child := crossover(pa.genome, pb.genome, rng)
+			child := crossover(nil, pa.genome, pb.genome, rng)
 			mutate(p, child, cfg.MutationRate, rng)
 			offspring = append(offspring, mindividual{genome: child, objs: eval(child)})
 		}

@@ -1,6 +1,7 @@
 package runctl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -58,6 +59,8 @@ type Guard struct {
 	faults  []EvalFault
 	bad     map[string]bool
 	tripped bool
+	// key is the buffer bad is probed with.
+	key []byte
 }
 
 // NewGuard wraps p in a recover barrier.
@@ -73,10 +76,14 @@ func (g *Guard) Alleles(i int) int { return g.inner.Alleles(i) }
 
 // Fitness evaluates the genome behind the recover barrier. Panicking
 // genomes evaluate to +Inf so the GA selects them away instead of dying.
+// Genomes are only keyed while some genome is marked bad, so a clean run
+// pays nothing for the barrier beyond the deferred recover.
 func (g *Guard) Fitness(genome []int) float64 {
-	key := genomeKey(genome)
-	if g.bad[key] {
-		return math.Inf(1)
+	if len(g.bad) > 0 {
+		g.key = appendGenomeKey(g.key[:0], genome)
+		if g.bad[string(g.key)] {
+			return math.Inf(1)
+		}
 	}
 	var last *EvalFault
 	for attempt := 1; attempt <= g.cfg.MaxAttempts; attempt++ {
@@ -87,7 +94,7 @@ func (g *Guard) Fitness(genome []int) float64 {
 		fault.Attempts = attempt
 		last = fault
 	}
-	g.bad[key] = true
+	g.bad[string(appendGenomeKey(nil, genome))] = true
 	g.faults = append(g.faults, *last)
 	if !g.tripped && len(g.faults) > g.cfg.FaultBudget {
 		g.tripped = true
@@ -122,7 +129,7 @@ func (g *Guard) Faults() []EvalFault { return g.faults }
 func (g *Guard) Restore(faults []EvalFault) {
 	g.faults = append(g.faults[:0], faults...)
 	for _, f := range g.faults {
-		g.bad[genomeKey(f.Genome)] = true
+		g.bad[string(appendGenomeKey(nil, f.Genome))] = true
 	}
 }
 
@@ -139,10 +146,11 @@ func (g *Guard) WriteReport(w io.Writer) {
 	}
 }
 
-func genomeKey(genome []int) string {
-	b := make([]byte, 0, len(genome)*2)
+// appendGenomeKey appends an injective encoding of the genome to dst: every
+// allele as a varint, which no allele value truncates.
+func appendGenomeKey(dst []byte, genome []int) []byte {
 	for _, v := range genome {
-		b = append(b, byte(v), byte(v>>8))
+		dst = binary.AppendVarint(dst, int64(v))
 	}
-	return string(b)
+	return dst
 }

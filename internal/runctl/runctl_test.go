@@ -257,6 +257,25 @@ func TestGuardContainsPanics(t *testing.T) {
 	}
 }
 
+// TestGuardFitnessAllocFree pins the clean path of the barrier: while no
+// genome is marked bad, a guarded fitness call allocates nothing, and once
+// one is, probing a healthy genome still does not.
+func TestGuardFitnessAllocFree(t *testing.T) {
+	inner := &panicky{poison: 5}
+	g := NewGuard(inner, GuardConfig{})
+	healthy := []int{1, 0, 0}
+	if allocs := testing.AllocsPerRun(100, func() { _ = g.Fitness(healthy) }); allocs != 0 {
+		t.Errorf("clean Guard.Fitness allocates %.2f times per call", allocs)
+	}
+	_ = g.Fitness([]int{5, 0, 0})
+	if allocs := testing.AllocsPerRun(100, func() { _ = g.Fitness(healthy) }); allocs != 0 {
+		t.Errorf("Guard.Fitness with a bad genome on record allocates %.2f times per call", allocs)
+	}
+	if got := g.Fitness(healthy); got != 1 {
+		t.Errorf("healthy genome fitness = %v, want 1", got)
+	}
+}
+
 func TestGuardRetrySucceedsWithoutFault(t *testing.T) {
 	// A genome that panics once and then evaluates cleanly is an
 	// environmental fluke: the retry covers it and no fault is recorded.

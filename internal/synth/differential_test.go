@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"momosyn/internal/model"
@@ -249,7 +250,9 @@ func TestEvaluateDifferentialUnroutable(t *testing.T) {
 // TestEvaluateScratchReuse evaluates A, then B, then A again on one
 // evaluator: both A results must be bit-identical to the reference, so the
 // first is untouched by the later evaluations (the copy owns its memory)
-// and the second is untouched by B's leftovers (no stale scratch).
+// and the second is untouched by B's leftovers (no stale scratch). The
+// scratch path is checked the same way, except that modes the per-mode
+// memo serves there carry nil schedules; the second A must be served.
 func TestEvaluateScratchReuse(t *testing.T) {
 	for _, name := range []string{"smartphone", "sdr", "mul3"} {
 		sys := loadSpec(t, name)
@@ -259,11 +262,16 @@ func TestEvaluateScratchReuse(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(7))
 		for _, useDVS := range []bool{false, true} {
+			served := 0
 			for k := 0; k < 20; k++ {
 				a := codec.Decode(randomGenome(codec, rng))
 				b := codec.Decode(randomGenome(codec, rng))
 				e := NewEvaluator(sys, useDVS)
 				refA, err := refEvaluate(e, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refB, err := refEvaluate(e, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -285,25 +293,53 @@ func TestEvaluateScratchReuse(t *testing.T) {
 					t.Fatalf("%s dvs=%v pair %d: %s", name, useDVS, k, d)
 				}
 
-				// The scratch result itself, read before the next call.
-				s1, err := e.evaluate(a)
-				if err != nil {
-					t.Fatal(err)
+				// The scratch results, each read before the next call.
+				for i, c := range []struct {
+					mapping model.Mapping
+					ref     *refEvaluation
+				}{{a, refA}, {b, refB}, {a, refA}} {
+					got, err := e.evaluate(c.mapping)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := scratchDiff(fmt.Sprintf("scratch %d", i), c.ref.ev, got); d != "" {
+						t.Fatalf("%s dvs=%v pair %d: %s", name, useDVS, k, d)
+					}
+					if i == 2 {
+						served += servedModes(got)
+					}
 				}
-				s1 = s1.clone()
-				if _, err := e.evaluate(b); err != nil {
-					t.Fatal(err)
-				}
-				s2, err := e.evaluate(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := diffOf("scratch A", s1, s2); d != "" {
-					t.Fatalf("%s dvs=%v pair %d: %s", name, useDVS, k, d)
-				}
+			}
+			if served == 0 {
+				t.Errorf("%s dvs=%v: the memo served no mode of a repeated mapping", name, useDVS)
 			}
 		}
 	}
+}
+
+// scratchDiff is diffOf for a scratch evaluation against a complete one:
+// the schedules of modes the memo served (nil in got) are not compared;
+// every other field, schedules included, must be bit-identical.
+func scratchDiff(what string, want, got *Evaluation) string {
+	w := *want
+	w.Schedules = slices.Clone(want.Schedules)
+	for m, sc := range got.Schedules {
+		if sc == nil {
+			w.Schedules[m] = nil
+		}
+	}
+	return diffOf(what, &w, got)
+}
+
+// servedModes counts the modes of a scratch evaluation the memo served.
+func servedModes(ev *Evaluation) int {
+	n := 0
+	for _, sc := range ev.Schedules {
+		if sc == nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestEvaluateAllocFreeOnSpecs extends the Evaluator.evaluate pin to every
@@ -362,7 +398,10 @@ func TestMaxOverlapMatchesSweep(t *testing.T) {
 
 // FuzzEvaluateDifferential decodes the input into a genome of the SDR
 // specification (FPGA reconfiguration included) and runs the differential
-// comparison with DVS off and on.
+// comparison with DVS off and on. It then reads the input as a sequence on
+// the fitness path of evaluators that live across inputs, so their
+// per-mode memos fill and serve: the genome itself, then one locus moved
+// per later byte pair, each step compared with a complete evaluation.
 func FuzzEvaluateDifferential(f *testing.F) {
 	sys := loadSpec(f, "sdr")
 	codec, err := NewCodec(sys)
@@ -370,6 +409,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 		f.Fatal(err)
 	}
 	evals := []*Evaluator{NewEvaluator(sys, false), NewEvaluator(sys, true)}
+	memos := []*Evaluator{NewEvaluator(sys, false), NewEvaluator(sys, true)}
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte("differential harness seed"))
@@ -385,6 +425,18 @@ func FuzzEvaluateDifferential(f *testing.F) {
 			if d := checkDifferential(e, mapping); d != "" {
 				t.Fatalf("dvs=%v: %s", e.UseDVS, d)
 			}
+		}
+		for step := 0; step < 32; step++ {
+			for i, e := range memos {
+				if d := checkMemoStep(e, evals[i], codec.Decode(genome)); d != "" {
+					t.Fatalf("dvs=%v sequence step %d: %s", e.UseDVS, step, d)
+				}
+			}
+			if 2*step+1 >= len(data) {
+				break
+			}
+			k := int(data[2*step]) % len(genome)
+			genome[k] = int(data[2*step+1]) % codec.Alleles(k)
 		}
 	})
 }

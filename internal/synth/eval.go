@@ -95,8 +95,9 @@ type Evaluator struct {
 
 	// timings accumulates the phase breakdown over all Evaluate calls.
 	timings obs.Timings
-	// ub caches PowerUpperBound of the system.
-	ub float64
+	// ub caches PowerUpperBound of ubSys.
+	ub    float64
+	ubSys *model.System
 	// scratch is the working memory every evaluation overwrites.
 	scratch evalScratch
 }
@@ -118,6 +119,8 @@ type evalScratch struct {
 	activePE   []bool
 	usedCL     []bool
 	ev         Evaluation
+	// memo serves per-mode results to the fitness path (see modeMemo).
+	memo modeMemo
 }
 
 // size shapes the scratch for the system; only the first evaluation
@@ -233,8 +236,9 @@ func (e *Evaluator) prob(mode model.ModeID) float64 {
 // voltage scaling, and the fitness computation of paper Fig. 4. The result
 // is the caller's: it shares no memory with the evaluator, so holding
 // several results of one evaluator is safe. Its Mapping is the argument.
+// Evaluate never consults the per-mode memo, so every schedule is there.
 func (e *Evaluator) Evaluate(mapping model.Mapping) (*Evaluation, error) {
-	ev, err := e.evaluate(mapping)
+	ev, err := e.run(mapping, false)
 	if err != nil {
 		return nil, err
 	}
@@ -242,12 +246,15 @@ func (e *Evaluator) Evaluate(mapping model.Mapping) (*Evaluation, error) {
 }
 
 // clone returns a deep copy of the evaluation; the mapping is shared.
+// Schedules the memo served stay nil.
 func (ev *Evaluation) clone() *Evaluation {
 	c := *ev
 	c.Alloc = ev.Alloc.clone()
 	c.Schedules = make([]*sched.Schedule, len(ev.Schedules))
 	for m, sc := range ev.Schedules {
-		c.Schedules[m] = sc.Clone()
+		if sc != nil {
+			c.Schedules[m] = sc.Clone()
+		}
 	}
 	c.ModePowers = slices.Clone(ev.ModePowers)
 	c.Lateness = slices.Clone(ev.Lateness)
@@ -255,16 +262,27 @@ func (ev *Evaluation) clone() *Evaluation {
 	return &c
 }
 
-// evaluate is Evaluate into the evaluator's scratch: the returned
-// evaluation and everything it points to except the mapping belong to the
-// evaluator and are overwritten by the next call. The GA fitness paths
-// read what they need from it and keep nothing.
+// evaluate is Evaluate into the evaluator's scratch, for the GA fitness
+// paths: the returned evaluation and everything it points to except the
+// mapping belong to the evaluator and are overwritten by the next call.
+// Modes whose key the per-mode memo holds are not scheduled again; their
+// Schedules entries are nil, and every other field is what Evaluate
+// gives. The fitness paths read what they need and keep nothing.
 //
 //mm:noalloc
 func (e *Evaluator) evaluate(mapping model.Mapping) (*Evaluation, error) {
+	return e.run(mapping, true)
+}
+
+// run is the inner loop into the scratch; with memo set it serves and
+// fills the per-mode memo.
+func (e *Evaluator) run(mapping model.Mapping, memo bool) (*Evaluation, error) {
 	s := e.Sys
 	x := &e.scratch
 	x.size(s)
+	if memo {
+		x.memo.prepare(s, e.UseDVS, e.DVSSoftwareOnly)
+	}
 	nModes := len(s.App.Modes)
 	timed := e.Obs.Active()
 	var span obs.Timings
@@ -301,6 +319,19 @@ func (e *Evaluator) evaluate(mapping model.Mapping) (*Evaluation, error) {
 	// Lines 09-13: per-mode inner loop.
 	for m := 0; m < nModes; m++ {
 		mode := s.App.Mode(model.ModeID(m))
+		var hash uint64
+		keyed := false
+		if memo {
+			var hit *modeResult
+			hash, hit, keyed = x.memo.lookup(s, model.ModeID(m), mapping[m], &x.alloc)
+			if hit != nil {
+				ev.Schedules[m] = nil
+				ev.ModePowers[m] = hit.power(mode)
+				ev.Lateness[m] = hit.lateness
+				ev.Unroutable += int(hit.unroutable)
+				continue
+			}
+		}
 		sc := &x.schedules[m]
 		if timed {
 			mark = time.Now()
@@ -335,6 +366,9 @@ func (e *Evaluator) evaluate(mapping model.Mapping) (*Evaluation, error) {
 			Period:        mode.Period,
 			StaticPower:   energy.StaticPower(s.Arch, x.activePE, x.usedCL),
 		}
+		if keyed {
+			x.memo.store(model.ModeID(m), hash, ev.ModePowers[m], ev.Lateness[m], sc.Unroutable)
+		}
 	}
 
 	// Average power under the evaluation probabilities.
@@ -349,15 +383,21 @@ func (e *Evaluator) evaluate(mapping model.Mapping) (*Evaluation, error) {
 	e.penalties(ev)
 	ev.Fitness = ev.AvgPower * ev.TimingPenalty * ev.AreaPenalty * ev.TransPenalty
 	if !ev.Feasible() {
-		if e.ub <= 0 {
-			e.ub = PowerUpperBound(s)
-		}
-		ev.Fitness += e.ub
+		ev.Fitness += e.upperBound()
 	}
 	if timed {
 		e.recordEval(span)
 	}
 	return ev, nil
+}
+
+// upperBound returns PowerUpperBound of the evaluator's system, computed
+// once per system.
+func (e *Evaluator) upperBound() float64 {
+	if e.ubSys != e.Sys {
+		e.ub, e.ubSys = PowerUpperBound(e.Sys), e.Sys
+	}
+	return e.ub
 }
 
 // mobilityError wraps a mobility failure of mode m.

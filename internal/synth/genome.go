@@ -1,8 +1,9 @@
 package synth
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strings"
+	"math/bits"
 
 	"momosyn/internal/model"
 )
@@ -20,6 +21,9 @@ type Codec struct {
 	candidates [][]model.PEID
 	// index[mode][task] is the locus of the task.
 	index [][]int
+	// keyBits is the width of one locus in a fitness-cache key: enough for
+	// the largest allele of any locus.
+	keyBits int
 }
 
 type locus struct {
@@ -43,6 +47,7 @@ func NewCodec(sys *model.System) (*Codec, error) {
 			c.index[mi][ti] = len(c.loci)
 			c.loci = append(c.loci, locus{model.ModeID(mi), model.TaskID(ti)})
 			c.candidates = append(c.candidates, cands)
+			c.keyBits = max(c.keyBits, bits.Len(uint(len(cands)-1)))
 		}
 	}
 	return c, nil
@@ -114,12 +119,29 @@ func (c *Codec) SetPE(genome []int, k int, pe model.PEID) bool {
 
 // Key returns a compact string key of the genome for fitness caching.
 func (c *Codec) Key(genome []int) string {
-	var sb strings.Builder
-	sb.Grow(len(genome))
-	for _, v := range genome {
-		sb.WriteByte(byte(v))
+	return string(c.appendKey(nil, genome))
+}
+
+// appendKey appends the genome's key to dst and returns the extended
+// slice: the genome length as a uvarint, then every locus's allele (as
+// PEAt reduces it) in keyBits bits, packed little-endian. Genomes that
+// decode to the same mapping share a key; all others, of any length
+// up to Len, differ.
+func (c *Codec) appendKey(dst []byte, genome []int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(genome)))
+	var acc uint64
+	n := 0
+	for k, v := range genome {
+		acc |= uint64(v%len(c.candidates[k])) << n
+		for n += c.keyBits; n >= 8; n -= 8 {
+			dst = append(dst, byte(acc))
+			acc >>= 8
+		}
 	}
-	return sb.String()
+	if n > 0 {
+		dst = append(dst, byte(acc))
+	}
+	return dst
 }
 
 // CandidatesAt returns the candidate PEs of locus k (shared slice; do not

@@ -138,14 +138,18 @@ func (c *Codec) AreaMutation() func(genome []int, rng *rand.Rand) bool {
 // infinite-resource critical path of a mode already violates a deadline,
 // software tasks of that mode are randomly re-mapped to faster hardware
 // implementations.
+//
+// The returned mutation reuses its decode and mobility buffers from call
+// to call, so it must not be called concurrently (the GA engine does not).
 func (c *Codec) TimingMutation() func(genome []int, rng *rand.Rand) bool {
 	s := c.sys
+	var mapping model.Mapping
+	var mob sched.Mobility
 	return func(genome []int, rng *rand.Rand) bool {
-		mapping := c.Decode(genome)
+		mapping = c.decodeInto(mapping, genome)
 		changed := false
 		for m := range s.App.Modes {
-			mob, err := sched.ComputeMobility(s, model.ModeID(m), mapping)
-			if err != nil {
+			if err := mob.Compute(s, model.ModeID(m), mapping); err != nil {
 				continue
 			}
 			tight := false

@@ -50,13 +50,16 @@ type multiProblem struct {
 	cache *fitnessCache[[]float64]
 	// mapping is the decode buffer of uncached evaluations.
 	mapping model.Mapping
+	// key is the fitness-cache key buffer.
+	key []byte
 }
 
 func (p *multiProblem) GenomeLen() int    { return p.codec.Len() }
 func (p *multiProblem) Alleles(i int) int { return p.codec.Alleles(i) }
 
 func (p *multiProblem) Objectives(genome []int) []float64 {
-	return p.cache.lookup(p.codec.Key(genome), func() []float64 { return p.objectives(genome) })
+	p.key = p.codec.appendKey(p.key[:0], genome)
+	return p.cache.lookup(p.key, func() []float64 { return p.objectives(genome) })
 }
 
 func (p *multiProblem) objectives(genome []int) []float64 {
@@ -67,10 +70,7 @@ func (p *multiProblem) objectives(genome []int) []float64 {
 	}
 	power := ev.AvgPower * ev.TimingPenalty * ev.TransPenalty
 	if ev.TimingPenalty > 1 || ev.TransPenalty > 1 || ev.Unroutable > 0 {
-		if p.eval.ub <= 0 {
-			p.eval.ub = PowerUpperBound(p.eval.Sys)
-		}
-		power += p.eval.ub
+		power += p.eval.upperBound()
 	}
 	return []float64{power, areaFrac(p.eval.Sys, ev)}
 }

@@ -170,9 +170,10 @@ func newFitnessCache[V any]() *fitnessCache[V] {
 }
 
 // lookup returns the cached value of the key, or computes and inserts it,
-// evicting the oldest entry when the cache is full.
-func (c *fitnessCache[V]) lookup(key string, compute func() V) V {
-	if v, ok := c.m[key]; ok {
+// evicting the oldest entry when the cache is full. Only an insert copies
+// the key into a string; the caller may reuse its buffer afterwards.
+func (c *fitnessCache[V]) lookup(key []byte, compute func() V) V {
+	if v, ok := c.m[string(key)]; ok {
 		c.stats.Hits++
 		return v
 	}
@@ -184,8 +185,9 @@ func (c *fitnessCache[V]) lookup(key string, compute func() V) V {
 		c.head++
 		c.stats.Evictions++
 	}
-	c.m[key] = v
-	c.order = append(c.order, key)
+	k := string(key)
+	c.m[k] = v
+	c.order = append(c.order, k)
 	return v
 }
 
@@ -205,13 +207,16 @@ type problem struct {
 	hook  func(genome []int)
 	// mapping is the decode buffer of uncached evaluations.
 	mapping model.Mapping
+	// key is the fitness-cache key buffer.
+	key []byte
 }
 
 func (p *problem) GenomeLen() int    { return p.codec.Len() }
 func (p *problem) Alleles(i int) int { return p.codec.Alleles(i) }
 
 func (p *problem) Fitness(genome []int) float64 {
-	return p.cache.lookup(p.codec.Key(genome), func() float64 {
+	p.key = p.codec.appendKey(p.key[:0], genome)
+	return p.cache.lookup(p.key, func() float64 {
 		if p.hook != nil {
 			p.hook(genome)
 		}
@@ -348,6 +353,11 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 	start := time.Now()
 	res := ga.RunControlled(guard, opts.GA, rc, rng, mutators...)
 	elapsed := time.Since(start)
+	if run.Active() {
+		reg := run.Registry()
+		reg.Counter("synth.mode_memo_hits").Add(eval.scratch.memo.hits)
+		reg.Counter("synth.mode_memo_misses").Add(eval.scratch.memo.misses)
+	}
 
 	best, err := safeEvaluate(eval, codec.Decode(res.Best))
 	if err != nil {
@@ -530,7 +540,8 @@ func Exhaustive(ctx context.Context, sys *model.System, useDVS bool, probs []flo
 	eval := Options{UseDVS: useDVS}.newEvaluator(sys, probs)
 	genome := make([]int, codec.Len())
 	var mapping model.Mapping
-	var best *Evaluation
+	var bestGenome []int
+	bestFitness := math.Inf(1)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -540,11 +551,9 @@ func Exhaustive(ctx context.Context, sys *model.System, useDVS bool, probs []flo
 		if err != nil {
 			return nil, err
 		}
-		if best == nil || ev.Fitness < best.Fitness {
-			// The scratch evaluation and the decode buffer are reused by
-			// the next candidate; keep copies of both.
-			best = ev.clone()
-			best.Mapping = mapping.Clone()
+		if bestGenome == nil || ev.Fitness < bestFitness {
+			bestGenome = append(bestGenome[:0], genome...)
+			bestFitness = ev.Fitness
 		}
 		// Odometer increment.
 		k := 0
@@ -560,5 +569,7 @@ func Exhaustive(ctx context.Context, sys *model.System, useDVS bool, probs []flo
 			break
 		}
 	}
-	return best, nil
+	// The scan's evaluations are scratch ones with memo-served modes; the
+	// winner is evaluated once more in full.
+	return eval.Evaluate(codec.Decode(bestGenome))
 }
