@@ -234,10 +234,6 @@ type engine struct {
 	pop      []individual
 	evals    int
 	mutStats []MutatorStats
-	// weights are the rank-selection weights of a population of len(pop).
-	weights []float64
-	// offspring is the buffer one generation's children are bred into.
-	offspring []individual
 	// spare holds the genomes of replaced individuals, which the next
 	// generation's children are bred into instead of fresh slices.
 	spare [][]int
@@ -282,7 +278,6 @@ func RunControlled(p Problem, cfg Config, rc RunControl, rng *rand.Rand, mutator
 		e.initPopulation()
 		best = e.cloneBest()
 	}
-	e.weights = e.rankWeights()
 
 	lastCheckpoint := -1
 	for ; gen < cfg.MaxGenerations && stagnant < cfg.Stagnation; gen++ {
@@ -547,10 +542,11 @@ func (e *engine) selectParent(weights []float64) int {
 // injectDiversity give every individual its own, and the run's best is a
 // copy), so a replaced individual's genome is free once it is replaced.
 func (e *engine) generation() {
-	offspring := e.offspring[:0]
+	weights := e.rankWeights()
+	offspring := make([]individual, 0, e.cfg.Offspring)
 	for len(offspring) < e.cfg.Offspring {
-		pa := e.selectParent(e.weights)
-		pb := e.selectParent(e.weights)
+		pa := e.selectParent(weights)
+		pb := e.selectParent(weights)
 		var buf []int
 		if k := len(e.spare); k > 0 {
 			buf, e.spare = e.spare[k-1], e.spare[:k-1]
@@ -559,7 +555,6 @@ func (e *engine) generation() {
 		mutate(e.p, child, e.cfg.MutationRate, e.rng)
 		offspring = append(offspring, individual{genome: child, fitness: e.eval(child)})
 	}
-	e.offspring = offspring
 	// Offspring insertion: replace the tail (worst) of the population.
 	n := len(e.pop)
 	for i, child := range offspring {

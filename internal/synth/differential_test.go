@@ -399,9 +399,10 @@ func TestMaxOverlapMatchesSweep(t *testing.T) {
 // FuzzEvaluateDifferential decodes the input into a genome of the SDR
 // specification (FPGA reconfiguration included) and runs the differential
 // comparison with DVS off and on. It then reads the input as a sequence on
-// the fitness path of evaluators that live across inputs, so their
-// per-mode memos fill and serve: the genome itself, then one locus moved
-// per later byte pair, each step compared with a complete evaluation.
+// the fitness path of two evaluators made for the input, so their per-mode
+// memos fill and serve within it: the genome itself, then one locus moved
+// per later byte pair, each step compared with a complete evaluation. An
+// input's memo state depends on the input alone, so a saved crasher replays.
 func FuzzEvaluateDifferential(f *testing.F) {
 	sys := loadSpec(f, "sdr")
 	codec, err := NewCodec(sys)
@@ -409,7 +410,6 @@ func FuzzEvaluateDifferential(f *testing.F) {
 		f.Fatal(err)
 	}
 	evals := []*Evaluator{NewEvaluator(sys, false), NewEvaluator(sys, true)}
-	memos := []*Evaluator{NewEvaluator(sys, false), NewEvaluator(sys, true)}
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte("differential harness seed"))
@@ -426,6 +426,7 @@ func FuzzEvaluateDifferential(f *testing.F) {
 				t.Fatalf("dvs=%v: %s", e.UseDVS, d)
 			}
 		}
+		memos := []*Evaluator{NewEvaluator(sys, false), NewEvaluator(sys, true)}
 		for step := 0; step < 32; step++ {
 			for i, e := range memos {
 				if d := checkMemoStep(e, evals[i], codec.Decode(genome)); d != "" {

@@ -3,24 +3,19 @@ package synth
 import (
 	"bytes"
 	"math"
-	"math/bits"
 
 	"momosyn/internal/energy"
 	"momosyn/internal/model"
 )
 
-// Per-mode memo bounds. Each mode's table starts at modeMemoMinSlots and
-// doubles, up to modeMemoSlots, whenever the misses stored since its last
-// growth reach a quarter of its slots, so a short run (a small serve job)
-// keeps a small table and a long GA run reaches the bound within a few
-// hundred misses. In a sweep over 256 to 16,384 slots (smartphone, mul9
-// and mul11 with DVS on; mul1, mul5 and mul9 with DVS off; paper GA
-// defaults, seeds 1-2) 1,024 slots came within 1.5 points of an unbounded
-// memo's hit rate on every spec, and larger tables gained at most 0.7
-// points.
+// modeMemoSlots is the number of slots of each mode's table. In a sweep
+// over 256 to 16,384 slots (smartphone, mul9 and mul11 with DVS on; mul1,
+// mul5 and mul9 with DVS off; paper GA defaults, seeds 1-2) 1,024 slots
+// came within 1.5 points of an unbounded memo's hit rate on every spec,
+// and larger tables gained at most 0.7 points.
 const (
-	modeMemoMinSlots = 16
-	modeMemoSlots    = 1024
+	modeMemoBits  = 10
+	modeMemoSlots = 1 << modeMemoBits
 )
 
 // modeResult is what the memo keeps of one mode's evaluation: the scalars
@@ -48,10 +43,6 @@ type modeTable struct {
 	keyLen int
 	keys   []byte
 	slots  []modeResult
-	// shift is 64 - log2(len(slots)).
-	shift uint
-	// stored counts the misses stored since the table last grew.
-	stored int
 }
 
 // modeMemo caches per-mode evaluation results of the fitness path. A mode's
@@ -104,18 +95,11 @@ func (mm *modeMemo) prepare(s *model.System, dvs, swOnly bool) {
 	for m, mode := range s.App.Modes {
 		t := &mm.tables[m]
 		t.keyLen = len(mode.Graph.Tasks) * mm.width
-		t.size(modeMemoMinSlots)
+		t.slots = grow(t.slots, modeMemoSlots)
+		clear(t.slots)
+		t.keys = grow(t.keys, modeMemoSlots*t.keyLen)
 	}
 	mm.key = grow(mm.key, maxTasks*mm.width)[:0]
-}
-
-// size empties the table and shapes it to n slots, a power of two.
-func (t *modeTable) size(n int) {
-	t.slots = grow(t.slots, n)
-	clear(t.slots)
-	t.keys = grow(t.keys, n*t.keyLen)
-	t.shift = uint(65 - bits.Len(uint(n)))
-	t.stored = 0
 }
 
 // lookup builds the key of mode m under the mapping row and allocation
@@ -129,7 +113,7 @@ func (mm *modeMemo) lookup(s *model.System, m model.ModeID, row []model.PEID, al
 	}
 	h = hashKey(mm.key)
 	tab := &mm.tables[m]
-	i := tab.slot(h)
+	i := slotOf(h)
 	if r := &tab.slots[i]; r.check == check(h) && bytes.Equal(tab.key(i), mm.key) {
 		mm.hits++
 		return h, r, true
@@ -183,8 +167,9 @@ func hashKey(key []byte) uint64 {
 // without comparing them; it is never 0.
 func check(h uint64) uint32 { return uint32(h) | 1 }
 
-// slot returns the index of the slot a key with hash h lives in.
-func (t *modeTable) slot(h uint64) int { return int(h >> t.shift) }
+// slotOf returns the index of the slot a key with hash h lives in: the
+// hash's top bits.
+func slotOf(h uint64) int { return int(h >> (64 - modeMemoBits)) }
 
 // key returns the key stored in slot i.
 func (t *modeTable) key(i int) []byte { return t.keys[i*t.keyLen : (i+1)*t.keyLen] }
@@ -197,10 +182,7 @@ func (mm *modeMemo) store(m model.ModeID, h uint64, power energy.ModePower, late
 		return
 	}
 	tab := &mm.tables[m]
-	if 4*tab.stored >= len(tab.slots) && len(tab.slots) < modeMemoSlots {
-		tab.grow()
-	}
-	i := tab.slot(h)
+	i := slotOf(h)
 	tab.slots[i] = modeResult{
 		check:      check(h),
 		unroutable: int32(unroutable),
@@ -209,28 +191,4 @@ func (mm *modeMemo) store(m model.ModeID, h uint64, power energy.ModePower, late
 		lateness:   lateness,
 	}
 	copy(tab.key(i), mm.key)
-	tab.stored++
-}
-
-// grow doubles the table, moving every entry to its slot in the larger
-// table. Entries from distinct slots land in distinct slots, because the
-// larger table's slot index extends the smaller one's by one hash bit.
-func (t *modeTable) grow() {
-	old, oldKeys := t.slots, t.keys
-	n := 2 * len(old)
-	//mm:alloc-ok at most log2(modeMemoSlots/modeMemoMinSlots) times per mode and system
-	t.slots = make([]modeResult, n)
-	//mm:alloc-ok grows with the slots above
-	t.keys = make([]byte, n*t.keyLen)
-	t.shift--
-	t.stored = 0
-	for j := range old {
-		if old[j].check == 0 {
-			continue
-		}
-		key := oldKeys[j*t.keyLen : (j+1)*t.keyLen]
-		i := t.slot(hashKey(key))
-		t.slots[i] = old[j]
-		copy(t.key(i), key)
-	}
 }

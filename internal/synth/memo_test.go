@@ -228,7 +228,7 @@ func TestModeMemoSlotCollision(t *testing.T) {
 		probe := &modeMemo{}
 		probe.prepare(sys, true, false)
 		probe.keyOf(sys, m, cand[m], ev.Alloc)
-		if tab.slot(hashKey(probe.key)) == tab.slot(hx) && !slices.Equal(probe.key, keyX) {
+		if slotOf(hashKey(probe.key)) == slotOf(hx) && !slices.Equal(probe.key, keyX) {
 			y = cand
 		}
 	}
@@ -241,36 +241,12 @@ func TestModeMemoSlotCollision(t *testing.T) {
 		}
 	}
 	// The slot now holds y's key; forge x's hash check onto it.
-	tab.slots[tab.slot(hx)].check = check(hx)
+	tab.slots[slotOf(hx)].check = check(hx)
 	if d := checkMemoStep(e, fresh(), x); d != "" {
 		t.Fatal(d)
 	}
 	if e.scratch.ev.Schedules[m] == nil {
 		t.Fatal("a slot with x's hash but y's key served x")
-	}
-}
-
-// TestModeMemoGrowKeepsEntries doubles every table of a filled memo: what
-// was stored before must still be served after.
-func TestModeMemoGrowKeepsEntries(t *testing.T) {
-	sys := loadSpec(t, "smartphone")
-	codec, err := NewCodec(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewEvaluator(sys, true)
-	x := codec.Decode(randomGenome(codec, rand.New(rand.NewSource(21))))
-	if d := checkMemoStep(e, NewEvaluator(sys, true), x); d != "" {
-		t.Fatal(d)
-	}
-	for m := range e.scratch.memo.tables {
-		e.scratch.memo.tables[m].grow()
-	}
-	if d := checkMemoStep(e, NewEvaluator(sys, true), x); d != "" {
-		t.Fatal(d)
-	}
-	if n := servedModes(&e.scratch.ev); n != len(sys.App.Modes) {
-		t.Errorf("%d of %d modes served after growth", n, len(sys.App.Modes))
 	}
 }
 
@@ -320,9 +296,9 @@ func TestModeMemoResetsOnConfigChange(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllocFreeOnMemoMisses grows every mode's memo table to its
-// bound, empties it and then evaluates mappings: misses, like hits,
-// allocate nothing, with DVS off and on.
+// TestEvaluateAllocFreeOnMemoMisses empties every mode's memo table after
+// a warm-up and then evaluates mappings: misses, like hits, allocate
+// nothing, with DVS off and on.
 func TestEvaluateAllocFreeOnMemoMisses(t *testing.T) {
 	for _, name := range benchmarkSpecNames() {
 		sys := loadSpec(t, name)
@@ -340,14 +316,10 @@ func TestEvaluateAllocFreeOnMemoMisses(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Every table at its bound and empty, so the mappings below
-			// miss even where the warm-up saw them.
+			// Every table empty, so the mappings below miss even where
+			// the warm-up saw them.
 			for m := range e.scratch.memo.tables {
-				tab := &e.scratch.memo.tables[m]
-				for len(tab.slots) < modeMemoSlots {
-					tab.grow()
-				}
-				clear(tab.slots)
+				clear(e.scratch.memo.tables[m].slots)
 			}
 			mappings := make([]model.Mapping, 16)
 			for i := range mappings {
