@@ -162,7 +162,8 @@ func BenchmarkListSchedule(b *testing.B) {
 
 // BenchmarkDVSScale measures greedy voltage selection on a scheduled
 // smart-phone mode: through a reused Scaler, as the evaluator runs it, and
-// through the one-shot Scale, which sizes a fresh Scaler every call.
+// through the one-shot Scale, which sizes a fresh Scaler every call. The
+// reused case also reports the greedy moves and timing passes per call.
 func BenchmarkDVSScale(b *testing.B) {
 	sys, mapping := phoneAndMapping(b)
 	var x dvs.Scaler
@@ -175,6 +176,7 @@ func BenchmarkDVSScale(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			before := x.Stats()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				sc, err := sched.ListSchedule(sys, 1, mapping, sched.SingleCores{}, nil)
@@ -183,6 +185,10 @@ func BenchmarkDVSScale(b *testing.B) {
 				}
 				b.StartTimer()
 				bc.scale(sc)
+			}
+			if after := x.Stats(); after.Moves > before.Moves {
+				b.ReportMetric(float64(after.Moves-before.Moves)/float64(b.N), "moves/op")
+				b.ReportMetric(float64(after.Passes-before.Passes)/float64(b.N), "passes/op")
 			}
 		})
 	}

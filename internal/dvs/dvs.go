@@ -76,7 +76,7 @@ type node struct {
 
 	// The next voltage step, cached by greedyScale: it changes only when
 	// this node's level does. canStep is false when no step would save
-	// energy.
+	// energy (stepRatio > 0).
 	canStep                    bool
 	stepDur, stepDt, stepRatio float64
 
@@ -102,6 +102,11 @@ type graph struct {
 	// startOf/endOf map a task to the node carrying its start/finish
 	// (identical for plain tasks, first/last segment for DVS hardware).
 	startOf, endOf []int32
+	// heap holds greedyScale's candidates, best first.
+	heap []int32
+	// moves and passes count greedyScale's accepted voltage steps and
+	// timing passes over the graph's lifetime.
+	moves, passes uint64
 }
 
 // edge is one precedence or resource-order constraint, from before to.
@@ -159,6 +164,18 @@ type Scaler struct {
 	refs             []chainRef
 	accs             []acc // per task
 }
+
+// Stats counts the work of voltage selection.
+type Stats struct {
+	// Moves is the number of voltage steps greedy selection accepted.
+	Moves uint64
+	// Passes is the number of timing passes it ran to decide them. The
+	// one final pass per call that writes the times back is not counted.
+	Passes uint64
+}
+
+// Stats returns the work of every call on the scaler since it was made.
+func (x *Scaler) Stats() Stats { return Stats{Moves: x.g.moves, Passes: x.g.passes} }
 
 // grow returns buf resized to n, reallocating only when its capacity is
 // short. The contents are stale; callers overwrite or clear them.
@@ -574,38 +591,136 @@ func timestamp(g *graph) {
 }
 
 // greedyScale repeatedly applies the single voltage-step move with the
-// best energy-saving per added delay until no feasible move remains. Ties
+// best energy saving per added delay until no feasible move remains. Ties
 // go to the lowest node index.
+//
+// The candidates wait in a max-heap on (stepRatio, lowest index), so its
+// top is the move a full scan would choose whenever that move is
+// feasible. Two facts spare most timing passes. Durations only grow and
+// every operation of timestamp is monotone, so a node's slack never grows:
+// a candidate found infeasible is dropped for good. And one move of dt
+// lowers any node's slack by at most dt (a node cannot be both ancestor
+// and descendant of the moved one), so the slack now is at least the slack
+// of the last pass minus spent, the delay accepted since. A top candidate
+// whose step fits within that bound is taken without a pass; otherwise a
+// pass decides it with the exact test. boundSound says when rounding
+// allows the bound; where it does not, every move is followed by a pass.
 //
 //mm:noalloc
 func greedyScale(g *graph) bool {
+	heap := grow(g.heap, len(g.nodes))
+	n, steps := 0, 0
 	for i := range g.nodes {
-		nextStep(&g.nodes[i])
+		nd := &g.nodes[i]
+		nextStep(nd)
+		if nd.canStep {
+			heap[n] = int32(i)
+			n++
+			steps += nd.level
+		}
 	}
+	g.heap = heap[:n]
+	if n == 0 {
+		return false
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		g.siftDown(i)
+	}
+	timestamp(g)
+	g.passes++
+	bounded := boundSound(g, steps)
+	// fresh is whether lf and finish are current: no move since the pass.
+	fresh, spent := true, 0.0
 	changed := false
-	for {
-		timestamp(g)
-		best := -1
-		bestRatio := 0.0
-		for i := range g.nodes {
-			nd := &g.nodes[i]
-			if !nd.canStep || nd.stepDt > nd.lf-nd.finish+1e-12 {
-				continue
-			}
-			if nd.stepRatio > bestRatio {
-				bestRatio = nd.stepRatio
-				best = i
-			}
+	for len(g.heap) > 0 {
+		nd := &g.nodes[g.heap[0]]
+		if nd.stepDt > nd.lf-nd.finish+1e-12 {
+			// Infeasible at the last pass, so now and for good.
+			g.popTop()
+			continue
 		}
-		if best < 0 {
-			return changed
+		if !fresh && !(bounded && nd.stepDt+spent <= nd.lf-nd.finish) {
+			timestamp(g)
+			g.passes++
+			fresh, spent = true, 0
+			continue
 		}
-		nd := &g.nodes[best]
 		nd.level--
 		nd.dur = nd.stepDur
-		nextStep(nd)
+		spent += nd.stepDt
+		fresh = false
+		g.moves++
 		changed = true
+		nextStep(nd)
+		if nd.canStep {
+			g.siftDown(0)
+		} else {
+			g.popTop()
+		}
 	}
+	return changed
+}
+
+// boundSound reports whether the slack bound of greedyScale is exact in
+// floating point for this graph. The bound test drops the exact test's
+// 1e-12 tolerance, which must absorb the rounding of both. With u = 2^-53
+// and the horizon H (the largest finish or finite deadline), every finish
+// and finite latest finish a pass computes is off by at most n·u·H over a
+// chain of at most n nodes, so a computed slack is off by at most
+// (2n+1)·u·H; spent, a sum of at most steps delays, adds (steps+2)·u·H.
+// The bound is therefore safe while (4n+steps+5)·u·H stays below the
+// tolerance; half of it is required here. On the shipped specifications
+// H is under 0.6 s and the error about 1e-14.
+func boundSound(g *graph, steps int) bool {
+	horizon := 0.0
+	for i := range g.nodes {
+		nd := &g.nodes[i]
+		horizon = max(horizon, nd.finish)
+		if !math.IsInf(nd.deadline, 1) {
+			horizon = max(horizon, nd.deadline)
+		}
+	}
+	return float64(4*len(g.nodes)+steps+5)*horizon*0x1p-53 < 0.5e-12
+}
+
+// before reports whether candidate a precedes b in the greedy order:
+// larger saving per added delay first, then the lower node index.
+func (g *graph) before(a, b int32) bool {
+	ra, rb := g.nodes[a].stepRatio, g.nodes[b].stepRatio
+	if ra > rb {
+		return true
+	}
+	if rb > ra {
+		return false
+	}
+	return a < b
+}
+
+// siftDown restores the heap order below position i.
+func (g *graph) siftDown(i int) {
+	h := g.heap
+	for {
+		top := i
+		if l := 2*i + 1; l < len(h) && g.before(h[l], h[top]) {
+			top = l
+		}
+		if r := 2*i + 2; r < len(h) && g.before(h[r], h[top]) {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
+}
+
+// popTop removes the top candidate from the heap.
+func (g *graph) popTop() {
+	last := len(g.heap) - 1
+	g.heap[0] = g.heap[last]
+	g.heap = g.heap[:last]
+	g.siftDown(0)
 }
 
 // nextStep caches the node's next voltage step down: the stretched
@@ -627,8 +742,8 @@ func nextStep(nd *node) {
 	if gain <= 0 {
 		return
 	}
-	nd.canStep = true
 	nd.stepDur, nd.stepDt, nd.stepRatio = newDur, dt, gain/dt
+	nd.canStep = nd.stepRatio > 0
 }
 
 // writeBack transfers the scaled timing, voltages and energies from the

@@ -357,6 +357,11 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 		reg := run.Registry()
 		reg.Counter("synth.mode_memo_hits").Add(eval.scratch.memo.hits)
 		reg.Counter("synth.mode_memo_misses").Add(eval.scratch.memo.misses)
+		if opts.UseDVS {
+			st := eval.scratch.scaler.Stats()
+			reg.Counter("dvs.greedy_moves").Add(st.Moves)
+			reg.Counter("dvs.timing_passes").Add(st.Passes)
+		}
 	}
 
 	best, err := safeEvaluate(eval, codec.Decode(res.Best))
