@@ -13,7 +13,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Problem defines the search space and objective. Genomes are integer
@@ -493,10 +493,16 @@ func (e *engine) injectDiversity() {
 }
 
 // sortPop orders the population best-first (ascending fitness) with a
-// deterministic tie-break on the genome contents.
+// stable sort, so ties keep their order and the result is deterministic.
 func (e *engine) sortPop() {
-	sort.SliceStable(e.pop, func(i, j int) bool {
-		return e.pop[i].fitness < e.pop[j].fitness
+	slices.SortStableFunc(e.pop, func(a, b individual) int {
+		switch {
+		case a.fitness < b.fitness:
+			return -1
+		case b.fitness < a.fitness:
+			return 1
+		}
+		return 0
 	})
 }
 

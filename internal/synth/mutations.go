@@ -2,20 +2,18 @@ package synth
 
 import (
 	"math/rand"
+	"slices"
 
 	"momosyn/internal/model"
 	"momosyn/internal/sched"
 )
 
-// coreKey identifies the core pool of one task type on one hardware PE.
-type coreKey struct {
-	pe model.PEID
-	tt model.TaskTypeID
-}
-
 // The four problem-specific improvement mutations of paper section 4.1.
 // Each operates directly on a genome, using cheap structural checks instead
-// of full evaluations to decide whether and where to intervene.
+// of full evaluations to decide whether and where to intervene. Each
+// returned mutation keeps its working memory (per-PE and per-(PE, type)
+// tables) from call to call, so it allocates nothing and must not be
+// called concurrently (the GA engine does not).
 
 // ShutdownMutation implements the Shut-down Improvement strategy: pick a
 // mode and a non-essential PE used in that mode and re-map all of the
@@ -23,43 +21,46 @@ type coreKey struct {
 // switched off during the mode, eliminating its static power contribution.
 func (c *Codec) ShutdownMutation() func(genome []int, rng *rand.Rand) bool {
 	s := c.sys
+	nPE := len(s.Arch.PEs)
+	used := make([]bool, nPE)      // the PE runs a task of the mode
+	essential := make([]bool, nPE) // it runs one without an alternative PE
+	nonEssential := make([]model.PEID, 0, nPE)
 	return func(genome []int, rng *rand.Rand) bool {
 		mode := model.ModeID(rng.Intn(len(s.App.Modes)))
 		g := s.App.Mode(mode).Graph
 
-		// Collect the PEs used by this mode and check which are
-		// non-essential: every task mapped there has an alternative PE.
-		usedBy := make(map[model.PEID][]int) // PE -> loci
+		clear(used)
+		clear(essential)
+		nUsed := 0
 		for ti := range g.Tasks {
 			k := c.Locus(mode, model.TaskID(ti))
-			usedBy[c.PEAt(genome, k)] = append(usedBy[c.PEAt(genome, k)], k)
+			pe := c.PEAt(genome, k)
+			if !used[pe] {
+				used[pe] = true
+				nUsed++
+			}
+			if len(c.CandidatesAt(k)) < 2 {
+				essential[pe] = true
+			}
 		}
-		if len(usedBy) <= 1 {
+		if nUsed <= 1 {
 			return false // single-PE modes cannot shed a component
 		}
-		var nonEssential []model.PEID
-		for pe, loci := range usedBy {
-			ok := true
-			for _, k := range loci {
-				if len(c.CandidatesAt(k)) < 2 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				nonEssential = append(nonEssential, pe)
+		nonEssential = nonEssential[:0]
+		for pe := range used {
+			if used[pe] && !essential[pe] {
+				nonEssential = append(nonEssential, model.PEID(pe))
 			}
 		}
 		if len(nonEssential) == 0 {
 			return false
 		}
-		// Deterministic order before the random pick (map iteration order
-		// must not leak into results).
-		sortPEs(nonEssential)
 		victim := nonEssential[rng.Intn(len(nonEssential))]
-		for _, k := range usedBy[victim] {
+		for ti := range g.Tasks {
 			// Re-map randomly to any other candidate PE.
-			c.remap(genome, k, rng, func(pe model.PEID) bool { return pe != victim })
+			if k := c.Locus(mode, model.TaskID(ti)); c.PEAt(genome, k) == victim {
+				c.remap(genome, k, rng, func(pe model.PEID) bool { return pe != victim })
+			}
 		}
 		return true
 	}
@@ -70,14 +71,20 @@ func (c *Codec) ShutdownMutation() func(genome []int, rng *rand.Rand) bool {
 // tasks of that PE onto software-programmable PEs.
 func (c *Codec) AreaMutation() func(genome []int, rng *rand.Rand) bool {
 	s := c.sys
+	nPE, nTypes := len(s.Arch.PEs), len(s.Lib.Types)
+	used := make([]int, nPE)
+	perMode := make([]int, nPE)
+	seenASIC := make([]bool, nPE*nTypes) // by (PE, task type)
+	seenMode := make([]bool, nPE*nTypes)
+	violated := make([]bool, nPE)
 	return func(genome []int, rng *rand.Rand) bool {
-		// Mandatory-core area per (PE, relevant for ASIC: union over modes;
-		// FPGA: per mode max).
-		used := make([]int, len(s.Arch.PEs))
-		seenASIC := make(map[coreKey]bool)
+		// Mandatory-core area per PE: ASIC, union over modes; FPGA, the
+		// largest mode.
+		clear(used)
+		clear(seenASIC)
 		for m := range s.App.Modes {
-			perMode := make([]int, len(s.Arch.PEs))
-			seenMode := make(map[coreKey]bool)
+			clear(perMode)
+			clear(seenMode)
 			g := s.App.Mode(model.ModeID(m)).Graph
 			for ti := range g.Tasks {
 				k := c.Locus(model.ModeID(m), model.TaskID(ti))
@@ -90,7 +97,7 @@ func (c *Codec) AreaMutation() func(genome []int, rng *rand.Rand) bool {
 				if !ok {
 					continue
 				}
-				key := coreKey{pe.ID, tt}
+				key := int(pe.ID)*nTypes + int(tt)
 				if pe.Class == model.ASIC {
 					if !seenASIC[key] {
 						seenASIC[key] = true
@@ -107,19 +114,17 @@ func (c *Codec) AreaMutation() func(genome []int, rng *rand.Rand) bool {
 				}
 			}
 		}
-		var violated []model.PEID
+		anyViolated := false
 		for pe := range used {
-			if s.Arch.PEs[pe].Class.IsHardware() && used[pe] > s.Arch.PEs[pe].Area {
-				violated = append(violated, model.PEID(pe))
-			}
+			violated[pe] = s.Arch.PEs[pe].Class.IsHardware() && used[pe] > s.Arch.PEs[pe].Area
+			anyViolated = anyViolated || violated[pe]
 		}
-		if len(violated) == 0 {
+		if !anyViolated {
 			return false
 		}
 		changed := false
 		for k := 0; k < c.Len(); k++ {
-			pe := c.PEAt(genome, k)
-			if !contains(violated, pe) {
+			if !violated[c.PEAt(genome, k)] {
 				continue
 			}
 			// With probability 1/2 move the task to a random software PE.
@@ -138,9 +143,6 @@ func (c *Codec) AreaMutation() func(genome []int, rng *rand.Rand) bool {
 // infinite-resource critical path of a mode already violates a deadline,
 // software tasks of that mode are randomly re-mapped to faster hardware
 // implementations.
-//
-// The returned mutation reuses its decode and mobility buffers from call
-// to call, so it must not be called concurrently (the GA engine does not).
 func (c *Codec) TimingMutation() func(genome []int, rng *rand.Rand) bool {
 	s := c.sys
 	var mapping model.Mapping
@@ -185,38 +187,32 @@ func (c *Codec) TimingMutation() func(genome []int, rng *rand.Rand) bool {
 // limit, tasks are randomly re-mapped away from that FPGA.
 func (c *Codec) TransitionMutation() func(genome []int, rng *rand.Rand) bool {
 	s := c.sys
+	hasLimit := slices.ContainsFunc(s.App.Transitions, func(tr model.Transition) bool { return tr.MaxTime > 0 })
+	hasFPGA := slices.ContainsFunc(s.Arch.PEs, func(pe *model.PE) bool { return pe.Class == model.FPGA })
+	if !hasLimit || !hasFPGA {
+		return func([]int, *rand.Rand) bool { return false }
+	}
+	nPE, nTypes := len(s.Arch.PEs), len(s.Lib.Types)
+	typesIn := make([]bool, len(s.App.Modes)*nPE*nTypes) // by (mode, FPGA, task type)
+	in := func(m model.ModeID, pe model.PEID, tt int) bool {
+		return typesIn[(int(m)*nPE+int(pe))*nTypes+tt]
+	}
+	violFPGA := make([]bool, nPE)
 	return func(genome []int, rng *rand.Rand) bool {
-		hasLimit := false
-		for _, tr := range s.App.Transitions {
-			if tr.MaxTime > 0 {
-				hasLimit = true
-				break
-			}
-		}
-		hasFPGA := false
-		for _, pe := range s.Arch.PEs {
-			if pe.Class == model.FPGA {
-				hasFPGA = true
-				break
-			}
-		}
-		if !hasLimit || !hasFPGA {
-			return false
-		}
 		// Estimate per-FPGA reconfiguration time with mandatory cores only.
-		typesIn := make([]map[coreKey]bool, len(s.App.Modes))
+		clear(typesIn)
 		for m := range s.App.Modes {
-			typesIn[m] = make(map[coreKey]bool)
 			g := s.App.Mode(model.ModeID(m)).Graph
 			for ti := range g.Tasks {
 				k := c.Locus(model.ModeID(m), model.TaskID(ti))
 				pe := s.Arch.PE(c.PEAt(genome, k))
 				if pe.Class == model.FPGA {
-					typesIn[m][coreKey{pe.ID, g.Task(model.TaskID(ti)).Type}] = true
+					typesIn[(m*nPE+int(pe.ID))*nTypes+int(g.Task(model.TaskID(ti)).Type)] = true
 				}
 			}
 		}
-		violFPGA := make(map[model.PEID]bool)
+		clear(violFPGA)
+		anyViolated := false
 		for _, tr := range s.App.Transitions {
 			if tr.MaxTime <= 0 {
 				continue
@@ -226,17 +222,18 @@ func (c *Codec) TransitionMutation() func(genome []int, rng *rand.Rand) bool {
 					continue
 				}
 				swapIn := 0
-				for key := range typesIn[tr.To] {
-					if key.pe == pe.ID && !typesIn[tr.From][key] {
+				for tt := 0; tt < nTypes; tt++ {
+					if in(tr.To, pe.ID, tt) && !in(tr.From, pe.ID, tt) {
 						swapIn++
 					}
 				}
 				if float64(swapIn)*pe.ReconfigTime > tr.MaxTime {
 					violFPGA[pe.ID] = true
+					anyViolated = true
 				}
 			}
 		}
-		if len(violFPGA) == 0 {
+		if !anyViolated {
 			return false
 		}
 		changed := false
@@ -256,32 +253,25 @@ func (c *Codec) TransitionMutation() func(genome []int, rng *rand.Rand) bool {
 // remap redraws locus k of the genome uniformly over the candidate PEs for
 // which keep holds, reporting false, without drawing, when there is none.
 func (c *Codec) remap(genome []int, k int, rng *rand.Rand, keep func(model.PEID) bool) bool {
-	var alts []int
-	for i, pe := range c.CandidatesAt(k) {
+	cands := c.CandidatesAt(k)
+	n := 0
+	for _, pe := range cands {
 		if keep(pe) {
-			alts = append(alts, i)
+			n++
 		}
 	}
-	if len(alts) == 0 {
+	if n == 0 {
 		return false
 	}
-	genome[k] = alts[rng.Intn(len(alts))]
+	r := rng.Intn(n)
+	for i, pe := range cands {
+		if keep(pe) {
+			if r == 0 {
+				genome[k] = i
+				break
+			}
+			r--
+		}
+	}
 	return true
-}
-
-func contains(pes []model.PEID, pe model.PEID) bool {
-	for _, p := range pes {
-		if p == pe {
-			return true
-		}
-	}
-	return false
-}
-
-func sortPEs(pes []model.PEID) {
-	for i := 1; i < len(pes); i++ {
-		for j := i; j > 0 && pes[j] < pes[j-1]; j-- {
-			pes[j], pes[j-1] = pes[j-1], pes[j]
-		}
-	}
 }

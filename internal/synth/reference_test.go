@@ -161,6 +161,12 @@ func refMaxOverlap(m *sched.Mobility, tasks []model.TaskID) int {
 	return best
 }
 
+// coreKey identifies the core pool of one task type on one hardware PE.
+type coreKey struct {
+	pe model.PEID
+	tt model.TaskTypeID
+}
+
 // refAllocation keeps instance counts in one map per mode.
 type refAllocation struct {
 	inst      []map[coreKey]int
