@@ -89,7 +89,7 @@ func TestFleetTwoNodesCompleteJobs(t *testing.T) {
 		// Both nodes serve the status and the certified result, whichever
 		// of them ran the job.
 		for name, n := range map[string]*api{"nodeA": a, "nodeB": b} {
-			bv := n.await(id, "done on "+name, stateIs(serve.StateDone))
+			bv := n.awaitAdopted(id, "done on "+name, stateIs(serve.StateDone))
 			if bv.Node != v.Node {
 				t.Errorf("%s reports job %s on node %q, %q elsewhere", name, id, bv.Node, v.Node)
 			}
@@ -118,6 +118,22 @@ func TestFleetTwoNodesCompleteJobs(t *testing.T) {
 	if got := metricValue(t, a, "fleet.claims") + metricValue(t, b, "fleet.claims"); got < 3 {
 		t.Fatalf("fleet.claims across nodes = %v, want >= 3", got)
 	}
+}
+
+// awaitAdopted is await for a job another node may have created: a node
+// learns of such jobs on its next fleet sync and answers 404 until then.
+func (a *api) awaitAdopted(id string, what string, pred func(serve.StatusView) bool) serve.StatusView {
+	a.t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		var v serve.StatusView
+		if resp := a.do("GET", "/v1/jobs/"+id, nil, &v); resp.StatusCode == http.StatusOK && pred(v) {
+			return v
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	a.t.Fatalf("job %s: timed out waiting for %s", id, what)
+	return serve.StatusView{}
 }
 
 // TestFleetNodeLossRecovery simulates a worker that claimed a job, wrote a
