@@ -14,6 +14,16 @@
 // reuses it across calls, so loops that scale repeatedly (the synthesis
 // evaluator) allocate nothing once it is sized. Scale, ScaleWith and
 // Transform run the same code on a fresh Scaler per call.
+//
+// The greedy loop keeps its candidates in a max-heap on (energy saving
+// per added delay, lowest node index) and re-times the graph only when it
+// must. Slack never grows, so a candidate that does not fit is dropped for
+// good; and a move of dt lowers any node's slack by at most dt, so a step
+// that fits in the slack of the last timing pass minus the delay accepted
+// since is taken without a pass. Where the graph's horizon makes float
+// rounding in that bound reach the exact test's 1e-12 tolerance, a pass
+// precedes every move instead (see greedyScale and boundSound). The moves
+// are the same as with a pass per move; Scaler.Stats counts both.
 package dvs
 
 import (

@@ -193,9 +193,11 @@ func (c *Codec) TransitionMutation() func(genome []int, rng *rand.Rand) bool {
 		return func([]int, *rand.Rand) bool { return false }
 	}
 	nPE, nTypes := len(s.Arch.PEs), len(s.Lib.Types)
-	typesIn := make([]bool, len(s.App.Modes)*nPE*nTypes) // by (mode, FPGA, task type)
-	in := func(m model.ModeID, pe model.PEID, tt int) bool {
-		return typesIn[(int(m)*nPE+int(pe))*nTypes+tt]
+	// typesIn holds, by (mode, FPGA, task type), whether the mode maps a
+	// task of that type to the FPGA.
+	typesIn := make([]bool, len(s.App.Modes)*nPE*nTypes)
+	at := func(m model.ModeID, pe model.PEID, tt model.TaskTypeID) int {
+		return (int(m)*nPE+int(pe))*nTypes + int(tt)
 	}
 	violFPGA := make([]bool, nPE)
 	return func(genome []int, rng *rand.Rand) bool {
@@ -207,7 +209,7 @@ func (c *Codec) TransitionMutation() func(genome []int, rng *rand.Rand) bool {
 				k := c.Locus(model.ModeID(m), model.TaskID(ti))
 				pe := s.Arch.PE(c.PEAt(genome, k))
 				if pe.Class == model.FPGA {
-					typesIn[(m*nPE+int(pe.ID))*nTypes+int(g.Task(model.TaskID(ti)).Type)] = true
+					typesIn[at(model.ModeID(m), pe.ID, g.Task(model.TaskID(ti)).Type)] = true
 				}
 			}
 		}
@@ -222,8 +224,8 @@ func (c *Codec) TransitionMutation() func(genome []int, rng *rand.Rand) bool {
 					continue
 				}
 				swapIn := 0
-				for tt := 0; tt < nTypes; tt++ {
-					if in(tr.To, pe.ID, tt) && !in(tr.From, pe.ID, tt) {
+				for tt := model.TaskTypeID(0); int(tt) < nTypes; tt++ {
+					if typesIn[at(tr.To, pe.ID, tt)] && !typesIn[at(tr.From, pe.ID, tt)] {
 						swapIn++
 					}
 				}
