@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench-pins fuzz-smoke trace-smoke serve-smoke fleet-smoke cache-smoke certify bench ci
+.PHONY: all build test race vet lint bench-pins fuzz-smoke trace-smoke serve-smoke fleet-smoke cache-smoke certify bench profile-dvs ci
 
 all: build
 
@@ -80,6 +80,13 @@ certify:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# CPU profile of the DVS-on profile set (smartphone, mul9 and mul11 with
+# seeds 1-3, paper GA defaults, DVS and certification on): writes
+# cpu.prof and prints the top of the profile.
+profile-dvs:
+	$(GO) test -run='^$$' -bench='^BenchmarkSynthesizeDVSProfile$$' -benchtime=3x -cpuprofile=cpu.prof -o momosyn.test .
+	$(GO) tool pprof -top -nodecount=40 momosyn.test cpu.prof
 
 ci:
 	./scripts/ci.sh

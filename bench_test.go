@@ -12,6 +12,7 @@ import (
 	"momosyn/internal/ga"
 	"momosyn/internal/gen"
 	"momosyn/internal/model"
+	"momosyn/internal/perf"
 	"momosyn/internal/sched"
 	"momosyn/internal/sim"
 	"momosyn/internal/synth"
@@ -231,6 +232,28 @@ func BenchmarkSynthesizeMul9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := synth.Synthesize(sys, synth.Options{GA: benchGA(), Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSynthesizeDVSProfile is the DVS-on profile set: smartphone,
+// mul9 and mul11, each with seeds 1–3, at the paper GA defaults with
+// voltage scaling and certification on. One iteration runs all nine
+// syntheses; `make profile-dvs` profiles it.
+func BenchmarkSynthesizeDVSProfile(b *testing.B) {
+	specs, err := perf.ResolveSpecs([]string{"smartphone", "mul9", "mul11"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range specs {
+			for seed := int64(1); seed <= 3; seed++ {
+				opts := synth.Options{UseDVS: true, GA: bench.DefaultGA(), Seed: seed, Certify: true}
+				if _, err := synth.Synthesize(sp.Sys, opts); err != nil {
+					b.Fatalf("%s seed %d: %v", sp.Name, seed, err)
+				}
+			}
 		}
 	}
 }

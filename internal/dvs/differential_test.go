@@ -196,6 +196,50 @@ func TestScaleDifferential(t *testing.T) {
 	t.Logf("%d of %d schedules scaled, all bit-identical to the reference", scaled, total)
 }
 
+// TestScaleDifferentialZeroLengthTransfers is TestScaleDifferential on
+// mul11 and smartphone with every third edge carrying no data. Such an
+// edge still takes its link when its endpoints sit on different PEs but
+// gets no graph node, so the link chains must pass over it; no shipped
+// specification has one.
+func TestScaleDifferentialZeroLengthTransfers(t *testing.T) {
+	var x Scaler
+	rng := rand.New(rand.NewSource(7))
+	zeroLinked := 0
+	for _, name := range []string{"mul11.spec", "smartphone.spec"} {
+		sys := loadSpec(t, filepath.Join("..", "..", "specs", name))
+		for _, mode := range sys.App.Modes {
+			for i, e := range mode.Graph.Edges {
+				if i%3 == 0 {
+					e.Bytes = 0
+				}
+			}
+		}
+		for k := 0; k < 100; k++ {
+			mapping := randomMapping(sys, rng.Intn)
+			cores := newReplicaCores(sys, rng.Intn)
+			for m := range sys.App.Modes {
+				nominal, err := sched.ListSchedule(sys, model.ModeID(m), mapping, cores, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cs := range nominal.Comms {
+					if cs.CL != model.NoCL && cs.Time == 0 {
+						zeroLinked++
+					}
+				}
+				for _, cfg := range []Config{{}, {SoftwareOnly: true}} {
+					if d, _ := checkScale(&x, sys, nominal, cfg); d != "" {
+						t.Fatalf("%s mapping %d mode %d %+v: %s", name, k, m, cfg, d)
+					}
+				}
+			}
+		}
+	}
+	if zeroLinked == 0 {
+		t.Fatal("no zero-length transfer took a link")
+	}
+}
+
 // FuzzScaleDifferential decodes the input into a mapping and core counts
 // of mul11 (DVS processors and a DVS ASIC) and runs the differential
 // comparison on every mode, with and without the hardware-core

@@ -27,7 +27,6 @@
 package dvs
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -137,17 +136,6 @@ type event struct {
 	slot  int32
 }
 
-// chainRef places one node on a resource: a communication link (pe -1,
-// id the link) or a core instance (id the task type and core the
-// instance on hardware; both -1 on software PEs). Sorted by (pe, id,
-// core, start, node), equal resources form consecutive runs in activity
-// order.
-type chainRef struct {
-	pe, id, core int32
-	start        float64
-	node         int32
-}
-
 // acc accumulates the write-back of one segmented hardware task.
 type acc struct {
 	start, finish float64
@@ -171,8 +159,8 @@ type Scaler struct {
 	segs             []span
 	segTasks         []model.TaskID
 	lastSeg          []int32 // per task: the segment node it finishes in
-	refs             []chainRef
-	accs             []acc // per task
+	commOf           []int32 // per edge: its communication node, or -1
+	accs             []acc   // per task
 }
 
 // Stats counts the work of voltage selection.
@@ -215,9 +203,11 @@ func (cfg Config) segmented(pe *model.PE) bool {
 
 // Scale selects supply voltages for all scalable activities of the
 // schedule, minimising dynamic energy while preserving every deadline and
-// the schedule's activity orders. The schedule's slots are updated in
-// place (times, voltage indices, energies). It returns true when at least
-// one activity was slowed down.
+// the schedule's activity orders. The schedule must come from the list
+// scheduler (sched.ListSchedule or Scheduler.Run): the activity orders are
+// read from its slots' Prev links. The slots are updated in place (times,
+// voltage indices, energies). It returns true when at least one activity
+// was slowed down.
 //
 // Infeasible schedules (unroutable communications or deadline violations)
 // are left untouched: there is no slack to distribute.
@@ -233,7 +223,8 @@ func ScaleWith(s *model.System, sc *sched.Schedule, cfg Config) bool {
 }
 
 // Run is ScaleWith into the scaler's working memory: once the buffers
-// have seen a graph of the size, it allocates nothing.
+// have seen a graph of the size, it allocates nothing. Like Scale, it
+// needs a schedule made by the list scheduler.
 //
 //mm:noalloc
 func (x *Scaler) Run(s *model.System, sc *sched.Schedule, cfg Config) bool {
@@ -250,7 +241,8 @@ func (x *Scaler) Run(s *model.System, sc *sched.Schedule, cfg Config) bool {
 
 // build assembles the constraint graph: task/segment/communication nodes,
 // precedence edges via communications, and resource-order chains for
-// software PEs, hardware core instances, DVS hardware segments and CLs.
+// software PEs, hardware core instances, DVS hardware segments and CLs,
+// the last three following the schedule's Prev links.
 // Returns false when the graph has no scalable node (or, on an internal
 // inconsistency, a cycle).
 //
@@ -307,9 +299,8 @@ func (x *Scaler) build(s *model.System, sc *sched.Schedule, cfg Config) bool {
 		return false
 	}
 
-	// Communication nodes and precedence edges; every routed transfer is
-	// also placed on its link's chain.
-	x.refs = x.refs[:0]
+	// Communication nodes and precedence edges.
+	x.commOf = grow(x.commOf, len(sc.Comms))
 	for ei := range sc.Comms {
 		cs := &sc.Comms[ei]
 		e := tg.Edge(model.EdgeID(ei))
@@ -327,54 +318,36 @@ func (x *Scaler) build(s *model.System, sc *sched.Schedule, cfg Config) bool {
 			})
 			x.addEdge(src, id)
 			x.addEdge(id, dst)
-			//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
-			x.refs = append(x.refs, chainRef{pe: -1, id: int32(cs.CL), core: -1, start: cs.Start, node: id})
+			x.commOf[ei] = id
 		} else {
 			x.addEdge(src, dst)
+			x.commOf[ei] = -1
 		}
 	}
-	// Resource chains for software PEs and non-DVS hardware core instances
-	// (DVS hardware is ordered by its segment chain).
-	for ti := range sc.Tasks {
-		slot := &sc.Tasks[ti]
-		pe := s.Arch.PE(slot.PE)
-		if cfg.segmented(pe) {
+	// Link chains, passing over the transfers that got no node, and the
+	// chains of software PEs and non-DVS core instances (DVS hardware is
+	// ordered by its segment chain).
+	for ei, id := range x.commOf {
+		if id < 0 {
 			continue
 		}
-		r := chainRef{pe: int32(slot.PE), id: -1, core: -1, start: slot.Start, node: g.startOf[slot.Task]}
-		if pe.Class.IsHardware() {
-			r.id, r.core = int32(tg.Task(slot.Task).Type), int32(slot.Core)
+		p := sc.Comms[ei].Prev
+		for p >= 0 && x.commOf[p] < 0 {
+			p = sc.Comms[p].Prev
 		}
-		//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
-		x.refs = append(x.refs, r)
+		if p >= 0 {
+			x.addEdge(x.commOf[p], id)
+		}
 	}
-	slices.SortFunc(x.refs, cmpChainRef)
-	for i := 1; i < len(x.refs); i++ {
-		a, b := &x.refs[i-1], &x.refs[i]
-		if a.pe == b.pe && a.id == b.id && a.core == b.core {
-			x.addEdge(a.node, b.node)
+	for ti := range sc.Tasks {
+		slot := &sc.Tasks[ti]
+		if slot.Prev >= 0 && !cfg.segmented(s.Arch.PE(slot.PE)) {
+			x.addEdge(g.startOf[slot.Prev], g.startOf[ti])
 		}
 	}
 
 	x.link()
 	return x.topoSort()
-}
-
-// cmpChainRef orders chain references by (pe, id, core, start, node).
-func cmpChainRef(a, b chainRef) int {
-	switch {
-	case a.pe != b.pe:
-		return cmp.Compare(a.pe, b.pe)
-	case a.id != b.id:
-		return cmp.Compare(a.id, b.id)
-	case a.core != b.core:
-		return cmp.Compare(a.core, b.core)
-	case a.start < b.start:
-		return -1
-	case b.start < a.start:
-		return 1
-	}
-	return cmp.Compare(a.node, b.node)
 }
 
 // segmentPE appends the segment chain of one DVS hardware PE to the graph

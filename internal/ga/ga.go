@@ -237,6 +237,8 @@ type engine struct {
 	// spare holds the genomes of replaced individuals, which the next
 	// generation's children are bred into instead of fresh slices.
 	spare [][]int
+	// genomes is diversity's scratch: the population's genomes, sorted.
+	genomes [][]int
 }
 
 // Run executes the GA and returns the best genome found. Improvement
@@ -593,27 +595,30 @@ func (e *engine) generation() {
 // diversity returns the fraction of distinct genomes in the current
 // population.
 func (e *engine) diversity() float64 {
-	genomes := make([][]int, len(e.pop))
+	e.genomes = e.genomes[:0]
 	for i := range e.pop {
-		genomes[i] = e.pop[i].genome
+		e.genomes = append(e.genomes, e.pop[i].genome)
 	}
-	return Diversity(genomes)
+	return distinct(e.genomes)
 }
 
-// Diversity returns the fraction of distinct genomes in the final
-// population of a result history; exposed for tests via the package-level
-// helper below.
+// Diversity returns the fraction of distinct genomes in a population.
 func Diversity(genomes [][]int) float64 {
+	return distinct(slices.Clone(genomes))
+}
+
+// distinct is Diversity over a slice of genomes it may reorder: it sorts
+// them and counts the runs of equal ones.
+func distinct(genomes [][]int) float64 {
 	if len(genomes) == 0 {
 		return 0
 	}
-	seen := make(map[string]bool)
-	for _, g := range genomes {
-		key := make([]byte, 0, len(g)*2)
-		for _, v := range g {
-			key = append(key, byte(v), byte(v>>8))
+	slices.SortFunc(genomes, slices.Compare)
+	n := 1
+	for i := 1; i < len(genomes); i++ {
+		if !slices.Equal(genomes[i-1], genomes[i]) {
+			n++
 		}
-		seen[string(key)] = true
 	}
-	return float64(len(seen)) / float64(len(genomes))
+	return float64(n) / float64(len(genomes))
 }

@@ -167,6 +167,15 @@ func TestDiversity(t *testing.T) {
 	if got := Diversity(g); got != 2.0/3.0 {
 		t.Errorf("diversity = %v, want 2/3", got)
 	}
+	// Alleles past 16 bits and below zero are compared whole, and the
+	// argument keeps its order.
+	wide := [][]int{{65536}, {0}, {-1}, {65535}}
+	if got := Diversity(wide); got != 1 {
+		t.Errorf("diversity of four distinct wide alleles = %v, want 1", got)
+	}
+	if wide[0][0] != 65536 || wide[1][0] != 0 {
+		t.Errorf("Diversity reordered its argument: %v", wide)
+	}
 }
 
 // Property: the reported best fitness is never worse than any fitness the

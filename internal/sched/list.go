@@ -25,7 +25,10 @@ type SingleCores struct{}
 // Instances implements CoreProvider.
 func (SingleCores) Instances(model.ModeID, model.PEID, model.TaskTypeID) int { return 1 }
 
-// TaskSlot is the scheduled execution of one task.
+// TaskSlot is the scheduled execution of one task. The list scheduler
+// never fills a gap, so starts strictly increase along each resource in
+// placement order, and Prev links every task to the one placed before it:
+// these links are the resource-order chains voltage selection must keep.
 type TaskSlot struct {
 	Task model.TaskID
 	PE   model.PEID
@@ -45,9 +48,13 @@ type TaskSlot struct {
 	// Energy is the dynamic energy of this execution under the current
 	// voltage selection.
 	Energy float64
+	// Prev is the task placed just before this one on the same software PE
+	// or core instance; -1 for the first.
+	Prev model.TaskID
 }
 
-// CommSlot is the scheduled transfer of one task-graph edge.
+// CommSlot is the scheduled transfer of one task-graph edge. Like task
+// slots, the transfers on one link start in placement order.
 type CommSlot struct {
 	Edge model.EdgeID
 	// CL is the link carrying the message; NoCL for intra-PE edges and for
@@ -60,6 +67,9 @@ type CommSlot struct {
 	// Routed is false when the two endpoint PEs share no link; such
 	// schedules are infeasible and carry a surrogate delay.
 	Routed bool
+	// Prev is the transfer placed just before this one on the same link;
+	// -1 for the first and for transfers on no link.
+	Prev model.EdgeID
 }
 
 // Schedule is the complete inner-loop result for one mode: communication
@@ -139,15 +149,16 @@ func (sc *Schedule) Clone() *Schedule {
 	return &c
 }
 
-// resourceState tracks the next-free time of every sequential resource.
+// resourceState tracks every sequential resource of the mode.
 type resourceState struct {
-	peFree []float64 // software PEs
-	clFree []float64 // communication links
+	// res holds the PEs at their IDs (only software PEs are used), the
+	// links from clBase on, and then the core-instance pools.
+	res    []resource
+	clBase int
 	// pools[pe*nTypes+tt] locates the core-instance pool of type tt on
-	// hardware PE pe inside poolBuf; n == 0 marks a pool the mode lacks.
-	nTypes  int
-	pools   []poolSpan
-	poolBuf []float64
+	// hardware PE pe inside res; n == 0 marks a pool the mode lacks.
+	nTypes int
+	pools  []poolSpan
 	// timed enables wall-clock accounting of the communication-mapping
 	// portion of scheduling, accumulated into commTime. Timing is pure
 	// observation: it never influences any scheduling decision.
@@ -155,12 +166,18 @@ type resourceState struct {
 	commTime time.Duration
 }
 
-// poolSpan is the window poolBuf[off:off+n] holding one core pool's
-// next-free times.
+// resource is one sequential resource: when it is next free and the slot
+// placed on it last, -1 before the first.
+type resource struct {
+	free float64
+	last int
+}
+
+// poolSpan is the window res[off:off+n] holding one core pool.
 type poolSpan struct{ off, n int }
 
 // Scheduler is the reusable working state of the list scheduler: resource
-// next-free times, core-instance pools, the ready heap and the in-degree
+// states, core-instance pools, the ready heap and the in-degree
 // counters. The zero value is ready to use; the buffers grow on the first
 // Run and are reused by every later one. A Scheduler is not safe for
 // concurrent use.
@@ -324,14 +341,11 @@ func (x *Scheduler) pop() model.TaskID {
 // mode contains, sized by the core provider, so the scheduling loop never
 // has to create a pool mid-flight.
 func (rs *resourceState) reset(s *model.System, mode *model.Mode, cores CoreProvider, timed bool) {
-	rs.peFree = grow(rs.peFree, len(s.Arch.PEs))
-	clear(rs.peFree)
-	rs.clFree = grow(rs.clFree, len(s.Arch.CLs))
-	clear(rs.clFree)
+	rs.clBase = len(s.Arch.PEs)
 	rs.nTypes = len(s.Lib.Types)
 	rs.pools = grow(rs.pools, len(s.Arch.PEs)*rs.nTypes)
 	clear(rs.pools)
-	total := 0
+	total := rs.clBase + len(s.Arch.CLs)
 	for _, pe := range s.Arch.PEs {
 		if !pe.Class.IsHardware() {
 			continue
@@ -349,17 +363,18 @@ func (rs *resourceState) reset(s *model.System, mode *model.Mode, cores CoreProv
 			total += cnt
 		}
 	}
-	rs.poolBuf = grow(rs.poolBuf, total)
-	clear(rs.poolBuf)
+	rs.res = grow(rs.res, total)
+	for i := range rs.res {
+		rs.res[i] = resource{last: -1}
+	}
 	rs.timed = timed
 	rs.commTime = 0
 }
 
-// pool returns the next-free times of the core instances of type tt on
-// hardware PE pe.
-func (rs *resourceState) pool(pe model.PEID, tt model.TaskTypeID) []float64 {
+// pool returns the core instances of type tt on hardware PE pe.
+func (rs *resourceState) pool(pe model.PEID, tt model.TaskTypeID) []resource {
 	sp := rs.pools[int(pe)*rs.nTypes+int(tt)]
-	return rs.poolBuf[sp.off : sp.off+sp.n]
+	return rs.res[sp.off : sp.off+sp.n]
 }
 
 // scheduleTask places one task (and its incoming communications) onto the
@@ -394,22 +409,21 @@ func scheduleTask(s *model.System, mode *model.Mode, mapRow []model.PEID, rs *re
 		power = 0
 	}
 
-	var start float64
+	res := &rs.res[pe.ID]
 	core := -1
 	if pe.Class.IsHardware() {
 		inst := rs.pool(pe.ID, task.Type)
 		core = 0
 		for i := 1; i < len(inst); i++ {
-			if inst[i] < inst[core] {
+			if inst[i].free < inst[core].free {
 				core = i
 			}
 		}
-		start = math.Max(dataReady, inst[core])
-		inst[core] = start + exec
-	} else {
-		start = math.Max(dataReady, rs.peFree[pe.ID])
-		rs.peFree[pe.ID] = start + exec
+		res = &inst[core]
 	}
+	start := math.Max(dataReady, res.free)
+	prev := res.last
+	res.free, res.last = start+exec, int(t)
 	volt := -1
 	if pe.DVS {
 		volt = len(pe.Levels) - 1
@@ -424,6 +438,7 @@ func scheduleTask(s *model.System, mode *model.Mode, mapRow []model.PEID, rs *re
 		Power:   power,
 		VoltIdx: volt,
 		Energy:  power * exec,
+		Prev:    model.TaskID(prev),
 	}
 	if f := start + exec; f > sc.Makespan {
 		sc.Makespan = f
@@ -437,7 +452,7 @@ func scheduleTask(s *model.System, mode *model.Mode, mapRow []model.PEID, rs *re
 func scheduleComm(s *model.System, mode *model.Mode, mapRow []model.PEID, rs *resourceState, sc *Schedule, e *model.Edge) float64 {
 	srcSlot := &sc.Tasks[e.Src]
 	srcPE, dstPE := mapRow[e.Src], mapRow[e.Dst]
-	slot := CommSlot{Edge: e.ID, CL: model.NoCL, Routed: true}
+	slot := CommSlot{Edge: e.ID, CL: model.NoCL, Routed: true, Prev: -1}
 	if srcPE == dstPE {
 		// Intra-PE communication: instantaneous and free.
 		slot.Start = srcSlot.Finish
@@ -457,7 +472,7 @@ func scheduleComm(s *model.System, mode *model.Mode, mapRow []model.PEID, rs *re
 			continue
 		}
 		ct := energy.CommTime(e.Bytes, cand)
-		st := math.Max(srcSlot.Finish, rs.clFree[cand.ID])
+		st := math.Max(srcSlot.Finish, rs.res[rs.clBase+int(cand.ID)].free)
 		if f := st + ct; f < bestFinish {
 			bestCL, bestStart, bestFinish, bestTime = cand.ID, st, f, ct
 		}
@@ -475,7 +490,9 @@ func scheduleComm(s *model.System, mode *model.Mode, mapRow []model.PEID, rs *re
 		return slot.Finish
 	}
 	cl := s.Arch.CL(bestCL)
-	rs.clFree[bestCL] = bestFinish
+	res := &rs.res[rs.clBase+int(bestCL)]
+	slot.Prev = model.EdgeID(res.last)
+	res.free, res.last = bestFinish, int(e.ID)
 	slot.CL = bestCL
 	slot.Start = bestStart
 	slot.Finish = bestFinish

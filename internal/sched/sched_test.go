@@ -216,6 +216,9 @@ func TestListScheduleUnroutable(t *testing.T) {
 	if sc.Comms[0].Routed {
 		t.Error("comm slot must be marked unrouted")
 	}
+	if sc.Comms[0].Prev != -1 {
+		t.Errorf("unrouted comm Prev = %d, want -1", sc.Comms[0].Prev)
+	}
 }
 
 func TestScheduleLateness(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"time"
 
 	"momosyn/internal/fleet"
@@ -102,17 +103,7 @@ func (s *Server) syncFleet() error {
 		j := s.jobs[id]
 		s.mu.Unlock()
 		if j == nil {
-			j, err = s.adoptFleetJob(id)
-			if err != nil {
-				s.logf("serve: fleet: adopt %s: %v", id, err)
-				continue
-			}
-			s.mu.Lock()
-			if s.jobs[id] == nil {
-				s.jobs[id] = j
-				s.order = append(s.order, id)
-			}
-			s.mu.Unlock()
+			s.adopt(id)
 			continue
 		}
 		j.mu.Lock()
@@ -128,6 +119,30 @@ func (s *Server) syncFleet() error {
 	s.jobsByState()
 	s.mu.Unlock()
 	return nil
+}
+
+// adopt adds a job this node has not seen to its table from the fleet
+// directory and returns the table's entry, which a concurrent adoption or
+// submission may have made first. It returns nil when the job cannot be
+// adopted: silently while its spec or epoch-0 manifest is not written yet
+// (the submitter is between the two writes of CreateJob, or the ID is
+// unknown), with a log line when its directory is corrupt.
+func (s *Server) adopt(id string) *Job {
+	j, err := s.adoptFleetJob(id)
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, fleet.ErrNoState) {
+			s.logf("serve: fleet: adopt %s: %v", id, err)
+		}
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prior := s.jobs[id]; prior != nil {
+		return prior
+	}
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	return j
 }
 
 // adoptFleetJob builds the local view of a job another node (or an earlier

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,8 +121,8 @@ func TestFleetTwoNodesCompleteJobs(t *testing.T) {
 	}
 }
 
-// awaitAdopted is await for a job another node may have created: a node
-// learns of such jobs on its next fleet sync and answers 404 until then.
+// awaitAdopted is await for a job another node may have created, which
+// tolerates a non-200 answer until pred holds.
 func (a *api) awaitAdopted(id string, what string, pred func(serve.StatusView) bool) serve.StatusView {
 	a.t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
@@ -134,6 +135,91 @@ func (a *api) awaitAdopted(id string, what string, pred func(serve.StatusView) b
 	}
 	a.t.Fatalf("job %s: timed out waiting for %s", id, what)
 	return serve.StatusView{}
+}
+
+// TestFleetLookupAdoptsUnsyncedJob asks a node whose fleet sync runs only
+// at start-up for a job another node created after it: the lookup adopts
+// the job from the fleet directory instead of answering 404.
+func TestFleetLookupAdoptsUnsyncedJob(t *testing.T) {
+	dir := t.TempDir()
+	_, a := fleetServer(t, dir, "nodeA", serve.Config{Workers: 1})
+	_, b := fleetServer(t, dir, "nodeB", serve.Config{Workers: 1, Heartbeat: time.Hour, LeaseTTL: 3 * time.Hour})
+
+	id := a.submit(quickJob(tinySpec(t), 1)).ID
+	if v := b.status(id); v.ID != id {
+		t.Fatalf("node B reports job %q for %s", v.ID, id)
+	}
+	a.await(id, "done", stateIs(serve.StateDone))
+	if resp := b.do("GET", "/v1/jobs/j999999", nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// syncLog collects a server's log lines.
+type syncLog struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *syncLog) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// matching returns the collected lines containing sub.
+func (l *syncLog) matching(sub string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, line := range l.lines {
+		if strings.Contains(line, sub) {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// TestFleetSyncSkipsHalfCreatedJobs plants a bare job directory and one
+// holding only its spec, the two states a submitter passes through in
+// CreateJob, next to one with a corrupt spec. Sync skips the first two
+// without a log line and reports the corrupt one.
+func TestFleetSyncSkipsHalfCreatedJobs(t *testing.T) {
+	dir := t.TempDir()
+	jobs := filepath.Join(dir, "jobs")
+	for _, id := range []string{"j000001", "j000002", "j000003"} {
+		if err := os.MkdirAll(filepath.Join(jobs, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec, err := json.Marshal(quickJob(tinySpec(t), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobs, "j000002", "spec.json"), spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobs, "j000003", "spec.json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var log syncLog
+	fleetServer(t, dir, "nodeA", serve.Config{Logf: log.logf})
+
+	// Sync visits the jobs in ID order, so once the corrupt job is
+	// reported the other two have been passed over.
+	deadline := time.Now().Add(30 * time.Second)
+	for len(log.matching("adopt j000003")) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("sync never reported the corrupt job j000003")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if lines := log.matching("adopt j000001"); len(lines) > 0 {
+		t.Errorf("bare job directory logged: %q", lines)
+	}
+	if lines := log.matching("adopt j000002"); len(lines) > 0 {
+		t.Errorf("job without its first manifest logged: %q", lines)
+	}
 }
 
 // TestFleetNodeLossRecovery simulates a worker that claimed a job, wrote a

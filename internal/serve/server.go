@@ -1366,6 +1366,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookup resolves the {id} path segment, writing the 404 itself on a miss.
+// In fleet mode a job this node has not synced yet is adopted first, so a
+// job created on another node is visible everywhere as soon as it exists.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
 	id := r.PathValue("id")
 	if !validJobID(id) {
@@ -1375,6 +1377,9 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
+	if j == nil && s.fleetStore != nil {
+		j = s.adopt(id)
+	}
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no such job %q", id)
 		return nil

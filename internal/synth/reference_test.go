@@ -357,7 +357,7 @@ func refFillArea(s *model.System, demand map[model.TaskTypeID]int, pe *model.PE)
 }
 
 // refListSchedule re-sorts the ready list before every pop and keeps the
-// core pools in a map.
+// core pools in a map. It derives the Prev links afterwards (refLink).
 func refListSchedule(s *model.System, modeID model.ModeID, mapping model.Mapping, cores sched.CoreProvider, mob *sched.Mobility) (*sched.Schedule, error) {
 	mode := s.App.Mode(modeID)
 	g := mode.Graph
@@ -393,6 +393,7 @@ func refListSchedule(s *model.System, modeID model.ModeID, mapping model.Mapping
 		}
 	}
 	mapRow := mapping[modeID]
+	popped := make([]model.TaskID, 0, n)
 	for done := 0; done < n; done++ {
 		if len(ready) == 0 {
 			return nil, fmt.Errorf("sched: mode %q: dependency cycle", mode.Name)
@@ -415,6 +416,7 @@ func refListSchedule(s *model.System, modeID model.ModeID, mapping model.Mapping
 		})
 		t := ready[0]
 		ready = ready[1:]
+		popped = append(popped, t)
 
 		// Place the task and its incoming communications.
 		task := g.Task(t)
@@ -464,7 +466,51 @@ func refListSchedule(s *model.System, modeID model.ModeID, mapping model.Mapping
 			}
 		}
 	}
+	refLink(g, sc, popped)
 	return sc, nil
+}
+
+// refLink sets the Prev links of a finished schedule from its start times:
+// it lists each resource's slots in placement order (the tasks as popped,
+// each after its incoming transfers), sorts every list by start, stably so
+// that zero-length transfers tied on a start keep that order, and links
+// neighbours.
+func refLink(g *model.TaskGraph, sc *sched.Schedule, popped []model.TaskID) {
+	type taskRes struct {
+		pe   model.PEID
+		tt   model.TaskTypeID
+		core int
+	}
+	tasks := make(map[taskRes][]model.TaskID)
+	links := make(map[model.CLID][]model.EdgeID)
+	for _, t := range popped {
+		for _, eid := range g.In(t) {
+			sc.Comms[eid].Prev = -1
+			if cs := &sc.Comms[eid]; cs.Routed && cs.CL != model.NoCL {
+				links[cs.CL] = append(links[cs.CL], eid)
+			}
+		}
+		slot := &sc.Tasks[t]
+		k := taskRes{pe: slot.PE, tt: -1, core: slot.Core}
+		if slot.Core >= 0 {
+			k.tt = g.Task(t).Type
+		}
+		tasks[k] = append(tasks[k], t)
+	}
+	for _, ts := range tasks {
+		sort.SliceStable(ts, func(i, j int) bool { return sc.Tasks[ts[i]].Start < sc.Tasks[ts[j]].Start })
+		prev := model.TaskID(-1)
+		for _, t := range ts {
+			sc.Tasks[t].Prev, prev = prev, t
+		}
+	}
+	for _, es := range links {
+		sort.SliceStable(es, func(i, j int) bool { return sc.Comms[es[i]].Start < sc.Comms[es[j]].Start })
+		prev := model.EdgeID(-1)
+		for _, e := range es {
+			sc.Comms[e].Prev, prev = prev, e
+		}
+	}
 }
 
 func refScheduleComm(s *model.System, mode *model.Mode, mapRow []model.PEID, clFree []float64, sc *sched.Schedule, e *model.Edge) float64 {
