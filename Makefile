@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench-pins fuzz-smoke trace-smoke serve-smoke fleet-smoke cache-smoke certify bench profile-dvs ci
+.PHONY: all build test race vet lint bench-pins fuzz-smoke trace-smoke serve-smoke fleet-smoke cache-smoke certify bench profile-dvs profile-nodvs ci
 
 all: build
 
@@ -86,6 +86,13 @@ bench:
 # cpu.prof and prints the top of the profile.
 profile-dvs:
 	$(GO) test -run='^$$' -bench='^BenchmarkSynthesizeDVSProfile$$' -benchtime=3x -cpuprofile=cpu.prof -o momosyn.test .
+	$(GO) tool pprof -top -nodecount=40 momosyn.test cpu.prof
+
+# CPU profile of the DVS-off profile set (mul1-mul12 with seeds 1-2, paper
+# GA defaults, certification on): writes cpu.prof and prints the top of
+# the profile.
+profile-nodvs:
+	$(GO) test -run='^$$' -bench='^BenchmarkSynthesizeNoDVSProfile$$' -benchtime=3x -cpuprofile=cpu.prof -o momosyn.test .
 	$(GO) tool pprof -top -nodecount=40 momosyn.test cpu.prof
 
 ci:

@@ -258,6 +258,29 @@ func BenchmarkSynthesizeDVSProfile(b *testing.B) {
 	}
 }
 
+// BenchmarkSynthesizeNoDVSProfile is the DVS-off profile set: mul1–mul12,
+// each with seeds 1–2, at the paper GA defaults with certification on and
+// voltage scaling off, so scheduling, core allocation, the fitness cache
+// and the GA do the work. One iteration runs all 24 syntheses;
+// `make profile-nodvs` profiles it.
+func BenchmarkSynthesizeNoDVSProfile(b *testing.B) {
+	specs, err := perf.ResolveSpecs([]string{"muls"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, sp := range specs {
+			for seed := int64(1); seed <= 2; seed++ {
+				opts := synth.Options{GA: bench.DefaultGA(), Seed: seed, Certify: true}
+				if _, err := synth.Synthesize(sp.Sys, opts); err != nil {
+					b.Fatalf("%s seed %d: %v", sp.Name, seed, err)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkGenerate measures instance generation (mul-envelope).
 func BenchmarkGenerate(b *testing.B) {
 	b.ReportAllocs()

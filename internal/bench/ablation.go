@@ -111,7 +111,6 @@ func runAblationCell(sys *model.System, v Ablation, useDVS bool, cfg HarnessConf
 	for r := 0; r < cfg.Reps; r++ {
 		opts := v.options(useDVS)
 		opts.GA = cfg.GA
-		opts.Weights = cfg.Weights
 		opts.Seed = cfg.BaseSeed + int64(r)*7919
 		res, err := synth.Synthesize(sys, opts)
 		if err != nil {

@@ -40,8 +40,6 @@ type HarnessConfig struct {
 	// GA tunes the engine; the zero value selects the harness defaults
 	// (population 64, up to 300 generations, stagnation 80).
 	GA ga.Config
-	// Weights are the fitness penalty weights (zero = defaults).
-	Weights synth.Weights
 	// Context, when non-nil, makes the experiment interruptible: on
 	// cancellation every in-flight synthesis stops at its next generation
 	// boundary and the remaining cells finish immediately with partial
@@ -159,7 +157,6 @@ func RunCell(sys *model.System, useDVS, neglect bool, cfg HarnessConfig) (CellSt
 			res, err := synth.Synthesize(sys, synth.Options{
 				UseDVS:               useDVS,
 				NeglectProbabilities: neglect,
-				Weights:              cfg.Weights,
 				GA:                   cfg.GA,
 				Seed:                 seed,
 				Context:              cfg.Context,

@@ -118,6 +118,21 @@ type graph struct {
 	moves, passes uint64
 }
 
+// addNode appends a zeroed node of the kind and returns its index and the
+// node, which the caller fills in place: appending a filled composite
+// literal would build it aside and copy it into the slot.
+func (g *graph) addNode(kind nodeKind) (int32, *node) {
+	id := int32(len(g.nodes))
+	if id == int32(cap(g.nodes)) {
+		//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
+		g.nodes = slices.Grow(g.nodes, 1)
+	}
+	g.nodes = g.nodes[:id+1]
+	nd := &g.nodes[id]
+	*nd = node{kind: kind}
+	return id, nd
+}
+
 // edge is one precedence or resource-order constraint, from before to.
 type edge struct{ from, to int32 }
 
@@ -272,19 +287,14 @@ func (x *Scaler) build(s *model.System, sc *sched.Schedule, cfg Config) bool {
 		}
 		scal := pe.Scalable() && pe.Class.IsSoftware()
 		anyScalable = anyScalable || scal
-		id := int32(len(g.nodes))
-		//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
-		g.nodes = append(g.nodes, node{
-			kind:     nkTask,
-			task:     slot.Task,
-			dur:      slot.NomTime,
-			nom:      slot.NomTime,
-			power:    slot.Power,
-			pe:       pe,
-			level:    maxLevel(pe),
-			deadline: tg.Task(slot.Task).EffectiveDeadline(mode.Period),
-			scalable: scal,
-		})
+		id, nd := g.addNode(nkTask)
+		nd.task = slot.Task
+		nd.dur, nd.nom = slot.NomTime, slot.NomTime
+		nd.power = slot.Power
+		nd.pe = pe
+		nd.level = maxLevel(pe)
+		nd.deadline = tg.Task(slot.Task).EffectiveDeadline(mode.Period)
+		nd.scalable = scal
 		g.startOf[slot.Task] = id
 		g.endOf[slot.Task] = id
 	}
@@ -306,16 +316,11 @@ func (x *Scaler) build(s *model.System, sc *sched.Schedule, cfg Config) bool {
 		e := tg.Edge(model.EdgeID(ei))
 		src, dst := g.endOf[e.Src], g.startOf[e.Dst]
 		if cs.Routed && cs.CL != model.NoCL && cs.Time > 0 {
-			id := int32(len(g.nodes))
-			//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
-			g.nodes = append(g.nodes, node{
-				kind:     nkComm,
-				edge:     model.EdgeID(ei),
-				dur:      cs.Time,
-				nom:      cs.Time,
-				power:    cs.Power,
-				deadline: math.Inf(1),
-			})
+			id, nd := g.addNode(nkComm)
+			nd.edge = model.EdgeID(ei)
+			nd.dur, nd.nom = cs.Time, cs.Time
+			nd.power = cs.Power
+			nd.deadline = math.Inf(1)
 			x.addEdge(src, id)
 			x.addEdge(id, dst)
 			x.commOf[ei] = id
@@ -369,20 +374,14 @@ func (x *Scaler) segmentPE(s *model.System, sc *sched.Schedule, pe *model.PE) bo
 	x.transform(x.hwSlots)
 	var prev int32 = -1
 	for _, sp := range x.segs {
-		id := int32(len(g.nodes))
-		//mm:alloc-ok grows only past the largest graph seen; steady state reuses the buffer
-		g.nodes = append(g.nodes, node{
-			kind:     nkSeg,
-			lo:       sp.lo,
-			hi:       sp.hi,
-			dur:      sp.end - sp.start,
-			nom:      sp.end - sp.start,
-			power:    sp.power,
-			pe:       pe,
-			level:    maxLevel(pe),
-			deadline: math.Inf(1),
-			scalable: true,
-		})
+		id, nd := g.addNode(nkSeg)
+		nd.lo, nd.hi = sp.lo, sp.hi
+		nd.dur, nd.nom = sp.end-sp.start, sp.end-sp.start
+		nd.power = sp.power
+		nd.pe = pe
+		nd.level = maxLevel(pe)
+		nd.deadline = math.Inf(1)
+		nd.scalable = true
 		x.addEdge(prev, id)
 		prev = id
 		for _, t := range x.segTasks[sp.lo:sp.hi] {

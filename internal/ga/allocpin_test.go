@@ -15,9 +15,10 @@ var sinkIdx int
 func TestAllocPins(t *testing.T) {
 	p := oneMax{n: 12, k: 4}
 	e := &engine{
-		p:   p,
-		cfg: Config{PopSize: 20, MaxGenerations: 10, Stagnation: 5}.withDefaults(p.GenomeLen()),
-		rng: rand.New(rand.NewSource(1)),
+		p:    p,
+		cfg:  Config{PopSize: 20, MaxGenerations: 10, Stagnation: 5}.withDefaults(),
+		rate: mutationRate(p.GenomeLen()),
+		rng:  rand.New(rand.NewSource(1)),
 	}
 	e.initPopulation()
 	weights := e.rankWeights()
@@ -25,6 +26,6 @@ func TestAllocPins(t *testing.T) {
 
 	allocpin.Verify(t, ".", []allocpin.Pin{
 		{Name: "engine.selectParent", Body: func() { sinkIdx = e.selectParent(weights) }},
-		{Name: "mutate", Body: func() { mutate(e.p, genome, e.cfg.MutationRate, e.rng) }},
+		{Name: "mutate", Body: func() { mutate(e.p, genome, e.rate, e.rng) }},
 	})
 }

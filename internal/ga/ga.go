@@ -33,43 +33,36 @@ type Problem interface {
 // re-evaluation). The engine decides which individuals to pass in.
 type Mutator func(genome []int, rng *rand.Rand) bool
 
-// Config tunes the engine. Zero values select the defaults noted per
-// field.
+// Config sizes the engine's budget. Zero values select the defaults noted
+// per field. The operator settings are fixed at the paper's Fig. 4 values:
+// linear ranking at 1.8, mating tournaments of 2, PopSize/2 offspring (at
+// least one) per generation, a per-locus mutation rate of 1/GenomeLen and
+// an improvement probability of 0.02 per mutator and individual.
 type Config struct {
 	// PopSize is the population size (default 32).
 	PopSize int
 	// MaxGenerations bounds the run (default 200).
 	MaxGenerations int
 	// Stagnation stops the run after this many generations without
-	// improvement of the best individual (default 40), matching the paper's
-	// convergence criterion of diversity plus elapsed iterations without an
-	// improved individual.
+	// improvement of the best individual (default 40), the paper's
+	// convergence criterion of elapsed iterations without an improved
+	// individual.
 	Stagnation int
-	// Offspring is the number of children produced and inserted per
-	// generation (default PopSize/2).
-	Offspring int
-	// TournamentSize is the mating tournament size (default 2).
-	TournamentSize int
-	// MutationRate is the per-locus probability of a random allele change
-	// applied to offspring (default 1/GenomeLen).
-	MutationRate float64
-	// SelectionPressure in [1,2] sets the linear-ranking slope (default
-	// 1.8): the best individual is picked SelectionPressure times more
-	// often than the median.
-	SelectionPressure float64
-	// ImprovementRate is the probability that each improvement mutator is
-	// applied to a randomly picked non-elite individual per generation
-	// (default 0.02 per the paper's shut-down strategy, scaled by
-	// population size).
-	ImprovementRate float64
-	// MinDiversity, when positive, adds the paper's second convergence
-	// signal: the run stops early once the fraction of distinct genomes in
-	// the population falls below this threshold while the best individual
-	// has stagnated for at least half the Stagnation limit.
-	MinDiversity float64
 }
 
-func (c Config) withDefaults(genomeLen int) Config {
+const (
+	// selectionPressure sets the linear-ranking slope: the best individual
+	// is picked selectionPressure times more often than the median.
+	selectionPressure = 1.8
+	// tournamentSize is the mating tournament size.
+	tournamentSize = 2
+	// improvementRate is the probability that each improvement mutator is
+	// applied to each non-elite individual per generation (the paper's
+	// shut-down strategy, scaled by population size).
+	improvementRate = 0.02
+)
+
+func (c Config) withDefaults() Config {
 	if c.PopSize <= 0 {
 		c.PopSize = 32
 	}
@@ -79,29 +72,22 @@ func (c Config) withDefaults(genomeLen int) Config {
 	if c.Stagnation <= 0 {
 		c.Stagnation = 40
 	}
-	if c.Offspring <= 0 {
-		c.Offspring = c.PopSize / 2
-		if c.Offspring < 1 {
-			c.Offspring = 1
-		}
-	}
-	if c.TournamentSize <= 0 {
-		c.TournamentSize = 2
-	}
-	if c.MutationRate <= 0 {
-		if genomeLen > 0 {
-			c.MutationRate = 1 / float64(genomeLen)
-		} else {
-			c.MutationRate = 0.05
-		}
-	}
-	if c.SelectionPressure < 1 || c.SelectionPressure > 2 {
-		c.SelectionPressure = 1.8
-	}
-	if c.ImprovementRate <= 0 {
-		c.ImprovementRate = 0.02
-	}
 	return c
+}
+
+// offspring is the number of children produced and inserted per
+// generation: half the population, at least one.
+func (c Config) offspring() int {
+	return max(c.PopSize/2, 1)
+}
+
+// mutationRate is the per-locus probability of a random allele change
+// applied to offspring: 1/genomeLen (0.05 for an empty genome).
+func mutationRate(genomeLen int) float64 {
+	if genomeLen > 0 {
+		return 1 / float64(genomeLen)
+	}
+	return 0.05
 }
 
 // MutatorStats is the cumulative effectiveness record of one improvement
@@ -211,9 +197,6 @@ type RunControl struct {
 	// is re-randomised to re-inject diversity. It fires again every
 	// further StallWindow stalled generations.
 	StallWindow int
-	// OnRestart is notified after each diversity injection with the
-	// 1-based generation number and the total restart count.
-	OnRestart func(generation, restarts int)
 	// OnGeneration, when non-nil, observes the engine after every completed
 	// generation. It must only read: the stats are copies, and the observer
 	// runs outside the engine's random stream, so attaching one never
@@ -229,6 +212,7 @@ type individual struct {
 type engine struct {
 	p        Problem
 	cfg      Config
+	rate     float64 // mutationRate of the genome length
 	rng      *rand.Rand
 	muts     []Mutator
 	pop      []individual
@@ -242,7 +226,7 @@ type engine struct {
 }
 
 // Run executes the GA and returns the best genome found. Improvement
-// mutators are applied, each with probability cfg.ImprovementRate per
+// mutators are applied, each with probability improvementRate per
 // individual per generation, to non-elite individuals.
 func Run(p Problem, cfg Config, rng *rand.Rand, mutators ...Mutator) *Result {
 	return RunControlled(p, cfg, RunControl{}, rng, mutators...)
@@ -253,13 +237,12 @@ func Run(p Problem, cfg Config, rng *rand.Rand, mutators ...Mutator) *Result {
 // from a snapshot, and runs the stall watchdog. With a zero RunControl it
 // behaves exactly like Run, consuming the identical random stream.
 func RunControlled(p Problem, cfg Config, rc RunControl, rng *rand.Rand, mutators ...Mutator) *Result {
-	n := p.GenomeLen()
-	cfg = cfg.withDefaults(n)
+	cfg = cfg.withDefaults()
 	ctx := rc.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := &engine{p: p, cfg: cfg, rng: rng, muts: mutators}
+	e := &engine{p: p, cfg: cfg, rate: mutationRate(p.GenomeLen()), rng: rng, muts: mutators}
 	e.mutStats = make([]MutatorStats, len(mutators))
 
 	res := &Result{}
@@ -301,16 +284,9 @@ func RunControlled(p Problem, cfg Config, rc RunControl, rng *rand.Rand, mutator
 		if rc.StallWindow > 0 && stagnant > 0 && stagnant%rc.StallWindow == 0 && stagnant < cfg.Stagnation {
 			e.injectDiversity()
 			res.Restarts++
-			if rc.OnRestart != nil {
-				rc.OnRestart(gen+1, res.Restarts)
-			}
 		}
 		if rc.OnGeneration != nil {
 			rc.OnGeneration(e.generationStats(gen+1, stagnant, best, res))
-		}
-		if cfg.MinDiversity > 0 && stagnant >= cfg.Stagnation/2 && e.diversity() < cfg.MinDiversity {
-			gen++
-			break
 		}
 		if rc.CheckpointEvery > 0 && rc.OnCheckpoint != nil && (gen+1)%rc.CheckpointEvery == 0 {
 			lastCheckpoint = gen + 1
@@ -517,22 +493,21 @@ func (e *engine) cloneBest() individual {
 func (e *engine) rankWeights() []float64 {
 	n := len(e.pop)
 	w := make([]float64, n)
-	sp := e.cfg.SelectionPressure
 	for i := 0; i < n; i++ {
 		// Baker's linear ranking: weight of rank i (0 = best).
-		w[i] = sp - (2*sp-2)*float64(i)/math.Max(1, float64(n-1))
+		w[i] = selectionPressure - (2*selectionPressure-2)*float64(i)/math.Max(1, float64(n-1))
 	}
 	return w
 }
 
-// selectParent runs a tournament over rank weights: draw TournamentSize
+// selectParent runs a tournament over rank weights: draw tournamentSize
 // individuals, keep the one with the highest selection weight (= best
 // rank).
 //
 //mm:noalloc
 func (e *engine) selectParent(weights []float64) int {
 	best := e.rng.Intn(len(e.pop))
-	for k := 1; k < e.cfg.TournamentSize; k++ {
+	for k := 1; k < tournamentSize; k++ {
 		c := e.rng.Intn(len(e.pop))
 		if weights[c] > weights[best] {
 			best = c
@@ -551,8 +526,9 @@ func (e *engine) selectParent(weights []float64) int {
 // copy), so a replaced individual's genome is free once it is replaced.
 func (e *engine) generation() {
 	weights := e.rankWeights()
-	offspring := make([]individual, 0, e.cfg.Offspring)
-	for len(offspring) < e.cfg.Offspring {
+	n := e.cfg.offspring()
+	offspring := make([]individual, 0, n)
+	for len(offspring) < n {
 		pa := e.selectParent(weights)
 		pb := e.selectParent(weights)
 		var buf []int
@@ -560,22 +536,22 @@ func (e *engine) generation() {
 			buf, e.spare = e.spare[k-1], e.spare[:k-1]
 		}
 		child := crossover(buf, e.pop[pa].genome, e.pop[pb].genome, e.rng)
-		mutate(e.p, child, e.cfg.MutationRate, e.rng)
+		mutate(e.p, child, e.rate, e.rng)
 		offspring = append(offspring, individual{genome: child, fitness: e.eval(child)})
 	}
 	// Offspring insertion: replace the tail (worst) of the population.
-	n := len(e.pop)
+	last := len(e.pop) - 1
 	for i, child := range offspring {
-		e.spare = append(e.spare, e.pop[n-1-i].genome)
-		e.pop[n-1-i] = child
+		e.spare = append(e.spare, e.pop[last-i].genome)
+		e.pop[last-i] = child
 	}
 	e.sortPop()
 
 	// Improvement mutations: each mutator hits each non-elite individual
-	// with probability ImprovementRate.
+	// with probability improvementRate.
 	for mi, mut := range e.muts {
 		for i := 1; i < len(e.pop); i++ {
-			if e.rng.Float64() >= e.cfg.ImprovementRate {
+			if e.rng.Float64() >= improvementRate {
 				continue
 			}
 			e.mutStats[mi].Attempts++

@@ -72,7 +72,8 @@ func RunNSGA2(ctx context.Context, p MultiProblem, cfg Config, rng *rand.Rand, s
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg = cfg.withDefaults(p.GenomeLen())
+	cfg = cfg.withDefaults()
+	rate := mutationRate(p.GenomeLen())
 	evals := 0
 	eval := func(g []int) []float64 {
 		evals++
@@ -102,7 +103,7 @@ func RunNSGA2(ctx context.Context, p MultiProblem, cfg Config, rng *rand.Rand, s
 			pa := pop[tournament2(pop, rng)]
 			pb := pop[tournament2(pop, rng)]
 			child := crossover(nil, pa.genome, pb.genome, rng)
-			mutate(p, child, cfg.MutationRate, rng)
+			mutate(p, child, rate, rng)
 			offspring = append(offspring, mindividual{genome: child, objs: eval(child)})
 		}
 		// mu + lambda environmental selection.

@@ -85,16 +85,20 @@ func (p hookedProblem) Fitness(g []int) float64 {
 func TestStallWatchdogInjectsDiversity(t *testing.T) {
 	// flat has a constant fitness surface: the best individual can never
 	// improve, so the run stalls from generation one onwards.
-	restarts := 0
-	lastGen := 0
+	var seen []int // GenerationStats.Restarts after each generation
 	res := RunControlled(flat{n: 8}, Config{PopSize: 16, MaxGenerations: 20, Stagnation: 100},
-		RunControl{StallWindow: 4, OnRestart: func(gen, n int) { restarts = n; lastGen = gen }},
+		RunControl{StallWindow: 4, OnGeneration: func(s GenerationStats) { seen = append(seen, s.Restarts) }},
 		rand.New(rand.NewSource(5)))
 	if res.Restarts != 20/4 {
 		t.Errorf("restarts = %d, want %d (every StallWindow generations)", res.Restarts, 20/4)
 	}
-	if restarts != res.Restarts || lastGen != 20 {
-		t.Errorf("OnRestart saw (gen=%d, n=%d), result has %d", lastGen, restarts, res.Restarts)
+	for gen, n := range seen {
+		if want := (gen + 1) / 4; n != want {
+			t.Errorf("generation %d reports %d restarts, want %d", gen+1, n, want)
+		}
+	}
+	if len(seen) != 20 {
+		t.Errorf("observer saw %d generations, want 20", len(seen))
 	}
 	if res.Partial {
 		t.Error("watchdog restarts must not mark the run partial")

@@ -181,13 +181,13 @@ func cellRequest(opt JobRequest, spec string, seed int64) JobRequest {
 }
 
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
-	limit := s.cfg.MaxSpecBytes * maxBatchSpecs
+	const limit = maxSpecBytes * maxBatchSpecs
 	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	if int64(len(body)) > limit {
+	if len(body) > limit {
 		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", limit)
 		return
 	}

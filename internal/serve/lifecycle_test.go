@@ -110,8 +110,7 @@ func TestPoisonJobQuarantined(t *testing.T) {
 	_, a := startServer(t, serve.Config{
 		Workers: 1, QueueDepth: 8,
 		MaxAttempts: 2, RetryBackoff: time.Millisecond,
-		Failpoints:                 true,
-		QuarantineDegradeThreshold: 1,
+		Failpoints: true,
 	})
 
 	j := a.submit(failingJob(spec, 13, "panic"))
@@ -244,10 +243,7 @@ func TestJobTimeout(t *testing.T) {
 func TestDeadlineShed(t *testing.T) {
 	spec := tinySpec(t)
 	long := bigSpec(t)
-	_, a := startServer(t, serve.Config{
-		Workers: 1, QueueDepth: 8,
-		ShedDegradeThreshold: 1,
-	})
+	_, a := startServer(t, serve.Config{Workers: 1, QueueDepth: 8})
 
 	// Seed the service-time estimate, then fill the worker and the queue.
 	warm := a.submit(quickJob(spec, 17))
@@ -256,23 +252,29 @@ func TestDeadlineShed(t *testing.T) {
 	a.await(b1.ID, "worker occupied", stateIs(serve.StateRunning))
 	a.submit(longJob(long, 19))
 
-	// A 1ms deadline behind that backlog is unmeetable: shed.
-	doomed := failingJob(spec, 20, "") // plain quick job
-	doomed.DeadlineMS = 1
-	resp := a.do("POST", "/v1/jobs", doomed, nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("unmeetable deadline: status %d, want 429", resp.StatusCode)
+	// A 1ms deadline behind that backlog is unmeetable: shed. The tenth
+	// shed within a minute reaches the degradation threshold.
+	for i := 1; i <= 10; i++ {
+		doomed := failingJob(spec, 20, "") // plain quick job
+		doomed.DeadlineMS = 1
+		resp := a.do("POST", "/v1/jobs", doomed, nil)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("unmeetable deadline %d: status %d, want 429", i, resp.StatusCode)
+		}
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+			t.Fatalf("shed without a usable Retry-After: %q", resp.Header.Get("Retry-After"))
+		}
+		var ready serve.ReadyView
+		a.do("GET", "/readyz", nil, &ready)
+		if i < 10 && ready.Status != "ready" {
+			t.Fatalf("readyz after %d sheds = %+v, want ready below the threshold of 10", i, ready)
+		}
+		if i == 10 && (ready.Status != "degraded" || ready.ShedLastMinute < 10) {
+			t.Fatalf("readyz after 10 sheds = %+v, want degraded with shed_last_minute >= 10", ready)
+		}
 	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("shed without a usable Retry-After: %q", resp.Header.Get("Retry-After"))
-	}
-	if got := metricValue(t, a, "serve.jobs_shed"); got != 1 {
-		t.Fatalf("serve.jobs_shed = %v, want 1", got)
-	}
-	var ready serve.ReadyView
-	a.do("GET", "/readyz", nil, &ready)
-	if ready.Status != "degraded" || ready.ShedLastMinute < 1 {
-		t.Fatalf("readyz after shed = %+v, want degraded with shed_last_minute >= 1", ready)
+	if got := metricValue(t, a, "serve.jobs_shed"); got != 10 {
+		t.Fatalf("serve.jobs_shed = %v, want 10", got)
 	}
 
 	// A generous deadline on the same backlog is admitted.

@@ -65,8 +65,6 @@ type Config struct {
 	// CheckpointEvery is the generation interval of per-job checkpoints
 	// (default 5).
 	CheckpointEvery int
-	// MaxSpecBytes bounds the accepted request body (default 1 MiB).
-	MaxSpecBytes int64
 	// TraceJobs writes a JSONL run-trace per job into its data directory.
 	TraceJobs bool
 	// Registry receives the server metrics (created when nil); it backs
@@ -114,13 +112,6 @@ type Config struct {
 	// Failpoints permits submissions carrying a "failpoint" fault
 	// injection; off by default — lifecycle drills only.
 	Failpoints bool
-	// ShedDegradeThreshold marks the node degraded in /readyz when at
-	// least this many submissions were shed in the last minute (default
-	// 10).
-	ShedDegradeThreshold int
-	// QuarantineDegradeThreshold marks the node degraded when at least
-	// this many jobs were quarantined in the last minute (default 1).
-	QuarantineDegradeThreshold int
 
 	// FleetDir, when set, turns the server into one node of a
 	// shared-filesystem fleet: jobs are published into this directory and
@@ -153,6 +144,17 @@ type Config struct {
 	CacheMaxBytes int64
 }
 
+const (
+	// maxSpecBytes bounds the accepted body of a job submission.
+	maxSpecBytes = 1 << 20
+	// shedDegradeThreshold marks the node degraded in /readyz when at
+	// least this many submissions were shed in the last minute.
+	shedDegradeThreshold = 10
+	// quarantineDegradeThreshold marks the node degraded when at least
+	// this many jobs were quarantined in the last minute.
+	quarantineDegradeThreshold = 1
+)
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -162,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 5
-	}
-	if c.MaxSpecBytes <= 0 {
-		c.MaxSpecBytes = 1 << 20
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -180,12 +179,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WatchdogGrace <= 0 {
 		c.WatchdogGrace = 10 * time.Second
-	}
-	if c.ShedDegradeThreshold <= 0 {
-		c.ShedDegradeThreshold = 10
-	}
-	if c.QuarantineDegradeThreshold <= 0 {
-		c.QuarantineDegradeThreshold = 1
 	}
 	if c.FS == nil {
 		c.FS = durable.OS{}
@@ -1017,11 +1010,11 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if v.ManifestsSkipped > 0 {
 		v.Degraded = append(v.Degraded, fmt.Sprintf("recovery skipped %d damaged job manifests", v.ManifestsSkipped))
 	}
-	if v.ShedLastMinute >= s.cfg.ShedDegradeThreshold {
-		v.Degraded = append(v.Degraded, fmt.Sprintf("%d submissions shed in the last minute (threshold %d)", v.ShedLastMinute, s.cfg.ShedDegradeThreshold))
+	if v.ShedLastMinute >= shedDegradeThreshold {
+		v.Degraded = append(v.Degraded, fmt.Sprintf("%d submissions shed in the last minute (threshold %d)", v.ShedLastMinute, shedDegradeThreshold))
 	}
-	if v.QuarantinedLastMinute >= s.cfg.QuarantineDegradeThreshold {
-		v.Degraded = append(v.Degraded, fmt.Sprintf("%d jobs quarantined in the last minute (threshold %d)", v.QuarantinedLastMinute, s.cfg.QuarantineDegradeThreshold))
+	if v.QuarantinedLastMinute >= quarantineDegradeThreshold {
+		v.Degraded = append(v.Degraded, fmt.Sprintf("%d jobs quarantined in the last minute (threshold %d)", v.QuarantinedLastMinute, quarantineDegradeThreshold))
 	}
 	if s.fleetStore != nil {
 		v.Fleet = &FleetReadyView{
@@ -1266,13 +1259,13 @@ func respondSubmit(w http.ResponseWriter, j *Job, warns []specio.Warning) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxSpecBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	if int64(len(body)) > s.cfg.MaxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", s.cfg.MaxSpecBytes)
+	if len(body) > maxSpecBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", maxSpecBytes)
 		return
 	}
 	var req JobRequest

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -27,14 +26,18 @@ const EngineVersion = "momosyn-synth/4"
 // canonical, versioned byte form for content-addressed keying. Two Options
 // values produce the same bytes exactly when a deterministic run under them
 // yields the same certified result: runtime plumbing (Context, checkpoint
-// wiring, fault budget, Obs, certifier tuning) is excluded because it never
-// changes the search trajectory, while every trajectory-shaping field —
-// including the seed and each GA parameter — is written out explicitly,
-// field by field, so adding a new Options field forces a conscious decision
-// here instead of silently keying (or not keying) on it.
+// wiring, fault budget, Obs) is excluded because it never changes the
+// search trajectory, while every trajectory-shaping field — including the
+// seed and each GA budget — is written out explicitly, field by field, so
+// adding a new Options field forces a conscious decision here instead of
+// silently keying (or not keying) on it; TestOptionsFieldsClassified
+// enforces that decision.
+//
+// Version 2 drops the penalty weights and the GA operator settings, which
+// became engine constants at the values every version 1 key carried.
 func CanonicalOptions(o Options) []byte {
 	var b strings.Builder
-	b.WriteString("optv1\n")
+	b.WriteString("optv2\n")
 	writeBool(&b, "dvs", o.UseDVS)
 	writeBool(&b, "neglect", o.NeglectProbabilities)
 	writeBool(&b, "dvs_sw_only", o.DVSSoftwareOnly)
@@ -43,18 +46,9 @@ func CanonicalOptions(o Options) []byte {
 	writeInt(&b, "stall_window", o.StallWindow)
 	fmt.Fprintf(&b, "seed=%d\n", o.Seed)
 	writeBool(&b, "certify", o.Certify)
-	writeFloat(&b, "w_area", o.Weights.Area)
-	writeFloat(&b, "w_transition", o.Weights.Transition)
-	writeFloat(&b, "w_timing", o.Weights.Timing)
 	writeInt(&b, "ga_pop_size", o.GA.PopSize)
 	writeInt(&b, "ga_max_generations", o.GA.MaxGenerations)
 	writeInt(&b, "ga_stagnation", o.GA.Stagnation)
-	writeInt(&b, "ga_offspring", o.GA.Offspring)
-	writeInt(&b, "ga_tournament_size", o.GA.TournamentSize)
-	writeFloat(&b, "ga_mutation_rate", o.GA.MutationRate)
-	writeFloat(&b, "ga_selection_pressure", o.GA.SelectionPressure)
-	writeFloat(&b, "ga_improvement_rate", o.GA.ImprovementRate)
-	writeFloat(&b, "ga_min_diversity", o.GA.MinDiversity)
 	return []byte(b.String())
 }
 
@@ -64,11 +58,4 @@ func writeBool(b *strings.Builder, key string, v bool) {
 
 func writeInt(b *strings.Builder, key string, v int) {
 	fmt.Fprintf(b, "%s=%d\n", key, v)
-}
-
-func writeFloat(b *strings.Builder, key string, v float64) {
-	b.WriteString(key)
-	b.WriteByte('=')
-	b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	b.WriteByte('\n')
 }

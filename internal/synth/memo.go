@@ -8,15 +8,25 @@ import (
 	"momosyn/internal/model"
 )
 
-// modeMemoSlots is the number of slots of each mode's table. In a sweep
-// over 256 to 16,384 slots (smartphone, mul9 and mul11 with DVS on; mul1,
-// mul5 and mul9 with DVS off; paper GA defaults, seeds 1-2) 1,024 slots
-// came within 1.5 points of an unbounded memo's hit rate on every spec,
-// and larger tables gained at most 0.7 points.
-const (
-	modeMemoBits  = 10
-	modeMemoSlots = 1 << modeMemoBits
-)
+// modeMemoBits caps the slot count of each mode's table at 1<<modeMemoBits.
+// In a sweep over 256 to 16,384 slots (smartphone, mul9 and mul11 with DVS
+// on; mul1, mul5 and mul9 with DVS off; paper GA defaults, seeds 1-2) 1,024
+// slots came within 1.5 points of an unbounded memo's hit rate on every
+// spec, and larger tables gained at most 0.7 points. A run whose GA budget
+// cannot make that many evaluations gets a smaller table (memoBits).
+const modeMemoBits = 10
+
+// memoBits returns the table size, in bits, of a run that makes at most
+// about evals fitness evaluations: the smallest power of two of at least
+// twice that, at most 1<<modeMemoBits. evals <= 0 stands for an unknown
+// budget and gets the cap.
+func memoBits(evals int) int {
+	bits := 0
+	for bits < modeMemoBits && (evals <= 0 || 1<<bits < 2*evals) {
+		bits++
+	}
+	return bits
+}
 
 // modeResult is what the memo keeps of one mode's evaluation: the scalars
 // the fitness reads, never the schedule. The mode's period is not stored;
@@ -61,6 +71,8 @@ type modeTable struct {
 type modeMemo struct {
 	sys         *model.System
 	dvs, swOnly bool
+	// bits sizes every table at 1<<bits slots (0 selects modeMemoBits).
+	bits int
 	// A task's key value is pe*countStride+count, written little-endian
 	// in width bytes.
 	countStride uint64
@@ -79,6 +91,9 @@ func (mm *modeMemo) prepare(s *model.System, dvs, swOnly bool) {
 		return
 	}
 	mm.sys, mm.dvs, mm.swOnly = s, dvs, swOnly
+	if mm.bits == 0 {
+		mm.bits = modeMemoBits
+	}
 	// The allocator never gives a type more instances than the largest
 	// mode has tasks (one mandatory core plus replicas up to the type's
 	// overlap demand), and at least one.
@@ -95,9 +110,9 @@ func (mm *modeMemo) prepare(s *model.System, dvs, swOnly bool) {
 	for m, mode := range s.App.Modes {
 		t := &mm.tables[m]
 		t.keyLen = len(mode.Graph.Tasks) * mm.width
-		t.slots = grow(t.slots, modeMemoSlots)
+		t.slots = grow(t.slots, 1<<mm.bits)
 		clear(t.slots)
-		t.keys = grow(t.keys, modeMemoSlots*t.keyLen)
+		t.keys = grow(t.keys, len(t.slots)*t.keyLen)
 	}
 	mm.key = grow(mm.key, maxTasks*mm.width)[:0]
 }
@@ -113,7 +128,7 @@ func (mm *modeMemo) lookup(s *model.System, m model.ModeID, row []model.PEID, al
 	}
 	h = hashKey(mm.key)
 	tab := &mm.tables[m]
-	i := slotOf(h)
+	i := slotOf(h, mm.bits)
 	if r := &tab.slots[i]; r.check == check(h) && bytes.Equal(tab.key(i), mm.key) {
 		mm.hits++
 		return h, r, true
@@ -167,9 +182,9 @@ func hashKey(key []byte) uint64 {
 // without comparing them; it is never 0.
 func check(h uint64) uint32 { return uint32(h) | 1 }
 
-// slotOf returns the index of the slot a key with hash h lives in: the
-// hash's top bits.
-func slotOf(h uint64) int { return int(h >> (64 - modeMemoBits)) }
+// slotOf returns the index of the slot a key with hash h lives in, in a
+// table of 1<<bits slots: the hash's top bits.
+func slotOf(h uint64, bits int) int { return int(h >> (64 - bits)) }
 
 // key returns the key stored in slot i.
 func (t *modeTable) key(i int) []byte { return t.keys[i*t.keyLen : (i+1)*t.keyLen] }
@@ -182,7 +197,7 @@ func (mm *modeMemo) store(m model.ModeID, h uint64, power energy.ModePower, late
 		return
 	}
 	tab := &mm.tables[m]
-	i := slotOf(h)
+	i := slotOf(h, mm.bits)
 	tab.slots[i] = modeResult{
 		check:      check(h),
 		unroutable: int32(unroutable),

@@ -228,7 +228,7 @@ func TestModeMemoSlotCollision(t *testing.T) {
 		probe := &modeMemo{}
 		probe.prepare(sys, true, false)
 		probe.keyOf(sys, m, cand[m], ev.Alloc)
-		if slotOf(hashKey(probe.key)) == slotOf(hx) && !slices.Equal(probe.key, keyX) {
+		if slotOf(hashKey(probe.key), modeMemoBits) == slotOf(hx, modeMemoBits) && !slices.Equal(probe.key, keyX) {
 			y = cand
 		}
 	}
@@ -241,7 +241,7 @@ func TestModeMemoSlotCollision(t *testing.T) {
 		}
 	}
 	// The slot now holds y's key; forge x's hash check onto it.
-	tab.slots[slotOf(hx)].check = check(hx)
+	tab.slots[slotOf(hx, modeMemoBits)].check = check(hx)
 	if d := checkMemoStep(e, fresh(), x); d != "" {
 		t.Fatal(d)
 	}
@@ -391,6 +391,38 @@ func TestCodecKeyPacked(t *testing.T) {
 			if codec.Key(g[:len(g)-1]) == key {
 				t.Fatalf("%s: a shorter genome shares the key", name)
 			}
+		}
+	}
+}
+
+// TestModeMemoSizedToBudget: a run's memo tables hold twice its GA budget
+// of PopSize·(MaxGenerations+1) evaluations, rounded up to a power of two
+// and capped at 1<<modeMemoBits; an unset budget and the evaluators made
+// outside Synthesize keep the cap.
+func TestModeMemoSizedToBudget(t *testing.T) {
+	for evals, want := range map[int]int{-1: modeMemoBits, 0: modeMemoBits, 1: 1, 12: 5, 16: 5, 17: 6, 512: 10, 513: 10, 1 << 30: 10} {
+		if got := memoBits(evals); got != want {
+			t.Errorf("memoBits(%d) = %d, want %d", evals, got, want)
+		}
+	}
+	sys := loadSpec(t, "mul1")
+	slots := func(e *Evaluator) int {
+		e.scratch.memo.prepare(sys, e.UseDVS, e.DVSSoftwareOnly)
+		return len(e.scratch.memo.tables[0].slots)
+	}
+	for _, c := range []struct {
+		name string
+		e    *Evaluator
+		want int
+	}{
+		{"pop 2, 5 generations", Options{GA: ga.Config{PopSize: 2, MaxGenerations: 5}}.newEvaluator(sys, nil), 32},
+		{"paper budget", Options{GA: ga.Config{PopSize: 64, MaxGenerations: 300}}.newEvaluator(sys, nil), 1 << modeMemoBits},
+		{"zero budget", Options{}.newEvaluator(sys, nil), 1 << modeMemoBits},
+		{"zero generations", Options{GA: ga.Config{PopSize: 2}}.newEvaluator(sys, nil), 1 << modeMemoBits},
+		{"NewEvaluator", NewEvaluator(sys, true), 1 << modeMemoBits},
+	} {
+		if got := slots(c.e); got != c.want {
+			t.Errorf("%s: %d slots per mode, want %d", c.name, got, c.want)
 		}
 	}
 }

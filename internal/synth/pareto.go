@@ -29,9 +29,6 @@ type ParetoOptions struct {
 	UseDVS bool
 	GA     ga.Config
 	Seed   int64
-	// Weights are the non-area penalty weights (timing, transition); the
-	// area dimension is an objective here, not a penalty.
-	Weights Weights
 	// Context, when non-nil, cancels the exploration at the next generation
 	// boundary; the front evolved so far is still returned.
 	Context context.Context
@@ -124,14 +121,9 @@ func Pareto(sys *model.System, opts ParetoOptions) ([]ParetoPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := opts.Weights
-	if w == (Weights{}) {
-		w = DefaultWeights()
-	}
-	// Area violations must not be penalised: area is an objective here.
-	w.Area = 0
 	eval := NewEvaluator(sys, opts.UseDVS)
-	eval.Weights = w
+	// Area violations must not be penalised: area is an objective here.
+	eval.Weights.Area = 0
 	prob := &multiProblem{codec: codec, eval: eval, cache: newFitnessCache[[]float64]()}
 	// Anchor the area extremes: an all-software mapping (zero silicon) and
 	// a hardware-greedy mapping (every task on a hardware candidate where

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"momosyn/internal/ga"
 	"momosyn/internal/model"
+	"momosyn/internal/runctl"
 )
 
 // widerSystem builds a single-mode system with a 12-locus genome (~4096
@@ -246,6 +248,48 @@ func TestCacheCountersAccounting(t *testing.T) {
 	}
 	if r := c.HitRate(); r <= 0 || r >= 1 {
 		t.Errorf("hit rate = %v, want within (0,1)", r)
+	}
+}
+
+// TestFitnessCacheRingBounded: past FitnessCacheCap the cache overwrites
+// its oldest key in place, so its insertion queue never outgrows the cap,
+// and every counter stays exact.
+func TestFitnessCacheRingBounded(t *testing.T) {
+	const extra = 3
+	c := newFitnessCache[int]()
+	key := func(i int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(i)) }
+	computed := 0
+	compute := func(v int) func() int { return func() int { computed++; return v } }
+	for i := 0; i < FitnessCacheCap+extra; i++ {
+		c.lookup(key(i), compute(i))
+	}
+	if len(c.order) != FitnessCacheCap {
+		t.Fatalf("len(order) = %d after %d inserts, want the cap %d", len(c.order), FitnessCacheCap+extra, FitnessCacheCap)
+	}
+	want := runctl.CacheCounters{Misses: FitnessCacheCap + extra, Evictions: extra, Entries: FitnessCacheCap, Capacity: FitnessCacheCap}
+	if got := c.counters(); got != want {
+		t.Fatalf("counters = %+v, want %+v", got, want)
+	}
+	// The oldest resident key and the newest one are hits.
+	if v := c.lookup(key(extra), compute(-1)); v != extra {
+		t.Errorf("oldest resident key %d gave %d", extra, v)
+	}
+	if v := c.lookup(key(FitnessCacheCap+extra-1), compute(-1)); v != FitnessCacheCap+extra-1 {
+		t.Errorf("newest key gave %d", v)
+	}
+	// An evicted key is computed again and evicts the oldest resident one.
+	if v := c.lookup(key(0), compute(0)); v != 0 {
+		t.Errorf("re-inserted key 0 gave %d", v)
+	}
+	if computed != FitnessCacheCap+extra+1 {
+		t.Errorf("compute ran %d times, want %d", computed, FitnessCacheCap+extra+1)
+	}
+	if _, ok := c.m[string(key(extra))]; ok {
+		t.Errorf("key %d, the oldest resident, survived the eviction", extra)
+	}
+	want = runctl.CacheCounters{Hits: 2, Misses: FitnessCacheCap + extra + 1, Evictions: extra + 1, Entries: FitnessCacheCap, Capacity: FitnessCacheCap}
+	if got := c.counters(); got != want || len(c.order) != FitnessCacheCap {
+		t.Errorf("counters = %+v with len(order) %d, want %+v with %d", got, len(c.order), want, FitnessCacheCap)
 	}
 }
 

@@ -43,8 +43,6 @@ type Options struct {
 	// distribution (the baseline the paper compares against); the final
 	// result is still reported under the true probabilities.
 	NeglectProbabilities bool
-	// Weights are the penalty weights; zero value selects DefaultWeights.
-	Weights Weights
 	// DVSSoftwareOnly restricts voltage scaling to software processors,
 	// reproducing the prior-work DVS of [10] (ablation switch).
 	DVSSoftwareOnly bool
@@ -53,7 +51,8 @@ type Options struct {
 	// NoImprovementMutations disables the four problem-specific mutation
 	// operators of paper section 4.1 (ablation switch).
 	NoImprovementMutations bool
-	// GA tunes the genetic engine; zero values select engine defaults.
+	// GA sizes the genetic engine's budget; zero values select engine
+	// defaults.
 	GA ga.Config
 	// Seed seeds the run's RNG.
 	Seed int64
@@ -98,8 +97,6 @@ type Options struct {
 	// trajectory, so resuming a checkpointed run with a different Certify
 	// setting is valid.
 	Certify bool
-	// CertifyOptions tunes the certifier; zero value selects its defaults.
-	CertifyOptions verify.Options
 
 	// Obs, when active, records run telemetry: per-phase timing histograms,
 	// GA convergence gauges and (when a trace sink is attached) the JSONL
@@ -116,9 +113,9 @@ type Options struct {
 // fingerprint pins the options that shape the search trajectory, so a
 // checkpoint refuses to resume under a different configuration.
 func (o Options) fingerprint() string {
-	return fmt.Sprintf("dvs=%v neglect=%v swonly=%v norep=%v nomut=%v ga=%+v w=%+v stall=%d",
+	return fmt.Sprintf("dvs=%v neglect=%v swonly=%v norep=%v nomut=%v ga=%+v stall=%d",
 		o.UseDVS, o.NeglectProbabilities, o.DVSSoftwareOnly, o.NoReplicaCores,
-		o.NoImprovementMutations, o.GA, o.Weights, o.StallWindow)
+		o.NoImprovementMutations, o.GA, o.StallWindow)
 }
 
 // Result is the outcome of one synthesis run.
@@ -158,8 +155,9 @@ type Result struct {
 // misses and evictions.
 type fitnessCache[V any] struct {
 	m map[string]V
-	// order is the FIFO insertion queue backing eviction; head indexes the
-	// oldest resident entry.
+	// order is the FIFO ring of resident keys backing eviction: it grows
+	// to FitnessCacheCap, after which head indexes the oldest entry, the
+	// one the next insert overwrites.
 	order []string
 	head  int
 	stats runctl.CacheCounters
@@ -179,15 +177,16 @@ func (c *fitnessCache[V]) lookup(key []byte, compute func() V) V {
 	}
 	c.stats.Misses++
 	v := compute()
-	if len(c.m) >= FitnessCacheCap {
+	k := string(key)
+	if len(c.order) < FitnessCacheCap {
+		c.order = append(c.order, k)
+	} else {
 		delete(c.m, c.order[c.head])
-		c.order[c.head] = "" // release the key for GC
-		c.head++
+		c.order[c.head] = k
+		c.head = (c.head + 1) % FitnessCacheCap
 		c.stats.Evictions++
 	}
-	k := string(key)
 	c.m[k] = v
-	c.order = append(c.order, k)
 	return v
 }
 
@@ -393,7 +392,7 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 		if run.Active() {
 			certStart = time.Now()
 		}
-		out.Certification = CertifyEvaluation(sys, best, nil, opts.CertifyOptions)
+		out.Certification = CertifyEvaluation(sys, best, nil, verify.Options{})
 		if run.Active() {
 			d := time.Since(certStart)
 			out.Timings.Certify = d
@@ -475,17 +474,20 @@ func observeGenerations(run *obs.Run, quiet *Evaluator, codec *Codec, cache *fit
 
 // newEvaluator builds the evaluator of a run under these options; probs
 // overrides the objective's mode probabilities (nil: the specification's).
-// The evaluator carries no instrumentation; the caller attaches Obs.
+// The evaluator carries no instrumentation; the caller attaches Obs. Its
+// per-mode memo tables are sized to the GA budget: a run makes about
+// PopSize·(MaxGenerations+1) evaluations at most, and an unset budget
+// keeps the largest tables.
 func (o Options) newEvaluator(sys *model.System, probs []float64) *Evaluator {
-	w := o.Weights
-	if w == (Weights{}) {
-		w = DefaultWeights()
-	}
-	return &Evaluator{
-		Sys: sys, UseDVS: o.UseDVS, Weights: w, Probs: probs,
+	e := &Evaluator{
+		Sys: sys, UseDVS: o.UseDVS, Weights: DefaultWeights(), Probs: probs,
 		DVSSoftwareOnly: o.DVSSoftwareOnly,
 		NoReplicaCores:  o.NoReplicaCores,
 	}
+	if o.GA.PopSize > 0 && o.GA.MaxGenerations > 0 {
+		e.scratch.memo.bits = memoBits(o.GA.PopSize * (o.GA.MaxGenerations + 1))
+	}
+	return e
 }
 
 // checkResumable verifies a checkpoint belongs to this (spec, seed,
