@@ -144,9 +144,15 @@ func compareDemand(a, b typeDemand) int {
 // slices are indexed by TaskTypeID; a zero demand means the type is not
 // mapped to the PE.
 type allocator struct {
-	demand []int // the demand being filled (ASIC: over all modes)
-	mode   []int // one mode's demand
-	counts []int // allocated instances
+	// need[(mode*nPEs+pe)*nTypes+tt] is the replica demand of the (pe, tt)
+	// core pool in the mode: max(MaxOverlap, 1) over the type's tasks on
+	// the PE, 0 where none is mapped there or the PE runs software. It is
+	// filled one mode at a time, by demands from the mode's mobility or by
+	// the evaluator's row memo, and read by allocate.
+	need         []int
+	nPEs, nTypes int
+	demand       []int // the demand being filled (ASIC: over all modes)
+	counts       []int // allocated instances
 	// byType groups one mode's tasks on one PE by type: the tasks of type
 	// tt are tasks[start[tt]:start[tt+1]].
 	start []int
@@ -172,45 +178,74 @@ func AllocateCores(s *model.System, mapping model.Mapping, mob []*sched.Mobility
 func AllocateCoresWith(s *model.System, mapping model.Mapping, mob []*sched.Mobility, noReplicas bool) *Allocation {
 	var al allocator
 	a := &Allocation{}
-	al.allocate(s, mapping, mob, noReplicas, a)
+	al.size(s)
+	for m := range s.App.Modes {
+		al.demands(s, model.ModeID(m), mapping[m], mob[m])
+	}
+	al.allocate(s, noReplicas, a)
 	return a
 }
 
-// allocate is AllocateCoresWith into a, reusing a's and the allocator's
-// buffers.
-//
-//mm:noalloc
-func (al *allocator) allocate(s *model.System, mapping model.Mapping, mob []*sched.Mobility, noReplicas bool, a *Allocation) {
-	a.reset(s)
-	nTypes := len(s.Lib.Types)
-	al.demand = grow(al.demand, nTypes)
-	al.mode = grow(al.mode, nTypes)
-	al.counts = grow(al.counts, nTypes)
-	al.start = grow(al.start, nTypes+1)
-	al.tds = grow(al.tds, nTypes)[:0]
+// size shapes the allocator's buffers for the system; the demand rows are
+// stale until every mode is filled.
+func (al *allocator) size(s *model.System) {
+	al.nPEs, al.nTypes = len(s.Arch.PEs), len(s.Lib.Types)
+	al.need = grow(al.need, len(s.App.Modes)*al.nPEs*al.nTypes)
+	al.demand = grow(al.demand, al.nTypes)
+	al.counts = grow(al.counts, al.nTypes)
+	al.start = grow(al.start, al.nTypes+1)
+	al.tds = grow(al.tds, al.nTypes)[:0]
 	maxTasks := 0
 	for _, mode := range s.App.Modes {
 		maxTasks = max(maxTasks, len(mode.Graph.Tasks))
 	}
 	al.tasks = grow(al.tasks, maxTasks)
+}
+
+// modeNeed returns the demand rows of the mode, indexed pe*nTypes+tt.
+func (al *allocator) modeNeed(mode model.ModeID) []int {
+	n := al.nPEs * al.nTypes
+	return al.need[int(mode)*n : (int(mode)+1)*n]
+}
+
+// demands fills the mode's demand rows from its mobility under the
+// mapping row.
+//
+//mm:noalloc
+func (al *allocator) demands(s *model.System, mode model.ModeID, row []model.PEID, mob *sched.Mobility) {
+	for _, pe := range s.Arch.PEs {
+		out := al.peNeed(mode, pe.ID)
+		if pe.Class.IsHardware() {
+			al.demandsOn(s, mode, row, mob, pe.ID, out)
+		} else {
+			clear(out)
+		}
+	}
+}
+
+// allocate allocates the cores of every hardware PE into a from the
+// demand rows of every mode, reusing a's and the allocator's buffers.
+//
+//mm:noalloc
+func (al *allocator) allocate(s *model.System, noReplicas bool, a *Allocation) {
+	a.reset(s)
 	for _, pe := range s.Arch.PEs {
 		switch pe.Class {
 		case model.ASIC:
-			al.allocateASIC(s, mapping, mob, a, pe, noReplicas)
+			al.allocateASIC(s, a, pe, noReplicas)
 		case model.FPGA:
-			al.allocateFPGA(s, mapping, mob, a, pe, noReplicas)
+			al.allocateFPGA(s, a, pe, noReplicas)
 		case model.GPP, model.ASIP:
 			// Software PEs execute tasks without cores.
 		}
 	}
 }
 
-// demandsOn computes into al.mode the replica demand per task type mapped
-// to the PE in one mode: the maximum number of same-type tasks whose
-// execution windows overlap.
-func (al *allocator) demandsOn(s *model.System, mapping model.Mapping, mob *sched.Mobility, mode model.ModeID, pe model.PEID) {
+// demandsOn computes into out the replica demand per task type mapped to
+// the PE in one mode: the maximum number of same-type tasks whose
+// execution windows overlap, at least 1, and 0 for types not on the PE.
+func (al *allocator) demandsOn(s *model.System, mode model.ModeID, row []model.PEID, mob *sched.Mobility, pe model.PEID, out []int) {
 	g := s.App.Mode(mode).Graph
-	row := mapping[mode]
 	// Counting sort of the PE's tasks by type, in task order.
 	clear(al.start)
 	for ti, task := range g.Tasks {
@@ -229,23 +264,27 @@ func (al *allocator) demandsOn(s *model.System, mapping model.Mapping, mob *sche
 		}
 	}
 	lo := 0
-	for tt := range al.mode {
+	for tt := range out {
 		hi := al.start[tt]
-		al.mode[tt] = 0
+		out[tt] = 0
 		if hi > lo {
-			al.mode[tt] = max(mob.MaxOverlap(al.tasks[lo:hi]), 1)
+			out[tt] = max(mob.MaxOverlap(al.tasks[lo:hi]), 1)
 		}
 		lo = hi
 	}
 }
 
-func (al *allocator) allocateASIC(s *model.System, mapping model.Mapping, mob []*sched.Mobility, a *Allocation, pe *model.PE, noReplicas bool) {
+// peNeed returns the demand row of the PE in the mode.
+func (al *allocator) peNeed(mode model.ModeID, pe model.PEID) []int {
+	return al.modeNeed(mode)[int(pe)*al.nTypes : (int(pe)+1)*al.nTypes]
+}
+
+func (al *allocator) allocateASIC(s *model.System, a *Allocation, pe *model.PE, noReplicas bool) {
 	// Aggregate demand over all modes: cores on a non-reconfigurable ASIC
 	// exist for the lifetime of the system.
 	clear(al.demand)
 	for m := range s.App.Modes {
-		al.demandsOn(s, mapping, mob[m], model.ModeID(m), pe.ID)
-		for tt, d := range al.mode {
+		for tt, d := range al.peNeed(model.ModeID(m), pe.ID) {
 			al.demand[tt] = max(al.demand[tt], d)
 		}
 	}
@@ -262,10 +301,9 @@ func (al *allocator) allocateASIC(s *model.System, mapping model.Mapping, mob []
 	}
 }
 
-func (al *allocator) allocateFPGA(s *model.System, mapping model.Mapping, mob []*sched.Mobility, a *Allocation, pe *model.PE, noReplicas bool) {
+func (al *allocator) allocateFPGA(s *model.System, a *Allocation, pe *model.PE, noReplicas bool) {
 	for m := range s.App.Modes {
-		al.demandsOn(s, mapping, mob[m], model.ModeID(m), pe.ID)
-		copy(al.demand, al.mode)
+		copy(al.demand, al.peNeed(model.ModeID(m), pe.ID))
 		if noReplicas {
 			capDemand(al.demand)
 		}

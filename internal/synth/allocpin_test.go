@@ -52,7 +52,22 @@ func TestAllocPins(t *testing.T) {
 	// Reused targets for the whole-pass pins; the first call sizes them.
 	scratchEval := NewEvaluator(sys, false)
 	var al allocator
+	al.size(sys)
+	for m := 0; m < nModes; m++ {
+		al.demands(sys, model.ModeID(m), mapping[m], mob[m])
+	}
 	into := &Allocation{}
+	// A memo holding mode 1's row, and that row's demand rows.
+	var memo modeMemo
+	memo.prepare(sys, false, false)
+	need := al.modeNeed(1)
+	memo.lookupRow(sys, 1, mapping[1])
+	memo.storeRow(sys, 1, mapping[1], need)
+	demands := memo.lookupRow(sys, 1, mapping[1])
+	if demands == nil {
+		t.Fatal("the stored row missed")
+	}
+	loaded := make([]int, len(need))
 
 	allocpin.Verify(t, ".", []allocpin.Pin{
 		{Name: "Evaluator.penalties", Body: func() { e.penalties(ev) }},
@@ -62,7 +77,11 @@ func TestAllocPins(t *testing.T) {
 		{Name: "Evaluation.Reweighted", Body: func() { sinkF = ev.Reweighted(sys, nil) }},
 		{Name: "PowerUpperBound", Body: func() { sinkF = PowerUpperBound(sys) }},
 		{Name: "Evaluator.evaluate", Body: func() { _, sinkE = scratchEval.evaluate(mapping) }},
-		{Name: "allocator.allocate", Body: func() { al.allocate(sys, mapping, mob, false, into) }},
+		{Name: "allocator.demands", Body: func() { al.demands(sys, 1, mapping[1], mob[1]) }},
+		{Name: "allocator.allocate", Body: func() { al.allocate(sys, false, into) }},
+		{Name: "modeMemo.lookupRow", Body: func() { sinkB = memo.lookupRow(sys, 1, mapping[1]) != nil }},
+		{Name: "modeMemo.loadDemands", Body: func() { memo.loadDemands(sys, 1, mapping[1], demands, loaded) }},
+		{Name: "modeMemo.storeRow", Body: func() { memo.storeRow(sys, 1, mapping[1], need) }},
 		{Name: "Allocation.row", Body: func() { sinkI = len(alloc.row(1, hwPE.ID)) }},
 		{Name: "Allocation.Instances", Body: func() { sinkI = alloc.Instances(0, hwPE.ID, 0) }},
 		{Name: "Allocation.TransitionTime", Body: func() { sinkF = alloc.TransitionTime(sys, tr) }},

@@ -400,7 +400,7 @@ func TestMaxOverlapMatchesSweep(t *testing.T) {
 // specification (FPGA reconfiguration included) and runs the differential
 // comparison with DVS off and on. It then reads the input as a sequence on
 // the fitness path of two evaluators made for the input, so their per-mode
-// memos fill and serve within it: the genome itself, then one locus moved
+// memos, result and row tables alike, fill and serve within it: the genome itself, then one locus moved
 // per later byte pair, each step compared with a complete evaluation. An
 // input's memo state depends on the input alone, so a saved crasher replays.
 func FuzzEvaluateDifferential(f *testing.F) {

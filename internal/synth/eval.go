@@ -105,8 +105,9 @@ type Evaluator struct {
 // evalScratch holds everything one evaluation writes. The evaluation in ev
 // points into the other buffers.
 type evalScratch struct {
-	mobs       []sched.Mobility
-	mobPtrs    []*sched.Mobility // &mobs[m], the form AllocateCores takes
+	mobs []sched.Mobility
+	// fresh[m] is true once mobs[m] holds the current mapping's mobility.
+	fresh      []bool
 	alloc      Allocation
 	allocator  allocator
 	scheduler  sched.Scheduler
@@ -119,8 +120,11 @@ type evalScratch struct {
 	activePE   []bool
 	usedCL     []bool
 	ev         Evaluation
-	// memo serves per-mode results to the fitness path (see modeMemo).
+	// memo serves per-mode results and core demands to the fitness path
+	// (see modeMemo).
 	memo modeMemo
+	// mobilities counts the mobility analyses since the evaluator was made.
+	mobilities uint64
 }
 
 // size shapes the scratch for the system; only the first evaluation
@@ -128,10 +132,7 @@ type evalScratch struct {
 func (x *evalScratch) size(s *model.System) {
 	nModes := len(s.App.Modes)
 	x.mobs = grow(x.mobs, nModes)
-	x.mobPtrs = grow(x.mobPtrs, nModes)
-	for m := range x.mobs {
-		x.mobPtrs[m] = &x.mobs[m]
-	}
+	x.fresh = grow(x.fresh, nModes)
 	x.schedules = grow(x.schedules, nModes)
 	x.schedPtrs = grow(x.schedPtrs, nModes)
 	x.modePowers = grow(x.modePowers, nModes)
@@ -267,7 +268,9 @@ func (ev *Evaluation) clone() *Evaluation {
 // mapping belong to the evaluator and are overwritten by the next call.
 // Modes whose key the per-mode memo holds are not scheduled again; their
 // Schedules entries are nil, and every other field is what Evaluate
-// gives. The fitness paths read what they need and keep nothing.
+// gives. A mode whose row the memo's row table holds takes its core
+// demands from there and has its mobility computed only if it is
+// scheduled. The fitness paths read what they need and keep nothing.
 //
 //mm:noalloc
 func (e *Evaluator) evaluate(mapping model.Mapping) (*Evaluation, error) {
@@ -288,22 +291,20 @@ func (e *Evaluator) run(mapping model.Mapping, memo bool) (*Evaluation, error) {
 	var span obs.Timings
 	var mark time.Time
 
-	// Lines 04-05: mobilities and hardware core implementation.
-	if timed {
-		mark = time.Now()
-	}
+	// Lines 04-05: mobilities and hardware core implementation. Core
+	// allocation needs every mode's demands first.
+	x.allocator.size(s)
 	for m := 0; m < nModes; m++ {
-		if err := x.mobs[m].Compute(s, model.ModeID(m), mapping); err != nil {
-			return nil, mobilityError(m, err)
+		if err := e.demands(model.ModeID(m), mapping, memo, &span); err != nil {
+			return nil, err
 		}
 	}
 	if timed {
-		span.Mobility = time.Since(mark)
 		mark = time.Now()
 	}
-	x.allocator.allocate(s, mapping, x.mobPtrs, e.NoReplicaCores, &x.alloc)
+	x.allocator.allocate(s, e.NoReplicaCores, &x.alloc)
 	if timed {
-		span.CoreAlloc = time.Since(mark)
+		span.CoreAlloc += time.Since(mark)
 	}
 
 	ev := &x.ev
@@ -332,11 +333,16 @@ func (e *Evaluator) run(mapping model.Mapping, memo bool) (*Evaluation, error) {
 				continue
 			}
 		}
+		if !x.fresh[m] {
+			if err := e.mobility(model.ModeID(m), mapping, &span); err != nil {
+				return nil, err
+			}
+		}
 		sc := &x.schedules[m]
 		if timed {
 			mark = time.Now()
 		}
-		comm, err := x.scheduler.Run(s, model.ModeID(m), mapping, &x.alloc, x.mobPtrs[m], sc, timed)
+		comm, err := x.scheduler.Run(s, model.ModeID(m), mapping, &x.alloc, &x.mobs[m], sc, timed)
 		if err != nil {
 			return nil, scheduleError(mode, err)
 		}
@@ -389,6 +395,68 @@ func (e *Evaluator) run(mapping model.Mapping, memo bool) (*Evaluation, error) {
 		e.recordEval(span)
 	}
 	return ev, nil
+}
+
+// demands fills mode m's core demands under the mapping: from the row
+// memo when it holds the mode's row (with memo set), otherwise from the
+// mode's mobility, which is computed here and recorded in the memo. Row
+// lookups and demand fills are charged to core allocation. A row the
+// memo holds had its mobility computed before, under the same system, so
+// skipping it loses no error.
+func (e *Evaluator) demands(m model.ModeID, mapping model.Mapping, memo bool, span *obs.Timings) error {
+	s, x, row := e.Sys, &e.scratch, mapping[m]
+	timed := e.Obs.Active()
+	var mark time.Time
+	if timed {
+		mark = time.Now()
+	}
+	x.fresh[m] = false
+	if memo {
+		if d := x.memo.lookupRow(s, m, row); d != nil {
+			x.memo.loadDemands(s, m, row, d, x.allocator.modeNeed(m))
+			if timed {
+				span.CoreAlloc += time.Since(mark)
+			}
+			return nil
+		}
+		if timed {
+			span.CoreAlloc += time.Since(mark)
+		}
+	}
+	if err := e.mobility(m, mapping, span); err != nil {
+		return err
+	}
+	if timed {
+		mark = time.Now()
+	}
+	x.allocator.demands(s, m, row, &x.mobs[m])
+	if memo {
+		x.memo.storeRow(s, m, row, x.allocator.modeNeed(m))
+	}
+	if timed {
+		span.CoreAlloc += time.Since(mark)
+	}
+	return nil
+}
+
+// mobility computes mode m's mobility under the mapping into the scratch,
+// charging its time to the mobility phase.
+func (e *Evaluator) mobility(m model.ModeID, mapping model.Mapping, span *obs.Timings) error {
+	x := &e.scratch
+	timed := e.Obs.Active()
+	var mark time.Time
+	if timed {
+		mark = time.Now()
+	}
+	if err := x.mobs[m].Compute(e.Sys, m, mapping); err != nil {
+		return mobilityError(int(m), err)
+	}
+	x.fresh[m] = true
+	x.mobilities++
+	if timed {
+		span.Mobility += time.Since(mark)
+	}
+	return nil
 }
 
 // upperBound returns PowerUpperBound of the evaluator's system, computed

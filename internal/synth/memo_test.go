@@ -9,6 +9,7 @@ import (
 
 	"momosyn/internal/ga"
 	"momosyn/internal/model"
+	"momosyn/internal/obs"
 	"momosyn/internal/runctl"
 )
 
@@ -98,8 +99,11 @@ func checkMemoStep(e, fresh *Evaluator, mapping model.Mapping) string {
 // fitness-path evaluation, memo-served modes included, bit for bit with
 // a fresh evaluator's complete Evaluate: fitness, power, penalties, mode
 // powers, lateness, unroutable count, allocation and every schedule the
-// memo did not serve. The memo must actually serve modes.
+// memo did not serve. Both tables must actually serve modes, and some
+// mode must take its demands from the row table and then be scheduled
+// with a mobility computed on demand.
 func TestModeMemoDifferential(t *testing.T) {
+	var lazy uint64
 	for i, name := range benchmarkSpecNames() {
 		sys := loadSpec(t, name)
 		codec, err := NewCodec(sys)
@@ -117,7 +121,16 @@ func TestModeMemoDifferential(t *testing.T) {
 			if mm := &e.scratch.memo; mm.hits == 0 || mm.misses == 0 {
 				t.Errorf("%s %s: %d memo hits, %d misses; the walk tests nothing", name, c.name, mm.hits, mm.misses)
 			}
+			if mm := &e.scratch.memo; mm.rowHits == 0 || mm.rowMisses == 0 {
+				t.Errorf("%s %s: %d row hits, %d row misses; the walk tests nothing", name, c.name, mm.rowHits, mm.rowMisses)
+			}
+			// Every row miss computes a mobility; the rest were computed
+			// for row hits whose result missed.
+			lazy += e.scratch.mobilities - e.scratch.memo.rowMisses
 		}
+	}
+	if lazy == 0 {
+		t.Error("no row hit was scheduled with a mobility computed on demand")
 	}
 }
 
@@ -126,7 +139,9 @@ func TestModeMemoDifferential(t *testing.T) {
 // pool that mode's hardware tasks use. The mode must then miss, not be
 // served the result of its old pools, and match the reference. Some of
 // these changes alter the mode's own power or lateness, so a key of the
-// row alone would serve wrong results.
+// row alone would serve wrong results. The mode's row table entry, which
+// holds its demands, does stay valid: the mode must hit there, miss the
+// result table and compute its mobility for the scheduler.
 func TestModeMemoKeySeesCrossModePools(t *testing.T) {
 	sys := loadSpec(t, "mul12")
 	codec, err := NewCodec(sys)
@@ -162,11 +177,17 @@ func TestModeMemoKeySeesCrossModePools(t *testing.T) {
 		if d := checkMemoStep(e, NewEvaluator(sys, true), m1); d != "" {
 			t.Fatalf("trial %d first: %s", trial, d)
 		}
+		if !rowHeld(e, a, m2[a]) {
+			t.Fatalf("trial %d: mode %d's row is not in the row table", trial, a)
+		}
 		if d := checkMemoStep(e, NewEvaluator(sys, true), m2); d != "" {
 			t.Fatalf("trial %d second: %s", trial, d)
 		}
 		if e.scratch.ev.Schedules[a] == nil {
 			t.Fatalf("trial %d: mode %d was served although its pools changed", trial, a)
+		}
+		if !e.scratch.fresh[a] {
+			t.Fatalf("trial %d: mode %d was scheduled without its mobility", trial, a)
 		}
 		if ev1.ModePowers[a] != ev2.ModePowers[a] || ev1.Lateness[a] != ev2.Lateness[a] {
 			changed++
@@ -208,11 +229,7 @@ func TestModeMemoSlotCollision(t *testing.T) {
 		t.Fatal(d)
 	}
 	tab := &e.scratch.memo.tables[m]
-	if !e.scratch.memo.keyOf(sys, m, x[m], &e.scratch.alloc) {
-		t.Fatal("key not representable")
-	}
-	keyX := slices.Clone(e.scratch.memo.key)
-	hx := hashKey(keyX)
+	keyX, hx := resultKey(t, sys, m, x[m], &e.scratch.alloc)
 
 	// A mapping whose mode-m key differs but lands in the same slot.
 	var y model.Mapping
@@ -225,10 +242,8 @@ func TestModeMemoSlotCollision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe := &modeMemo{}
-		probe.prepare(sys, true, false)
-		probe.keyOf(sys, m, cand[m], ev.Alloc)
-		if slotOf(hashKey(probe.key), modeMemoBits) == slotOf(hx, modeMemoBits) && !slices.Equal(probe.key, keyX) {
+		keyY, hy := resultKey(t, sys, m, cand[m], ev.Alloc)
+		if slotOf(hy, modeMemoBits) == slotOf(hx, modeMemoBits) && !slices.Equal(keyY, keyX) {
 			y = cand
 		}
 	}
@@ -247,6 +262,165 @@ func TestModeMemoSlotCollision(t *testing.T) {
 	}
 	if e.scratch.ev.Schedules[m] == nil {
 		t.Fatal("a slot with x's hash but y's key served x")
+	}
+}
+
+// resultKey returns the result key of mode m under the mapping row and
+// the allocation, and its hash, as a fresh memo builds them.
+func resultKey(t *testing.T, sys *model.System, m model.ModeID, row []model.PEID, alloc *Allocation) ([]byte, uint64) {
+	t.Helper()
+	probe := &modeMemo{}
+	probe.prepare(sys, true, false)
+	probe.lookupRow(sys, m, row)
+	h, _, ok := probe.lookup(sys, m, row, alloc)
+	if !ok {
+		t.Fatal("key not representable")
+	}
+	return slices.Clone(probe.tables[m].key), h
+}
+
+// rowHeld reports whether e's row table holds mode m's row, without
+// counting the lookup.
+func rowHeld(e *Evaluator, m model.ModeID, row []model.PEID) bool {
+	mm := &e.scratch.memo
+	hits, misses := mm.rowHits, mm.rowMisses
+	held := mm.lookupRow(e.Sys, m, row) != nil
+	mm.rowHits, mm.rowMisses = hits, misses
+	return held
+}
+
+// TestRowMemoSlotCollision forces two rows of one mode with different
+// core demands into one row-table slot: each evicts the other, and the
+// evicted row must then miss, have its mobility and demands computed
+// again and match the reference. A slot whose hash check is forged to
+// equal a row's while it holds another row must miss too.
+func TestRowMemoSlotCollision(t *testing.T) {
+	sys := loadSpec(t, "mul1")
+	codec, err := NewCodec(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m = 0
+	rng := rand.New(rand.NewSource(11))
+	fresh := func() *Evaluator { return NewEvaluator(sys, false) }
+	// rowSlot returns the row-table slot and hash of the mapping's mode-m
+	// row, and the per-task demands an evaluation stores for it.
+	rowSlot := func(mapping model.Mapping) (int, uint64, []byte) {
+		probe := fresh()
+		if _, err := probe.evaluate(mapping); err != nil {
+			t.Fatal(err)
+		}
+		tab := &probe.scratch.memo.tables[m]
+		h := mix(tab.state)
+		i := slotOf(h, modeMemoBits)
+		return i, h, slices.Clone(tab.slotDemands(i))
+	}
+	x := codec.Decode(randomGenome(codec, rng))
+	slotX, hx, demX := rowSlot(x)
+	var y model.Mapping
+	for tries := 0; y == nil; tries++ {
+		if tries == 20000 {
+			t.Fatal("no colliding row found")
+		}
+		cand := codec.Decode(randomGenome(codec, rng))
+		probe := &modeMemo{}
+		probe.prepare(sys, false, false)
+		probe.lookupRow(sys, m, cand[m])
+		if slotOf(mix(probe.tables[m].state), modeMemoBits) != slotX || slices.Equal(cand[m], x[m]) {
+			continue
+		}
+		if _, _, demY := rowSlot(cand); !slices.Equal(demY, demX) {
+			y = cand
+		}
+	}
+	e := fresh()
+	for i, step := range []model.Mapping{x, y, x, y} {
+		misses := e.scratch.memo.rowMisses
+		if d := checkMemoStep(e, fresh(), step); d != "" {
+			t.Fatalf("step %d: %s", i, d)
+		}
+		if e.scratch.memo.rowMisses == misses || !e.scratch.fresh[m] {
+			t.Fatalf("step %d: a row evicted from its slot was served", i)
+		}
+	}
+	// The slot now holds y's row; forge x's hash check onto it.
+	e.scratch.memo.tables[m].rowChecks[slotX] = check(hx)
+	if d := checkMemoStep(e, fresh(), x); d != "" {
+		t.Fatal(d)
+	}
+	if !e.scratch.fresh[m] {
+		t.Fatal("a slot with x's hash but y's row served x's demands")
+	}
+}
+
+// TestMobilityComputesCounted replays every fitness evaluation of one
+// paper-default run on an evaluator of the same options: before each, it
+// notes which modes' rows the row table holds, and afterwards which modes
+// were scheduled. A mobility must be computed exactly for the row misses
+// and for the row hits whose result then missed, and the run's counters
+// must equal the replay's.
+func TestMobilityComputesCounted(t *testing.T) {
+	sys := loadSpec(t, "mul5")
+	codec, err := NewCodec(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var genomes [][]int
+	opts := Options{GA: ga.Config{PopSize: 64, MaxGenerations: 300, Stagnation: 80}, Seed: 1}
+	opts.Obs = obs.NewRun(nil, nil)
+	opts.evalHook = func(g []int) { genomes = append(genomes, slices.Clone(g)) }
+	if _, err := Synthesize(sys, opts); err != nil {
+		t.Fatal(err)
+	}
+	e := opts.newEvaluator(sys, nil)
+	nModes := len(sys.App.Modes)
+	held := make([]bool, nModes)
+	var lazy uint64
+	for i, g := range genomes {
+		mapping := codec.Decode(g)
+		e.scratch.memo.prepare(sys, e.UseDVS, e.DVSSoftwareOnly)
+		want := e.scratch.mobilities
+		for m := range held {
+			held[m] = rowHeld(e, model.ModeID(m), mapping[m])
+			if !held[m] {
+				want++
+			}
+		}
+		ev, err := e.evaluate(mapping)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := range held {
+			if held[m] && ev.Schedules[m] != nil {
+				want++
+				lazy++
+			}
+		}
+		if e.scratch.mobilities != want {
+			t.Fatalf("evaluation %d: %d mobilities computed, want %d", i, e.scratch.mobilities, want)
+		}
+	}
+	mm := &e.scratch.memo
+	if got, want := e.scratch.mobilities, mm.rowMisses+lazy; got != want {
+		t.Errorf("%d mobilities, want %d row misses + %d lazy", got, mm.rowMisses, lazy)
+	}
+	if lazy == 0 || mm.rowHits == 0 {
+		t.Errorf("%d row hits, %d lazy mobilities; the run tests nothing", mm.rowHits, lazy)
+	}
+	if modes := uint64(len(genomes) * nModes); e.scratch.mobilities >= modes {
+		t.Errorf("%d mobilities for %d modes evaluated; the row table saved none", e.scratch.mobilities, modes)
+	}
+	reg := opts.Obs.Registry()
+	for name, want := range map[string]uint64{
+		"synth.row_memo_hits":     mm.rowHits,
+		"synth.row_memo_misses":   mm.rowMisses,
+		"synth.mobility_computes": e.scratch.mobilities,
+		"synth.mode_memo_hits":    mm.hits,
+		"synth.mode_memo_misses":  mm.misses,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, the replay counts %d", name, got, want)
+		}
 	}
 }
 
@@ -296,9 +470,9 @@ func TestModeMemoResetsOnConfigChange(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllocFreeOnMemoMisses empties every mode's memo table after
-// a warm-up and then evaluates mappings: misses, like hits, allocate
-// nothing, with DVS off and on.
+// TestEvaluateAllocFreeOnMemoMisses empties every mode's memo tables
+// after a warm-up and then evaluates mappings: misses of the result and
+// of the row table, like hits, allocate nothing, with DVS off and on.
 func TestEvaluateAllocFreeOnMemoMisses(t *testing.T) {
 	for _, name := range benchmarkSpecNames() {
 		sys := loadSpec(t, name)
@@ -320,12 +494,13 @@ func TestEvaluateAllocFreeOnMemoMisses(t *testing.T) {
 			// the warm-up saw them.
 			for m := range e.scratch.memo.tables {
 				clear(e.scratch.memo.tables[m].slots)
+				clear(e.scratch.memo.tables[m].rowChecks)
 			}
 			mappings := make([]model.Mapping, 16)
 			for i := range mappings {
 				mappings[i] = codec.Decode(randomGenome(codec, rng))
 			}
-			misses := e.scratch.memo.misses
+			misses, rowMisses := e.scratch.memo.misses, e.scratch.memo.rowMisses
 			i := 0
 			allocs := testing.AllocsPerRun(len(mappings)-1, func() {
 				_, _ = e.evaluate(mappings[i])
@@ -334,8 +509,8 @@ func TestEvaluateAllocFreeOnMemoMisses(t *testing.T) {
 			if allocs != 0 {
 				t.Errorf("%s dvs=%v: evaluate allocates %.2f times per call on memo misses", name, useDVS, allocs)
 			}
-			if e.scratch.memo.misses == misses {
-				t.Errorf("%s dvs=%v: no memo miss measured", name, useDVS)
+			if e.scratch.memo.misses == misses || e.scratch.memo.rowMisses == rowMisses {
+				t.Errorf("%s dvs=%v: no result or no row miss measured", name, useDVS)
 			}
 		}
 	}
@@ -395,7 +570,8 @@ func TestCodecKeyPacked(t *testing.T) {
 	}
 }
 
-// TestModeMemoSizedToBudget: a run's memo tables hold twice its GA budget
+// TestModeMemoSizedToBudget: a run's memo tables, result and row tables
+// alike, hold twice its GA budget
 // of PopSize·(MaxGenerations+1) evaluations, rounded up to a power of two
 // and capped at 1<<modeMemoBits; an unset budget and the evaluators made
 // outside Synthesize keep the cap.
@@ -408,7 +584,11 @@ func TestModeMemoSizedToBudget(t *testing.T) {
 	sys := loadSpec(t, "mul1")
 	slots := func(e *Evaluator) int {
 		e.scratch.memo.prepare(sys, e.UseDVS, e.DVSSoftwareOnly)
-		return len(e.scratch.memo.tables[0].slots)
+		tab := &e.scratch.memo.tables[0]
+		if n := len(tab.slots); len(tab.rowChecks) != n || len(tab.rows) != 2*n*tab.keyLen || len(tab.keys) != n*tab.keyLen {
+			t.Errorf("%d result slots, %d row slots, %d row bytes, %d key bytes of %d", n, len(tab.rowChecks), len(tab.rows), len(tab.keys), tab.keyLen)
+		}
+		return len(tab.slots)
 	}
 	for _, c := range []struct {
 		name string
@@ -423,6 +603,62 @@ func TestModeMemoSizedToBudget(t *testing.T) {
 	} {
 		if got := slots(c.e); got != c.want {
 			t.Errorf("%s: %d slots per mode, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// BenchmarkFitnessWalk times the fitness path the GA runs, both memo
+// tables included: one operation is one evaluate call on a GA-like walk
+// of distinct genomes (repeats would hit the GA's fitness cache instead),
+// and every walkLen operations start a fresh evaluator, as a new run
+// does. mobility/op is the mobility analyses per evaluation, rowhit_frac
+// the share of row lookups the row table served.
+func BenchmarkFitnessWalk(b *testing.B) {
+	const walkLen = 2048
+	for _, name := range []string{"mul9", "smartphone"} {
+		sys := loadSpec(b, name)
+		codec, err := NewCodec(sys)
+		if err != nil {
+			b.Fatal(err)
+		}
+		walk := newGAWalk(sys, codec, 1)
+		seen := map[string]bool{}
+		var mappings []model.Mapping
+		for len(mappings) < walkLen {
+			g := walk.next()
+			if key := codec.Key(g); !seen[key] {
+				seen[key] = true
+				mappings = append(mappings, codec.Decode(g))
+			}
+		}
+		for _, useDVS := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/dvs=%v", name, useDVS), func(b *testing.B) {
+				var mobilities, rowHits, rowLookups uint64
+				var e *Evaluator
+				count := func() {
+					if e != nil {
+						mobilities += e.scratch.mobilities
+						rowHits += e.scratch.memo.rowHits
+						rowLookups += e.scratch.memo.rowHits + e.scratch.memo.rowMisses
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%walkLen == 0 {
+						b.StopTimer()
+						count()
+						e = NewEvaluator(sys, useDVS)
+						b.StartTimer()
+					}
+					if _, err := e.evaluate(mappings[i%walkLen]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				count()
+				b.ReportMetric(float64(mobilities)/float64(b.N), "mobility/op")
+				b.ReportMetric(float64(rowHits)/float64(rowLookups), "rowhit_frac")
+			})
 		}
 	}
 }

@@ -356,6 +356,9 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 		reg := run.Registry()
 		reg.Counter("synth.mode_memo_hits").Add(eval.scratch.memo.hits)
 		reg.Counter("synth.mode_memo_misses").Add(eval.scratch.memo.misses)
+		reg.Counter("synth.row_memo_hits").Add(eval.scratch.memo.rowHits)
+		reg.Counter("synth.row_memo_misses").Add(eval.scratch.memo.rowMisses)
+		reg.Counter("synth.mobility_computes").Add(eval.scratch.mobilities)
 		if opts.UseDVS {
 			st := eval.scratch.scaler.Stats()
 			reg.Counter("dvs.greedy_moves").Add(st.Moves)
