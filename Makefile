@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench-pins fuzz-smoke trace-smoke serve-smoke fleet-smoke cache-smoke certify bench profile-dvs profile-nodvs ci
+.PHONY: all build test race vet lint bench-pins fuzz-smoke trace-smoke serve-smoke fleet-smoke cache-smoke certify bench profile-dvs profile-nodvs loc ci
 
 all: build
 
@@ -94,6 +94,11 @@ profile-dvs:
 profile-nodvs:
 	$(GO) test -run='^$$' -bench='^BenchmarkSynthesizeNoDVSProfile$$' -benchtime=3x -cpuprofile=cpu.prof -o momosyn.test .
 	$(GO) tool pprof -top -nodecount=40 momosyn.test cpu.prof
+
+# Non-test Go lines per package and in total, with the separate
+# benchmark/ module on a line of its own.
+loc:
+	./scripts/loc.sh
 
 ci:
 	./scripts/ci.sh

@@ -163,7 +163,7 @@ func BenchmarkListSchedule(b *testing.B) {
 
 // BenchmarkDVSScale measures greedy voltage selection on a scheduled
 // smart-phone mode: through a reused Scaler, as the evaluator runs it, and
-// through the one-shot Scale, which sizes a fresh Scaler every call. The
+// through the one-shot ScaleWith, which sizes a fresh Scaler every call. The
 // reused case also reports the greedy moves and timing passes per call.
 func BenchmarkDVSScale(b *testing.B) {
 	sys, mapping := phoneAndMapping(b)
@@ -173,7 +173,7 @@ func BenchmarkDVSScale(b *testing.B) {
 		scale func(*sched.Schedule) bool
 	}{
 		{"reused", func(sc *sched.Schedule) bool { return x.Run(sys, sc, dvs.Config{}) }},
-		{"oneshot", func(sc *sched.Schedule) bool { return dvs.Scale(sys, sc) }},
+		{"oneshot", func(sc *sched.Schedule) bool { return dvs.ScaleWith(sys, sc, dvs.Config{}) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -159,13 +159,6 @@ func (f *FS) Revive() {
 	f.crashed = false
 }
 
-// Crashed reports whether a KindCrash rule has fired.
-func (f *FS) Crashed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.crashed
-}
-
 // Journal returns a copy of the operations seen so far.
 func (f *FS) Journal() []Record {
 	f.mu.Lock()

@@ -12,8 +12,8 @@
 // A Scaler owns the working memory of scaling — the constraint graph, its
 // edge lists, the Fig. 5 event sweep and the write-back accumulators — and
 // reuses it across calls, so loops that scale repeatedly (the synthesis
-// evaluator) allocate nothing once it is sized. Scale, ScaleWith and
-// Transform run the same code on a fresh Scaler per call.
+// evaluator) allocate nothing once it is sized. ScaleWith and Transform
+// run the same code on a fresh Scaler per call.
 //
 // The greedy loop keeps its candidates in a max-heap on (energy saving
 // per added delay, lowest node index) and re-times the graph only when it
@@ -216,7 +216,7 @@ func (cfg Config) segmented(pe *model.PE) bool {
 	return pe.Class.IsHardware() && pe.Scalable() && !cfg.SoftwareOnly
 }
 
-// Scale selects supply voltages for all scalable activities of the
+// ScaleWith selects supply voltages for all scalable activities of the
 // schedule, minimising dynamic energy while preserving every deadline and
 // the schedule's activity orders. The schedule must come from the list
 // scheduler (sched.ListSchedule or Scheduler.Run): the activity orders are
@@ -226,19 +226,16 @@ func (cfg Config) segmented(pe *model.PE) bool {
 //
 // Infeasible schedules (unroutable communications or deadline violations)
 // are left untouched: there is no slack to distribute.
-func Scale(s *model.System, sc *sched.Schedule) bool {
-	return ScaleWith(s, sc, Config{})
-}
-
-// ScaleWith is Scale with explicit configuration. It allocates a fresh
-// Scaler; loops that scale repeatedly keep one and call Run.
+//
+// It allocates a fresh Scaler; loops that scale repeatedly keep one and
+// call Run.
 func ScaleWith(s *model.System, sc *sched.Schedule, cfg Config) bool {
 	var x Scaler
 	return x.Run(s, sc, cfg)
 }
 
 // Run is ScaleWith into the scaler's working memory: once the buffers
-// have seen a graph of the size, it allocates nothing. Like Scale, it
+// have seen a graph of the size, it allocates nothing. Like ScaleWith, it
 // needs a schedule made by the list scheduler.
 //
 //mm:noalloc

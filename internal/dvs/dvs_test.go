@@ -147,7 +147,7 @@ func TestScaleReducesEnergyAndKeepsDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sc.DynamicEnergy()
-	if !Scale(sys, sc) {
+	if !ScaleWith(sys, sc, Config{}) {
 		t.Fatal("ample slack: scaling must change the schedule")
 	}
 	after := sc.DynamicEnergy()
@@ -177,7 +177,7 @@ func TestScaleTightScheduleUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Scale(sys, sc) {
+	if ScaleWith(sys, sc, Config{}) {
 		t.Error("zero slack: no scaling move can be feasible")
 	}
 	for i := range sc.Tasks {
@@ -196,7 +196,7 @@ func TestScaleSkipsInfeasibleSchedule(t *testing.T) {
 	if sc.Lateness(sys) <= 0 {
 		t.Fatal("test setup: schedule should be late")
 	}
-	if Scale(sys, sc) {
+	if ScaleWith(sys, sc, Config{}) {
 		t.Error("infeasible schedules must not be scaled")
 	}
 }
@@ -207,7 +207,7 @@ func TestScaleRespectsDiscreteLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Scale(sys, sc)
+	ScaleWith(sys, sc, Config{})
 	if late := sc.Lateness(sys); late > 1e-9 {
 		t.Errorf("lateness after scaling: %v", late)
 	}
@@ -262,7 +262,7 @@ func TestScaleHardwareCoresViaTransformation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sc.DynamicEnergy()
-	if !Scale(sys, sc) {
+	if !ScaleWith(sys, sc, Config{}) {
 		t.Fatal("hardware DVS with slack must scale")
 	}
 	after := sc.DynamicEnergy()
@@ -297,7 +297,7 @@ func TestScalePreservesPrecedenceThroughComms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Scale(sys, sc)
+	ScaleWith(sys, sc, Config{})
 	for ei := range sc.Comms {
 		cs := sc.Comms[ei]
 		e := sys.App.Modes[0].Graph.Edge(model.EdgeID(ei))
@@ -325,7 +325,7 @@ func TestScaleNonDVSSystemNoChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Scale(sys, sc) {
+	if ScaleWith(sys, sc, Config{}) {
 		t.Error("no DVS PE: scaling must be a no-op")
 	}
 }
@@ -338,7 +338,7 @@ func TestScaleEnergyAccountingMatchesFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Scale(sys, sc)
+	ScaleWith(sys, sc, Config{})
 	for i := range sc.Tasks {
 		slot := sc.Tasks[i]
 		v := sys.Arch.PEs[0].Levels[slot.VoltIdx]
@@ -382,7 +382,7 @@ func TestScaleLeavesCommDurationsUntouched(t *testing.T) {
 	for i := range before.Comms {
 		durations[i] = before.Comms[i].Time
 	}
-	Scale(sys, before)
+	ScaleWith(sys, before, Config{})
 	for i := range before.Comms {
 		if before.Comms[i].Time != durations[i] {
 			t.Errorf("comm %d transfer time changed", i)
@@ -429,7 +429,7 @@ func TestScaleSegmentDeadlineMidChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Scale(sys, sc) {
+	if !ScaleWith(sys, sc, Config{}) {
 		t.Fatal("expected scaling")
 	}
 	if sc.Tasks[0].Finish > 4e-3+1e-9 {

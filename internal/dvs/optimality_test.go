@@ -55,7 +55,7 @@ func TestGreedyNearBruteForceOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Scale(sys, sc)
+		ScaleWith(sys, sc, Config{})
 		if late := sc.Lateness(sys); late > 1e-9 {
 			t.Fatalf("laxity %v: greedy scaling violated the deadline", laxity)
 		}

@@ -30,7 +30,7 @@ func phoneSchedule(t *testing.T, useDVS bool) (*model.System, *sched.Schedule) {
 		t.Fatal(err)
 	}
 	if useDVS {
-		dvs.Scale(sys, sc)
+		dvs.ScaleWith(sys, sc, dvs.Config{})
 	}
 	return sys, sc
 }

@@ -704,20 +704,6 @@ func (s *System) validateApp() error {
 	return nil
 }
 
-// UniformProbabilities returns a copy of the OMSM in which every mode has
-// execution probability 1/|modes|. Task graphs, periods and transitions are
-// shared with the receiver (they are not mutated by synthesis). This is the
-// specification seen by the probability-neglecting baseline.
-func (o *OMSM) UniformProbabilities() *OMSM {
-	modes := make([]*Mode, len(o.Modes))
-	for i, m := range o.Modes {
-		cp := *m
-		cp.Prob = 1 / float64(len(o.Modes))
-		modes[i] = &cp
-	}
-	return &OMSM{Name: o.Name, Modes: modes, Transitions: o.Transitions}
-}
-
 // WithApp returns a shallow copy of the system using the given application.
 func (s *System) WithApp(app *OMSM) *System {
 	return &System{App: app, Arch: s.Arch, Lib: s.Lib}

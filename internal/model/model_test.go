@@ -285,23 +285,13 @@ func TestValidateRejectsBadTransition(t *testing.T) {
 	}
 }
 
-func TestUniformProbabilities(t *testing.T) {
+func TestWithApp(t *testing.T) {
 	sys := minimalSystem(t)
-	uni := sys.App.UniformProbabilities()
-	for _, m := range uni.Modes {
-		if m.Prob != 0.5 {
-			t.Errorf("mode %q prob = %v, want 0.5", m.Name, m.Prob)
-		}
+	app := &OMSM{Name: "other", Modes: sys.App.Modes}
+	sys2 := sys.WithApp(app)
+	if sys2.App != app {
+		t.Error("WithApp must use the given application")
 	}
-	// Original is untouched.
-	if sys.App.Modes[0].Prob != 0.25 {
-		t.Error("UniformProbabilities mutated the original")
-	}
-	// Graphs are shared, not copied.
-	if uni.Modes[0].Graph != sys.App.Modes[0].Graph {
-		t.Error("graphs should be shared")
-	}
-	sys2 := sys.WithApp(uni)
 	if sys2.Arch != sys.Arch || sys2.Lib != sys.Lib {
 		t.Error("WithApp must share arch and lib")
 	}

@@ -425,7 +425,7 @@ func (s *Server) handleBatchResults(w http.ResponseWriter, r *http.Request) {
 				snap := j.snapshot()
 				entry.State, entry.Cached = snap.State, snap.Cached
 				if snap.State.Terminal() {
-					entry.Result = s.resultDocFor(j)
+					entry.Result = s.resultDoc(j)
 				}
 			}
 		}
@@ -435,20 +435,6 @@ func (s *Server) handleBatchResults(w http.ResponseWriter, r *http.Request) {
 		view.Next = strconv.Itoa(next)
 	}
 	writeJSON(w, http.StatusOK, view)
-}
-
-// resultDocFor returns a terminal job's rendered result document, from the
-// in-memory run result or the persisted copy; nil when it has none.
-func (s *Server) resultDocFor(j *Job) json.RawMessage {
-	j.mu.Lock()
-	sys, res := j.sys, j.result
-	j.mu.Unlock()
-	if sys != nil && res != nil {
-		if doc, err := renderResult(j, j.snapshot(), sys, res); err == nil {
-			return doc
-		}
-	}
-	return s.loadResultDoc(j)
 }
 
 // batchesDir is where single-node batches persist; fleet-mode batch

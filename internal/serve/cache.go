@@ -4,13 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime/debug"
 	"time"
 
 	"momosyn/internal/cas"
-	"momosyn/internal/durable"
 	"momosyn/internal/ga"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
@@ -94,81 +91,31 @@ func rewriteCachedResult(raw json.RawMessage, id string) ([]byte, error) {
 // hit could not be materialised; the caller then falls through to a normal
 // run. A draining server refuses with the usual 503.
 func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) (*Job, *admitError) {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return nil, admitErrorf(http.StatusServiceUnavailable, "server is shutting down")
+	}
+	id, err := s.store.newJobID()
+	var doc []byte
+	if err == nil {
+		doc, err = rewriteCachedResult(e.Result, id)
+	}
 	now := time.Now()
-	var j *Job
-	if s.fleetStore != nil {
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			return nil, admitErrorf(http.StatusServiceUnavailable, "server is shutting down")
-		}
-		id, err := s.fleetStore.NewJobID()
-		if err != nil {
-			s.logf("serve: cache hit for %s discarded: job id: %v", system, err)
-			return nil, nil
-		}
-		j = &Job{ID: id, Request: req, system: system}
-		j.state = StateDone
-		j.cached = true
-		j.created, j.finished = now, now
-		j.node = s.cfg.NodeID
-		doc, err := rewriteCachedResult(e.Result, id)
-		if err != nil {
-			s.logf("serve: cache hit for %s discarded: result document: %v", system, err)
-			return nil, nil
-		}
-		spec, err := json.MarshalIndent(&req, "", "  ")
-		if err != nil {
-			return nil, nil
-		}
-		man, err := renderManifest(j, j.snapshot(), s.cfg.NodeID, 0)
-		if err != nil {
-			return nil, nil
-		}
-		if err := s.fleetStore.CreateDoneJob(id, spec, man, doc); err != nil {
-			s.logf("serve: cache hit for %s discarded: publish: %v", system, err)
-			return nil, nil
-		}
-		s.mu.Lock()
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.jobsByState()
-		s.mu.Unlock()
-	} else {
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return nil, admitErrorf(http.StatusServiceUnavailable, "server is shutting down")
-		}
-		id := jobID(s.seq + 1)
-		doc, err := rewriteCachedResult(e.Result, id)
-		if err != nil {
-			s.mu.Unlock()
-			s.logf("serve: cache hit for %s discarded: result document: %v", system, err)
-			return nil, nil
-		}
-		j = &Job{ID: id, Request: req, dir: s.jobDir(id), system: system}
-		j.state = StateDone
-		j.cached = true
-		j.created, j.finished = now, now
-		if err := durable.Mkdir(s.cfg.FS, j.dir); err != nil {
-			s.mu.Unlock()
-			s.logf("serve: cache hit for %s discarded: job dir: %v", system, err)
-			return nil, nil
-		}
-		if err := durable.WriteAtomic(s.cfg.FS, filepath.Join(j.dir, resultFile), doc); err != nil {
-			s.mu.Unlock()
-			os.RemoveAll(j.dir)
-			s.logf("serve: cache hit for %s discarded: persist result: %v", system, err)
-			return nil, nil
-		}
-		s.persist(j)
-		s.seq++
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.jobsByState()
-		s.mu.Unlock()
+	j := &Job{ID: id, Request: req, system: system}
+	j.state = StateDone
+	j.cached = true
+	j.created, j.finished = now, now
+	if err == nil {
+		err = s.store.create(j, doc)
+	}
+	if err == nil {
+		s.addJobLocked(j)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		s.logf("serve: cache hit for %s discarded: %v", system, err)
+		return nil, nil
 	}
 	s.reg.Counter("serve.jobs_submitted").Inc()
 	if s.lifecycleTracing() {

@@ -223,3 +223,100 @@ func TestRecoveryIgnoresLeftoverTemps(t *testing.T) {
 		t.Errorf("batch with leftover temps:\n%+v\nwant\n%+v", gotBatch, wantBatch)
 	}
 }
+
+// durableOps counts the journaled file writes, exclusive creates and
+// directory syncs on paths matching re (nil: every path).
+type durableOps struct{ Writes, Creates, SyncDirs int }
+
+func countDurableOps(cfs *chaosfs.FS, re *regexp.Regexp) durableOps {
+	return durableOps{
+		Writes:   cfs.Ops(chaosfs.OpWrite, re),
+		Creates:  cfs.Ops(chaosfs.OpCreate, re),
+		SyncDirs: cfs.Ops(chaosfs.OpSyncDir, re),
+	}
+}
+
+// TestDurableOpsPerJob pins the durable operations one job costs on
+// Config.FS: a fresh single-node job, a single-node cache hit and a fresh
+// fleet job. Every WriteFile is an fsync, so writes plus directory syncs
+// is the job's fsync count. The result cache's own content-addressed store
+// is opened on the real filesystem, not on Config.FS, so its put on a
+// fresh job and its read on a hit are not in these counts. A change that
+// moves a count must say why in CHANGES.md and re-pin it here.
+//
+// It also pins the single-node write order: the queued manifest (right
+// after the job directory is made), the running manifest, the result and
+// the terminal manifest; and, for a cache hit, the result before the
+// manifest.
+func TestDurableOpsPerJob(t *testing.T) {
+	spec := tinySpec(t)
+
+	t.Run("single-node", func(t *testing.T) {
+		cfs := chaosfs.New(durable.OS{})
+		srv, a := startServer(t, serve.Config{Workers: 1, QueueDepth: 8, CacheDir: t.TempDir(), FS: cfs})
+
+		cfs.Reset()
+		fresh := a.submit(quickJob(spec, 1))
+		a.await(fresh.ID, "done", stateIs(serve.StateDone))
+		if got, want := countDurableOps(cfs, nil), (durableOps{Writes: 6, Creates: 0, SyncDirs: 7}); got != want {
+			t.Errorf("fresh job: durable ops %+v, want %+v", got, want)
+		}
+		dir := `/jobs/` + fresh.ID
+		manifest := chaosfs.Step{Op: chaosfs.OpRename, Path: regexp.MustCompile(dir + `/manifest\.json$`)}
+		result := chaosfs.Step{Op: chaosfs.OpRename, Path: regexp.MustCompile(dir + `/result\.json$`)}
+		if err := cfs.InOrder(
+			chaosfs.Step{Op: chaosfs.OpMkdir, Path: regexp.MustCompile(dir + `$`)},
+			manifest, // queued
+			manifest, // running
+			result,
+			manifest, // done
+		); err != nil {
+			t.Errorf("fresh job write order: %v", err)
+		}
+
+		cfs.Reset()
+		hit := a.submit(quickJob(spec, 1))
+		if !hit.Cached {
+			t.Fatalf("resubmission %s was not a cache hit", hit.ID)
+		}
+		if got, want := countDurableOps(cfs, nil), (durableOps{Writes: 2, Creates: 0, SyncDirs: 3}); got != want {
+			t.Errorf("cache hit: durable ops %+v, want %+v", got, want)
+		}
+		dir = `/jobs/` + hit.ID
+		if err := cfs.InOrder(
+			chaosfs.Step{Op: chaosfs.OpMkdir, Path: regexp.MustCompile(dir + `$`)},
+			chaosfs.Step{Op: chaosfs.OpRename, Path: regexp.MustCompile(dir + `/result\.json$`)},
+			chaosfs.Step{Op: chaosfs.OpRename, Path: regexp.MustCompile(dir + `/manifest\.json$`)},
+		); err != nil {
+			t.Errorf("cache hit write order: %v", err)
+		}
+		drain(t, srv)
+	})
+
+	t.Run("fleet", func(t *testing.T) {
+		// The job is published before the node starts and the heartbeat is
+		// an hour, so the node's first coordination pass claims it and no
+		// lease renewal lands while it runs: the count is the job's own. The
+		// node's liveness record lives under nodes/ and is not counted.
+		cfs := chaosfs.New(durable.OS{})
+		s, err := serve.New(serve.Config{
+			FleetDir: t.TempDir(), NodeID: "nodeA", Workers: 1, QueueDepth: 8,
+			Heartbeat: time.Hour, LeaseTTL: 3 * time.Hour, FS: cfs, Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := newAPI(t, s)
+		cfs.Reset()
+		j := a.submit(quickJob(spec, 1))
+		s.Start(context.Background())
+		a.await(j.ID, "done", stateIs(serve.StateDone))
+		// The lease is released after the done state is revealed; the drain
+		// waits for it.
+		drain(t, s)
+		jobs := regexp.MustCompile(`/jobs(/|$)`)
+		if got, want := countDurableOps(cfs, jobs), (durableOps{Writes: 7, Creates: 2, SyncDirs: 8}); got != want {
+			t.Errorf("fleet job: durable ops %+v, want %+v", got, want)
+		}
+	})
+}

@@ -22,35 +22,157 @@ import (
 // was partitioned can never clobber the state of a job another node
 // reclaimed. See docs/FLEET.md for the protocol and its failure matrix.
 
-// submitFleet publishes a new job into the fleet directory. The caller has
-// already validated the request, resolved the spec inline and checked
-// admission.
-func (s *Server) submitFleet(req JobRequest, system string) (*Job, error) {
-	id, err := s.fleetStore.NewJobID()
+// fleetJobs is the fleet layout behind the jobStore seam: a job lives in
+// the shared fleet directory as an immutable spec.json plus
+// epoch-suffixed manifests, results and checkpoints. The submitter writes
+// epoch 0 before any lease exists; every later write goes through the
+// job's fleet.Lease at the lease's epoch, so a node that lost the lease
+// can never clobber the state of the node that reclaimed it. Admitted jobs
+// wait in the directory until some node's claim loop leases them.
+type fleetJobs struct {
+	s  *Server
+	st *fleet.Store
+}
+
+func (f *fleetJobs) newJobID() (string, error) { return f.st.NewJobID() }
+
+// create publishes the job's spec document and, at epoch 0, its result
+// (when born done) and its manifest.
+func (f *fleetJobs) create(j *Job, result []byte) error {
+	j.node = f.st.Node()
+	spec, err := json.MarshalIndent(&j.Request, "", "  ")
+	if err != nil {
+		return err
+	}
+	man, err := renderManifest(j, j.snapshot(), f.st.Node(), 0)
+	if err != nil {
+		return err
+	}
+	if result == nil {
+		return f.st.CreateJob(j.ID, spec, man)
+	}
+	return f.st.CreateDoneJob(j.ID, spec, man, result)
+}
+
+// writeManifest and writeResult write nothing for a job this node holds no
+// lease on: its state is not ours to write.
+func (f *fleetJobs) writeManifest(j *Job, snap jobSnapshot) error {
+	lease := j.heldLease()
+	if lease == nil {
+		return nil
+	}
+	data, err := renderManifest(j, snap, f.st.Node(), lease.Epoch)
+	if err != nil {
+		return err
+	}
+	return lease.Write(fleet.KindManifest, data)
+}
+
+func (f *fleetJobs) writeResult(j *Job, doc []byte) error {
+	lease := j.heldLease()
+	if lease == nil {
+		return nil
+	}
+	return lease.Write(fleet.KindResult, doc)
+}
+
+// readResult skips corrupt epochs down to the last valid one.
+func (f *fleetJobs) readResult(j *Job) []byte {
+	data, _, err := f.st.Latest(j.ID, fleet.KindResult, func(d []byte) error {
+		if !json.Valid(d) {
+			return errors.New("result document is not valid JSON")
+		}
+		return nil
+	})
+	if err != nil {
+		return nil
+	}
+	return data
+}
+
+// checkpointing wires fenced, fault-injectable checkpointing: resume comes
+// from the newest epoch whose checkpoint still loads (corrupt epochs
+// degrade to the last good one), and every save lands at this lease's
+// epoch behind a fence check.
+func (f *fleetJobs) checkpointing(j *Job, opts *synth.Options) (*runctl.Checkpoint, error) {
+	lease := j.heldLease()
+	opts.CheckpointPath = lease.StatePath(fleet.KindCheckpoint)
+	opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error {
+		return lease.Fenced(func() error { return runctl.SaveFS(f.s.cfg.FS, p, cp) })
+	}
+	var latest *runctl.Checkpoint
+	path, epoch, err := f.st.LatestPath(j.ID, fleet.KindCheckpoint, func(p string) error {
+		cp, lerr := runctl.Load(p)
+		if lerr != nil {
+			return lerr
+		}
+		latest = cp
+		return nil
+	})
+	if errors.Is(err, fleet.ErrNoState) {
+		return nil, nil // fresh run
+	}
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{ID: id, Request: req, system: system}
-	j.state = StateQueued
-	j.created = time.Now()
-	j.node = s.cfg.NodeID
-	spec, err := json.MarshalIndent(&req, "", "  ")
-	if err != nil {
-		return nil, err
+	if epoch != lease.Epoch {
+		// Re-home the inherited checkpoint at our epoch so save and resume
+		// share one path.
+		data, rerr := f.s.cfg.FS.ReadFile(path)
+		if rerr != nil {
+			return nil, rerr
+		}
+		if werr := lease.Write(fleet.KindCheckpoint, data); werr != nil {
+			return nil, werr
+		}
 	}
-	man, err := renderManifest(j, j.snapshot(), s.cfg.NodeID, 0)
-	if err != nil {
-		return nil, err
+	return latest, nil
+}
+
+// tracePath names a per-epoch trace, which keeps concurrent holders (a
+// stale one and its successor) from interleaving into one file.
+func (f *fleetJobs) tracePath(j *Job) string {
+	return f.st.TracePath(j.ID, leaseEpoch(j.heldLease()))
+}
+
+func (f *fleetJobs) removeCheckpoints(j *Job) { f.st.RemoveCheckpoints(j.ID) }
+
+// requestCancel drops the durable cancel marker, which reaches whichever
+// node holds (or will claim) the job, even if that is not this one.
+func (f *fleetJobs) requestCancel(j *Job) (bool, error) {
+	if err := f.st.RequestCancel(j.ID); err != nil {
+		return false, err
 	}
-	if err := s.fleetStore.CreateJob(id, spec, man); err != nil {
-		return nil, err
+	return j.heldLease() != nil, nil
+}
+
+// backlog counts the fleet-wide unstarted jobs this node knows of.
+func (f *fleetJobs) backlog() (int, int) {
+	queued := 0
+	for _, j := range f.s.jobs {
+		if j.snapshot().State == StateQueued {
+			queued++
+		}
 	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.jobsByState()
-	s.mu.Unlock()
-	return j, nil
+	return queued, f.s.cfg.QueueDepth
+}
+
+// dispatch leaves the published job to the claim loops of the fleet.
+func (f *fleetJobs) dispatch(*Job) bool { return true }
+
+// handBack releases the lease, so the fleet can act on the job at once;
+// the claim loops honour a retry delay through the manifest's not_before.
+func (f *fleetJobs) handBack(j *Job, _ time.Duration) {
+	if lease := j.heldLease(); lease != nil {
+		f.s.dropLease(j, lease)
+	}
+}
+
+// heldLease returns this node's lease on the job, or nil.
+func (j *Job) heldLease() *fleet.Lease {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.lease
 }
 
 // fleetLoop is the node's coordination loop: it refreshes the local view
@@ -106,10 +228,7 @@ func (s *Server) syncFleet() error {
 			s.adopt(id)
 			continue
 		}
-		j.mu.Lock()
-		local := j.lease != nil
-		j.mu.Unlock()
-		if !local {
+		if j.heldLease() == nil {
 			if err := s.refreshFleetJob(j, false); err != nil {
 				s.logf("serve: fleet: refresh %s: %v", id, err)
 			}
@@ -156,11 +275,7 @@ func (s *Server) adoptFleetJob(id string) (*Job, error) {
 	if err := json.Unmarshal(spec, &req); err != nil {
 		return nil, fmt.Errorf("spec document: %w", err)
 	}
-	data, _, err := s.fleetStore.Latest(id, fleet.KindManifest, manifestValid(id))
-	if err != nil {
-		return nil, err
-	}
-	m, err := decodeManifest(data, id)
+	m, err := s.latestManifest(id)
 	if err != nil {
 		return nil, err
 	}
@@ -171,15 +286,22 @@ func (s *Server) adoptFleetJob(id string) (*Job, error) {
 	return j, nil
 }
 
+// latestManifest returns the job's newest manifest that decodes, skipping
+// corrupt epochs.
+func (s *Server) latestManifest(id string) (*manifest, error) {
+	var m *manifest
+	_, _, err := s.fleetStore.Latest(id, fleet.KindManifest, func(data []byte) (err error) {
+		m, err = decodeManifest(data, id)
+		return err
+	})
+	return m, err
+}
+
 // refreshFleetJob overwrites the job's mutable view from its latest valid
 // manifest. Unless held is set it refuses to touch a job this node holds a
 // lease on — the local run owns that view.
 func (s *Server) refreshFleetJob(j *Job, held bool) error {
-	data, _, err := s.fleetStore.Latest(j.ID, fleet.KindManifest, manifestValid(j.ID))
-	if err != nil {
-		return err
-	}
-	m, err := decodeManifest(data, j.ID)
+	m, err := s.latestManifest(j.ID)
 	if err != nil {
 		return err
 	}
@@ -261,12 +383,9 @@ func (s *Server) claimRunnable(ctx context.Context) {
 }
 
 // claimJob attempts to lease one job and hand it to the local pool. It
-// returns true when a worker slot was consumed.
+// returns true when a worker slot was consumed. A lease another node holds
+// is the common case of a failed claim and logs nothing.
 func (s *Server) claimJob(j *Job) bool {
-	cs, err := s.fleetStore.ClaimState(j.ID)
-	if err != nil || cs.Held {
-		return false
-	}
 	lease, err := s.fleetStore.Claim(j.ID)
 	if err != nil {
 		if !errors.Is(err, fleet.ErrUnavailable) {
@@ -286,98 +405,53 @@ func (s *Server) claimJob(j *Job) bool {
 		s.dropLease(j, lease)
 		return false
 	}
+	cancelled := s.fleetStore.CancelRequested(j.ID)
+	now := time.Now()
 	j.mu.Lock()
-	terminal := j.state.Terminal()
 	prev := j.state
-	// A stolen running manifest means the previous holder's execution died
-	// with it (crash, hang, partition): that attempt is spent. The counter
-	// rides the manifests, so a poison job burns one budget fleet-wide no
-	// matter which nodes execute it.
-	stolenRunning := !terminal && j.state == StateRunning
-	if stolenRunning {
-		j.attempts++
-	}
-	quarantine := !terminal && j.attempts >= s.cfg.MaxAttempts
-	attempts := j.attempts
-	lastErr := j.err
-	j.mu.Unlock()
-	if terminal {
-		s.dropLease(j, lease)
-		return false
-	}
-	if quarantine {
-		// Budget exhausted: commit the terminal quarantine manifest at our
-		// epoch instead of re-running. No node will claim it again.
-		j.mu.Lock()
-		j.state = StateQuarantined
-		j.err = quarantineCause(attempts, fmt.Errorf("attempt died with its node (last error: %s)", orNone(lastErr)))
-		j.finished = time.Now()
-		j.node = s.cfg.NodeID
-		cause := j.err
-		var dwellNs int64
-		if s.lifecycleTracing() {
-			dwellNs = j.dwellLocked(j.finished)
-		}
+	if prev.Terminal() {
 		j.mu.Unlock()
-		s.emitTerminal(j, prev, StateQuarantined, attempts, dwellNs, lease.Epoch, cause)
-		if data, merr := renderManifest(j, j.snapshot(), s.cfg.NodeID, lease.Epoch); merr == nil {
-			if werr := lease.Write(fleet.KindManifest, data); werr != nil {
-				s.logf("serve: fleet: quarantine %s: %v", j.ID, werr)
-			}
-		}
-		s.reg.Counter("serve.jobs_quarantined").Inc()
-		s.quarWindow.record(time.Now())
-		s.logf("serve: fleet: job %s quarantined after %d attempts", j.ID, attempts)
-		s.fleetStore.RemoveCheckpoints(j.ID)
 		s.dropLease(j, lease)
 		return false
 	}
-	// A cancel marker on a not-yet-running job terminates it on the spot.
-	if s.fleetStore.CancelRequested(j.ID) {
-		j.mu.Lock()
-		j.state = StateCancelled
-		j.err = ""
-		j.finished = time.Now()
-		j.cancelRequested = true
-		j.node = s.cfg.NodeID
-		var dwellNs int64
-		if s.lifecycleTracing() {
-			dwellNs = j.dwellLocked(j.finished)
-		}
-		j.mu.Unlock()
-		s.emitTerminal(j, prev, StateCancelled, attempts, dwellNs, lease.Epoch, "cancelled by client")
-		if data, merr := renderManifest(j, j.snapshot(), s.cfg.NodeID, lease.Epoch); merr == nil {
-			if werr := lease.Write(fleet.KindManifest, data); werr != nil {
-				s.logf("serve: fleet: cancel %s: %v", j.ID, werr)
-			}
-		}
-		s.reg.Counter("serve.jobs_cancelled").Inc()
-		s.dropLease(j, lease)
-		return false
-	}
-	j.mu.Lock()
-	j.state = StateQueued
+	// The attempt budget rides the manifests, so a poison job burns one
+	// budget fleet-wide no matter which nodes execute it.
+	died, quarantined := s.reclaimLocked(j, "its node", now)
 	j.node = s.cfg.NodeID
-	var claimDwell int64
-	if s.lifecycleTracing() {
-		claimDwell = j.dwellLocked(time.Now())
+	if cancelled && !quarantined {
+		j.cancelQueuedLocked()
 	}
+	var dwellNs int64
+	if s.lifecycleTracing() {
+		dwellNs = j.dwellLocked(now)
+	}
+	snap := j.snapshotLocked()
 	j.mu.Unlock()
+	switch {
+	case quarantined:
+		// Commit the quarantine at our epoch instead of re-running; no node
+		// claims the job again.
+		s.commitTerminal(j, snap, prev, dwellNs, snap.Err)
+		return false
+	case cancelled:
+		s.commitTerminal(j, snap, prev, dwellNs, "cancelled by client")
+		return false
+	}
 	if s.lifecycleTracing() {
 		ev := obs.JobClaimed
-		if stolenRunning {
+		if died {
 			ev = obs.JobStolen
 		}
 		s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: ev,
 			From: string(prev), State: string(StateQueued),
-			Attempt: attempts, DwellNs: claimDwell,
+			Attempt: snap.Attempts, DwellNs: dwellNs,
 			Node: s.cfg.NodeID, Epoch: lease.Epoch})
 	}
-	if stolenRunning {
+	if died {
 		// Make the consumed attempt durable (as queued, at our epoch) before
 		// the job runs again, so a chain of node deaths cannot launder the
 		// budget away.
-		s.fleetPersist(j)
+		s.persist(j)
 	}
 	select {
 	case s.queue <- j:
@@ -453,6 +527,29 @@ func (s *Server) updateFleetGauges() {
 
 // ---- fenced execution plumbing ----
 
+// holdLease keeps the job's lease alive through one attempt: a heartbeat
+// renews it, passes on the cancel marker and fences the attempt when a
+// higher epoch appears. The returned stop ends the heartbeat — renewals
+// must stop before the final persists, or a renewal after Release would
+// resurrect the lease and block the fleet from reclaiming — and re-checks
+// the fence: a fenced checkpoint write surfaces as a Partial result, not an
+// error, and a superseded run must never be classified, even locally, as
+// completed. A job without a lease (single-node mode) needs none of this.
+func (s *Server) holdLease(cancel context.CancelCauseFunc, j *Job, lease *fleet.Lease) (stop func()) {
+	if lease == nil {
+		return func() {}
+	}
+	hbStop, hbDone := make(chan struct{}), make(chan struct{})
+	go s.fleetHeartbeat(cancel, j, lease, hbStop, hbDone)
+	return func() {
+		close(hbStop)
+		<-hbDone
+		if err := lease.Verify(); errors.Is(err, fleet.ErrLeaseLost) {
+			s.fence(j, nil, err)
+		}
+	}
+}
+
 // fleetHeartbeat renews the job's lease until stop is closed, watching for
 // fencing (a higher epoch appeared: abandon the run immediately) and for
 // the job's cancel marker. It runs as a goroutine owned by the job's
@@ -495,10 +592,7 @@ func (s *Server) fence(j *Job, cancelJob context.CancelCauseFunc, cause error) {
 	already := j.fenced
 	j.fenced = true
 	state := j.state
-	epoch := 0
-	if j.lease != nil {
-		epoch = j.lease.Epoch
-	}
+	epoch := leaseEpoch(j.lease)
 	var dwellNs int64
 	if !already && s.lifecycleTracing() {
 		dwellNs = j.dwellLocked(time.Now())
@@ -517,74 +611,4 @@ func (s *Server) fence(j *Job, cancelJob context.CancelCauseFunc, cause error) {
 	if cancelJob != nil {
 		cancelJob(cause)
 	}
-}
-
-// fleetPersist writes the job's manifest through the lease fence. On fence
-// rejection the job is marked fenced; other write failures are logged like
-// single-node persist failures.
-func (s *Server) fleetPersist(j *Job) { s.fleetPersistSnap(j, j.snapshot()) }
-
-// fleetPersistSnap is fleetPersist with an explicit snapshot (see
-// persistSnap).
-func (s *Server) fleetPersistSnap(j *Job, snap jobSnapshot) {
-	j.mu.Lock()
-	lease := j.lease
-	j.mu.Unlock()
-	if lease == nil {
-		return
-	}
-	data, err := renderManifest(j, snap, s.cfg.NodeID, lease.Epoch)
-	if err == nil {
-		err = lease.Write(fleet.KindManifest, data)
-	}
-	switch {
-	case err == nil:
-	case errors.Is(err, fleet.ErrLeaseLost):
-		s.fence(j, nil, err)
-	default:
-		s.logf("serve: fleet: job %s: persist manifest: %v", j.ID, err)
-	}
-}
-
-// fleetCheckpointing wires the job's synthesis options for fenced,
-// fault-injectable checkpointing: resume comes from the newest epoch whose
-// checkpoint still loads (corrupt epochs degrade to the last good one),
-// and every save lands at this lease's epoch behind a fence check.
-func (s *Server) fleetCheckpointing(j *Job, lease *fleet.Lease, opts *synth.Options) error {
-	opts.CheckpointPath = lease.StatePath(fleet.KindCheckpoint)
-	opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error {
-		return lease.Fenced(func() error { return runctl.SaveFS(s.cfg.FS, p, cp) })
-	}
-	var latest *runctl.Checkpoint
-	path, epoch, err := s.fleetStore.LatestPath(j.ID, fleet.KindCheckpoint, func(p string) error {
-		cp, lerr := runctl.Load(p)
-		if lerr != nil {
-			return lerr
-		}
-		latest = cp
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, fleet.ErrNoState) {
-			return nil // fresh run
-		}
-		return err
-	}
-	if epoch != lease.Epoch {
-		// Re-home the inherited checkpoint at our epoch so save and resume
-		// share one path.
-		data, rerr := s.cfg.FS.ReadFile(path)
-		if rerr != nil {
-			return rerr
-		}
-		if werr := lease.Write(fleet.KindCheckpoint, data); werr != nil {
-			return werr
-		}
-	}
-	opts.Resume = true
-	j.mu.Lock()
-	j.resumedFrom = latest.Snapshot.Generation
-	j.mu.Unlock()
-	s.reg.Counter("serve.jobs_resumed").Inc()
-	return nil
 }

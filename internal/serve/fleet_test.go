@@ -7,12 +7,15 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"momosyn/internal/durable"
+	"momosyn/internal/durable/chaosfs"
 	"momosyn/internal/fleet"
 	"momosyn/internal/obs"
 	"momosyn/internal/serve"
@@ -219,6 +222,46 @@ func TestFleetSyncSkipsHalfCreatedJobs(t *testing.T) {
 	}
 	if lines := log.matching("adopt j000002"); len(lines) > 0 {
 		t.Errorf("job without its first manifest logged: %q", lines)
+	}
+}
+
+// TestFleetClaimOfHeldJobLogsNothing: a job whose lease another node holds
+// is passed over by every claim pass without a log line, and stays queued.
+func TestFleetClaimOfHeldJobLogsNothing(t *testing.T) {
+	dir := t.TempDir()
+	holder := bareStore(t, dir, "holder", time.Hour, nil)
+	id, err := holder.NewJobID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := quickJob(tinySpec(t), 1)
+	specDoc, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := fmt.Sprintf(`{"id":%q,"state":"queued","created":%q}`, id, time.Now().Format(time.RFC3339Nano))
+	if err := holder.CreateJob(id, specDoc, []byte(man)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.Claim(id); err != nil {
+		t.Fatal(err)
+	}
+
+	cfs := chaosfs.New(durable.OS{})
+	var log syncLog
+	_, a := fleetServer(t, dir, "nodeA", serve.Config{Logf: log.logf, FS: cfs})
+	// Each coordination pass writes the node's liveness record before it
+	// claims, so by the third record two claim passes have come and gone.
+	beat := regexp.MustCompile(`/nodes/nodeA\.json$`)
+	eventually(t, "three coordination passes", func() bool { return cfs.Ops(chaosfs.OpRename, beat) >= 3 })
+	if v := a.status(id); v.State != serve.StateQueued {
+		t.Fatalf("held job is %s, want queued", v.State)
+	}
+	if lines := log.matching(id); len(lines) > 0 {
+		t.Errorf("claim passes over a held job logged: %q", lines)
+	}
+	if got := metricValue(t, a, "fleet.claims"); got != 0 {
+		t.Errorf("fleet.claims = %v, want 0", got)
 	}
 }
 

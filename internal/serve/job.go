@@ -103,12 +103,11 @@ type Progress struct {
 }
 
 // Job is one synthesis job owned by the server. The mutex guards every
-// mutable field; the identity fields (ID, Request, dir) are immutable
+// mutable field; the identity fields (ID, Request, system) are immutable
 // after construction.
 type Job struct {
 	ID      string
 	Request JobRequest
-	dir     string
 	// system is the specification's system name, resolved at submission
 	// (or recovery) time for display.
 	system string
@@ -274,10 +273,7 @@ func (j *Job) requestCancel(cause error) (State, bool) {
 	defer j.mu.Unlock()
 	switch j.state {
 	case StateQueued:
-		j.cancelRequested = true
-		j.state = StateCancelled
-		j.err = ""
-		j.finished = time.Now()
+		j.cancelQueuedLocked()
 		return j.state, true
 	case StateRunning:
 		j.cancelRequested = true
@@ -290,6 +286,15 @@ func (j *Job) requestCancel(cause error) (State, bool) {
 	default:
 		return j.state, false
 	}
+}
+
+// cancelQueuedLocked makes a job that has not started its attempt
+// cancelled. j.mu must be held.
+func (j *Job) cancelQueuedLocked() {
+	j.cancelRequested = true
+	j.state = StateCancelled
+	j.err = ""
+	j.finished = time.Now()
 }
 
 // jobIDPattern validates client-supplied job identifiers before they touch

@@ -210,7 +210,6 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // job IDs in creation order (listing order)
-	seq      int
 	draining bool
 	started  bool
 
@@ -229,7 +228,11 @@ type Server struct {
 	shedWindow eventWindow
 	quarWindow eventWindow
 
-	// Fleet mode state; nil in single-node mode.
+	// store is where job state goes: the single-node job directory or the
+	// fleet directory.
+	store jobStore
+	// fleetStore is the fleet directory behind store in fleet mode, for the
+	// coordination loop; nil in single-node mode.
 	fleetStore *fleet.Store
 
 	// cache is the content-addressed result store; nil when disabled.
@@ -303,6 +306,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		s.fleetStore = store
+		s.store = &fleetJobs{s: s, st: store}
 		s.fleetRecovering = s.reg.Gauge("fleet.jobs_recoverable")
 		s.fleetLiveNodes = s.reg.Gauge("fleet.live_nodes")
 		s.fleetDegraded = s.reg.Gauge("fleet.degraded")
@@ -316,11 +320,12 @@ func New(cfg Config) (*Server, error) {
 		return s, nil
 	}
 
-	requeue, maxSeq, err := s.recoverJobs()
+	d := &dirStore{s: s, root: filepath.Join(cfg.DataDir, "jobs")}
+	s.store = d
+	requeue, err := s.recoverJobs(d)
 	if err != nil {
 		return nil, err
 	}
-	s.seq = maxSeq
 	s.recoverBatches()
 	// The queue must hold every recovered job plus the configured depth's
 	// worth of new ones; recovery must never hit its own backpressure.
@@ -455,16 +460,10 @@ func (s *Server) worker(ctx context.Context) {
 // checkpoint resume decision, the synthesis itself behind a recover
 // barrier, outcome classification and persistence.
 func (s *Server) runJob(ctx context.Context, j *Job) {
-	// A job cancelled while queued is already terminal: skip it (in fleet
-	// mode its terminal manifest is committed and the lease let go).
+	// A job cancelled while it waited here was committed by its canceller.
 	j.mu.Lock()
 	if j.state != StateQueued {
-		lease := j.lease
 		j.mu.Unlock()
-		if lease != nil {
-			s.persist(j)
-			s.dropLease(j, lease)
-		}
 		return
 	}
 	jobCtx, cancel := context.WithCancelCause(ctx)
@@ -475,6 +474,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	j.notBefore = time.Time{}
 	j.cancel = cancel
 	lease := j.lease
+	epoch := leaseEpoch(lease)
 	created := j.created
 	attempt := j.attempts + 1
 	var queuedNs int64
@@ -483,13 +483,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}
 	j.mu.Unlock()
 	if s.lifecycleTracing() {
-		e := obs.JobEvent{Job: j.ID, Event: obs.JobAttempt,
+		s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobAttempt,
 			From: string(StateQueued), State: string(StateRunning),
-			Attempt: attempt, DwellNs: queuedNs, Node: s.cfg.NodeID}
-		if lease != nil {
-			e.Epoch = lease.Epoch
-		}
-		s.emitJobSpan(e)
+			Attempt: attempt, DwellNs: queuedNs, Node: s.cfg.NodeID, Epoch: epoch})
 	}
 	s.reg.Counter("serve.attempts_total").Inc()
 	// The execution context: the job context (worker pool + client cancel +
@@ -511,12 +507,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		runCtx, cancelDeadline = context.WithDeadlineCause(jobCtx, deadline, errJobDeadline)
 		defer cancelDeadline()
 	}
-	var hbStop chan struct{}
-	var hbDone chan struct{}
-	if lease != nil {
-		hbStop, hbDone = make(chan struct{}), make(chan struct{})
-		go s.fleetHeartbeat(cancel, j, lease, hbStop, hbDone)
-	}
+	stopLease := s.holdLease(cancel, j, lease)
 	s.persist(j)
 	s.running.Add(1)
 	s.busy.Add(1)
@@ -537,16 +528,10 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}()
 
 	// Per-job instrumentation: a private registry for the progress gauges
-	// and, when configured, a JSONL trace in the job directory.
+	// and, when configured, a JSONL trace beside the job's state.
 	var sink obs.Sink
 	if s.cfg.TraceJobs {
-		tracePath := filepath.Join(j.dir, traceFile)
-		if lease != nil {
-			// Per-epoch trace names keep concurrent holders (a stale one and
-			// its successor) from interleaving into one file.
-			tracePath = s.fleetStore.TracePath(j.ID, lease.Epoch)
-		}
-		f, err := os.Create(tracePath)
+		f, err := os.Create(s.store.tracePath(j))
 		if err != nil {
 			s.logf("serve: job %s: trace: %v", j.ID, err)
 		} else {
@@ -566,20 +551,8 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	} else if cerr := run.Close(); cerr != nil {
 		s.logf("serve: job %s: trace close: %v", j.ID, cerr)
 	}
-	if lease != nil {
-		// Stop renewals before the final persists: a renewal after Release
-		// would resurrect the lease and block the fleet from reclaiming.
-		close(hbStop)
-		<-hbDone
-		// A fenced checkpoint write surfaces as a Partial result, not an
-		// error; re-check the fence here so a superseded run can never be
-		// classified (even locally) as completed.
-		if verr := lease.Verify(); errors.Is(verr, fleet.ErrLeaseLost) {
-			s.fence(j, nil, verr)
-		}
-	}
-
-	if lease != nil && errors.Is(err, fleet.ErrLeaseLost) {
+	stopLease()
+	if errors.Is(err, fleet.ErrLeaseLost) {
 		// A fence surfaced through the synthesis error instead of the
 		// heartbeat: record it the same way (fence is idempotent).
 		s.fence(j, nil, err)
@@ -589,12 +562,10 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	j.mu.Lock()
 	j.cancel = nil
 	cancelled := j.cancelRequested
-	fenced := j.fenced || errors.Is(err, fleet.ErrLeaseLost)
-	if fenced {
+	if j.fenced {
 		// Another node holds a higher lease epoch: it owns the job now and
 		// this run's outcome is void. Persist NOTHING — the view refreshes
 		// from the new holder's manifests at the next fleet sync.
-		j.fenced = true
 		j.state = StateQueued
 		j.started = time.Time{}
 		j.err = ""
@@ -629,15 +600,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		j.finished = now
 	case err != nil && !cancelled:
 		// One failed execution. Within budget the job goes back to queued
-		// behind an exponential backoff; past it, quarantine — terminal,
-		// never re-enqueued here, by a restarted server, or by a stealing
-		// fleet node.
+		// behind an exponential backoff; past it, quarantine.
 		j.attempts++
-		if j.attempts >= s.cfg.MaxAttempts {
-			j.state = StateQuarantined
-			j.err = quarantineCause(j.attempts, err)
-			j.finished = now
-		} else {
+		if !s.spendLocked(j, err, now) {
 			retryIn = retryDelay(s.cfg.RetryBackoff, j.attempts)
 			j.state = StateQueued
 			j.started = time.Time{}
@@ -657,112 +622,62 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		j.sys = sys
 		j.result = res
 	}
-	state := j.state
-	attempts := j.attempts
-	jobErr := j.err
 	var dwellNs int64
 	if s.lifecycleTracing() {
 		dwellNs = j.dwellLocked(now)
 	}
 	snap := j.snapshotLocked()
-	if state.Terminal() {
+	if snap.State.Terminal() {
 		// Hide the terminal state until its artifacts are durable: a
 		// client that observes "done" must find the result document, the
 		// cache entry and the manifest already on disk (and the checkpoint
 		// gone), whether it resubmits, restarts the server or scrapes
-		// /metrics in the very next request. The snapshot above carries
-		// the real final state for the persists below.
+		// /metrics in the very next request. The snapshot carries the real
+		// final state for the commit below.
 		j.state = StateRunning
 	} else if retryIn > 0 {
 		s.reg.Counter("serve.jobs_retried").Inc()
 	}
 	j.mu.Unlock()
 
-	if state.Terminal() {
+	if snap.State.Terminal() {
 		if res != nil {
-			// Result before manifest: recovery (and fleet adoption) trusts
-			// a terminal manifest to have its result document beside it.
 			if doc, rerr := renderResult(j, snap, sys, res); rerr == nil {
-				s.persistResult(j, doc)
-				if state == StateDone {
+				// The result document outlives the process, so terminal
+				// jobs keep serving it after a restart and on every node.
+				s.checkPersist(j, "result", s.store.writeResult(j, doc))
+				if snap.State == StateDone {
 					s.cachePublish(j, sys, res, doc)
 				}
 			} else {
 				s.logf("serve: job %s: render result: %v", j.ID, rerr)
 			}
 		}
-		s.persistSnap(j, snap)
-		// A finished job no longer needs its checkpoint (quarantined
-		// included: it will never run again).
-		if lease != nil {
-			s.fleetStore.RemoveCheckpoints(j.ID)
-		} else {
-			// Best effort: a terminal job never loads its checkpoint again.
-			_ = s.cfg.FS.Remove(filepath.Join(j.dir, checkpointFile))
-		}
-		// Reveal: terminal counters move under the same lock so state and
-		// /metrics can never disagree.
-		j.mu.Lock()
-		j.state = state
-		switch state {
-		case StateDone:
-			s.reg.Counter("serve.jobs_done").Inc()
-		case StateFailed:
-			s.reg.Counter("serve.jobs_failed").Inc()
-		case StateCancelled:
-			s.reg.Counter("serve.jobs_cancelled").Inc()
-		case StateQuarantined:
-			s.reg.Counter("serve.jobs_quarantined").Inc()
-		default:
-			// Non-terminal states never reach this branch.
-		}
-		j.mu.Unlock()
-	} else {
-		s.persistSnap(j, snap)
+		s.commitTerminal(j, snap, StateRunning, dwellNs, snap.Err)
+		return
 	}
+	s.persistSnap(j, snap)
 	if s.lifecycleTracing() {
-		epoch := 0
-		if lease != nil {
-			epoch = lease.Epoch
-		}
-		switch {
-		case state.Terminal():
-			s.emitTerminal(j, StateRunning, state, attempts, dwellNs, epoch, jobErr)
-		case retryIn > 0:
+		if retryIn > 0 {
 			s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobRetry,
 				From: string(StateRunning), State: string(StateQueued),
-				Attempt: attempts, DwellNs: dwellNs, Node: s.cfg.NodeID, Epoch: epoch,
+				Attempt: snap.Attempts, DwellNs: dwellNs, Node: s.cfg.NodeID, Epoch: epoch,
 				Detail: fmt.Sprintf("retrying in %v: %v", retryIn, err)})
-		default:
+		} else {
 			// Drained back to queued for the next server (or worker).
 			s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobQueued,
 				From: string(StateRunning), State: string(StateQueued),
 				DwellNs: dwellNs, Node: s.cfg.NodeID, Epoch: epoch, Detail: "drained"})
 		}
 	}
-
-	switch state {
-	case StateFailed:
-		s.logf("serve: job %s failed: %s", j.ID, jobErr)
-	case StateQuarantined:
-		s.quarWindow.record(time.Now())
-		s.logf("serve: job %s quarantined after %d failed attempts: %v", j.ID, attempts, err)
-	case StateQueued, StateRunning:
-		// Drained or retrying: no terminal counter moved.
-		if retryIn > 0 {
-			s.logf("serve: job %s: attempt %d/%d failed (%v); retrying in %v", j.ID, attempts, s.cfg.MaxAttempts, err, retryIn)
-		}
-	default:
-		// Done and cancelled outcomes need no log line.
+	if retryIn > 0 {
+		s.logf("serve: job %s: attempt %d/%d failed (%v); retrying in %v", j.ID, snap.Attempts, s.cfg.MaxAttempts, err, retryIn)
 	}
-	if lease != nil {
-		// Terminal, drained or awaiting retry, the state is committed: let
-		// the lease go so the fleet can act on the job immediately (the
-		// claim loops honour the retry delay in the manifest).
-		s.dropLease(j, lease)
-	} else if retryIn > 0 {
-		s.requeueAfter(j, retryIn)
-	}
+	// Drained or awaiting retry, the state is committed: the fleet lets the
+	// lease go so any node can act on the job (the claim loops honour the
+	// retry delay in the manifest); a single node re-enqueues after the
+	// backoff.
+	s.store.handBack(j, retryIn)
 }
 
 // requeueAfter re-enqueues a failed-but-retryable job once its backoff
@@ -822,41 +737,27 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 	opts.Context = ctx
 	opts.CheckpointEvery = s.cfg.CheckpointEvery
 	opts.Obs = run
-	j.mu.Lock()
-	lease := j.lease
-	j.mu.Unlock()
-	if lease != nil {
-		if ferr := s.fleetCheckpointing(j, lease, &opts); ferr != nil {
-			if errors.Is(ferr, fleet.ErrLeaseLost) {
-				return nil, nil, ferr
-			}
-			s.logf("serve: job %s: checkpoint recovery degraded to fresh start: %v", j.ID, ferr)
-			opts.Resume = false
-		}
-	} else {
-		ckpt := filepath.Join(j.dir, checkpointFile)
-		opts.CheckpointPath = ckpt
-		opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error { return runctl.SaveFS(s.cfg.FS, p, cp) }
-		if cp, lerr := runctl.Load(ckpt); lerr == nil {
-			opts.Resume = true
-			j.mu.Lock()
-			j.resumedFrom = cp.Snapshot.Generation
-			j.mu.Unlock()
-			s.reg.Counter("serve.jobs_resumed").Inc()
-		} else if !errors.Is(lerr, os.ErrNotExist) {
-			s.logf("serve: job %s: unusable checkpoint, starting fresh: %v", j.ID, lerr)
-			_ = s.cfg.FS.Remove(ckpt) // best effort: the first save replaces it
-		}
+	cp, err := s.store.checkpointing(j, &opts)
+	switch {
+	case errors.Is(err, fleet.ErrLeaseLost):
+		return nil, nil, err
+	case err != nil:
+		s.logf("serve: job %s: unusable checkpoint, starting fresh: %v", j.ID, err)
+	case cp != nil:
+		opts.Resume = true
+		j.mu.Lock()
+		j.resumedFrom = cp.Snapshot.Generation
+		j.mu.Unlock()
+		s.reg.Counter("serve.jobs_resumed").Inc()
 	}
 	if s.lifecycleTracing() && opts.CheckpointPath != "" {
 		// Wrap the save hook so every checkpoint write becomes a span
 		// event carrying the save duration (dwell_ns); checkpoint events
 		// do not advance the job's transition clock.
 		inner := opts.CheckpointSave
-		epoch := 0
-		if lease != nil {
-			epoch = lease.Epoch
-		}
+		j.mu.Lock()
+		epoch := leaseEpoch(j.lease)
+		j.mu.Unlock()
 		opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error {
 			begin := time.Now()
 			serr := inner(p, cp)
@@ -1162,89 +1063,60 @@ func (s *Server) validateJob(req *JobRequest) *admitError {
 	return nil
 }
 
-// admitJob queues one validated job, enforcing draining, backlog bounds and
-// deadline shedding. It owns both the fleet and the single-node admission
-// paths and emits the submitted counter and lifecycle span on success.
+// admitJob admits one validated job: it refuses while draining, bounds
+// the backlog of jobs waiting to start, sheds deadlines that cannot be
+// met, creates the job with its queued manifest and hands it to execution,
+// and emits the submitted counter and lifecycle span. The queued manifest
+// is durable before a worker can see the job: once dispatched a worker may
+// take it to running (or even terminal), and a stale queued write landing
+// afterwards would clobber the newer state.
 func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return nil, admitErrorf(http.StatusServiceUnavailable, "server is shutting down")
 	}
-	if s.fleetStore != nil {
-		// Fleet admission: bound the fleet-wide backlog of unstarted jobs
-		// the same way the single-node queue is bounded.
-		queued := 0
-		for _, j := range s.jobs {
-			if j.snapshot().State == StateQueued {
-				queued++
-			}
-		}
-		s.mu.Unlock()
-		if queued >= s.cfg.QueueDepth {
-			s.reg.Counter("serve.jobs_rejected").Inc()
-			e := admitErrorf(http.StatusTooManyRequests, "queue full (%d jobs waiting); retry later", queued)
-			e.retryAfter = "1"
-			return nil, e
-		}
-		if e := s.shedCheck(&req, queued); e != nil {
-			return nil, e
-		}
-		j, err := s.submitFleet(req, system)
-		if err != nil {
-			return nil, admitErrorf(http.StatusInternalServerError, "publish job: %v", err)
-		}
-		s.reg.Counter("serve.jobs_submitted").Inc()
-		if s.lifecycleTracing() {
-			s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobSubmitted,
-				State: string(StateQueued), Node: s.cfg.NodeID})
-		}
-		return j, nil
+	queued, limit := s.store.backlog()
+	if queued >= limit {
+		return nil, s.queueFull(queued)
 	}
-	if e := s.shedCheck(&req, len(s.queue)); e != nil {
-		s.mu.Unlock()
+	if e := s.shedCheck(&req, queued); e != nil {
 		return nil, e
 	}
-	id := jobID(s.seq + 1)
-	j := &Job{ID: id, Request: req, dir: s.jobDir(id), system: system}
+	id, err := s.store.newJobID()
+	if err != nil {
+		return nil, admitErrorf(http.StatusInternalServerError, "job id: %v", err)
+	}
+	j := &Job{ID: id, Request: req, system: system}
 	j.state = StateQueued
 	j.created = time.Now()
-	if err := durable.Mkdir(s.cfg.FS, j.dir); err != nil {
-		s.mu.Unlock()
-		return nil, admitErrorf(http.StatusInternalServerError, "job dir: %v", err)
+	if err := s.store.create(j, nil); err != nil {
+		return nil, admitErrorf(http.StatusInternalServerError, "create job %s: %v", id, err)
 	}
-	// Persist the queued manifest before the job becomes visible to a
-	// worker: once it is on the queue a worker may transition it to running
-	// (or even terminal) and persist that, and a stale queued write landing
-	// afterwards would clobber the newer state.
-	s.persist(j)
 	// A worker locks j.mu before its attempt span, so holding j.mu until
 	// the submitted span is out keeps the job's span stream in order.
 	j.mu.Lock()
-	select {
-	case s.queue <- j:
-	default:
+	if !s.store.dispatch(j) {
 		j.mu.Unlock()
-		s.mu.Unlock()
-		os.RemoveAll(j.dir)
-		s.reg.Counter("serve.jobs_rejected").Inc()
-		e := admitErrorf(http.StatusTooManyRequests, "queue full (%d jobs waiting); retry later", cap(s.queue))
-		e.retryAfter = "1"
-		return nil, e
+		return nil, s.queueFull(limit)
 	}
 	if s.lifecycleTracing() {
 		s.emitJobSpan(obs.JobEvent{Job: id, Event: obs.JobSubmitted,
-			State: string(StateQueued)})
+			State: string(StateQueued), Node: s.cfg.NodeID})
 	}
 	j.mu.Unlock()
-	s.seq++
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.qDepth.Set(float64(len(s.queue)))
-	s.jobsByState()
-	s.mu.Unlock()
+	s.addJobLocked(j)
 	s.reg.Counter("serve.jobs_submitted").Inc()
 	return j, nil
+}
+
+// queueFull refuses a submission for lack of room among the jobs waiting
+// to start.
+func (s *Server) queueFull(waiting int) *admitError {
+	s.reg.Counter("serve.jobs_rejected").Inc()
+	e := admitErrorf(http.StatusTooManyRequests, "queue full (%d jobs waiting); retry later", waiting)
+	e.retryAfter = "1"
+	return e
 }
 
 // respondSubmit writes the 202 accepted view for a freshly admitted (or
@@ -1393,48 +1265,32 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	state := j.state
-	sys, res := j.sys, j.result
-	j.mu.Unlock()
+	state := j.snapshot().State
 	if !state.Terminal() {
 		writeError(w, http.StatusConflict, "job %s is %s; no result yet", j.ID, state)
 		return
 	}
-	if sys != nil && res != nil {
-		doc, err := renderResult(j, j.snapshot(), sys, res)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "render result: %v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(doc)
+	doc := s.resultDoc(j)
+	if doc == nil {
+		writeError(w, http.StatusConflict, "job %s is %s and produced no result", j.ID, state)
 		return
 	}
-	if doc := s.loadResultDoc(j); doc != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(doc)
-		return
-	}
-	writeError(w, http.StatusConflict, "job %s is %s and produced no result", j.ID, state)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(doc)
 }
 
-// loadResultDoc returns the job's persisted result document, or nil. In
-// fleet mode corrupt epochs are skipped down to the last valid one.
-func (s *Server) loadResultDoc(j *Job) []byte {
-	if s.fleetStore != nil {
-		data, _, err := s.fleetStore.Latest(j.ID, fleet.KindResult, func(d []byte) error {
-			if !json.Valid(d) {
-				return errors.New("result document is not valid JSON")
-			}
-			return nil
-		})
-		if err != nil {
-			return nil
+// resultDoc returns a terminal job's result document: rendered from the
+// run held in memory, else the persisted copy; nil when it has none.
+func (s *Server) resultDoc(j *Job) []byte {
+	j.mu.Lock()
+	sys, res := j.sys, j.result
+	j.mu.Unlock()
+	if sys != nil && res != nil {
+		if doc, err := renderResult(j, j.snapshot(), sys, res); err == nil {
+			return doc
 		}
-		return data
 	}
-	return j.loadResult()
+	return s.store.readResult(j)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -1442,47 +1298,21 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if s.fleetStore != nil {
-		j.mu.Lock()
-		state := j.state
-		local := j.lease != nil
-		j.mu.Unlock()
-		if state.Terminal() {
-			writeError(w, http.StatusConflict, "job %s is already %s", j.ID, state)
-			return
-		}
-		// The durable marker reaches whichever node holds (or will claim)
-		// the job, even if that is not us.
-		if err := s.fleetStore.RequestCancel(j.ID); err != nil {
-			writeError(w, http.StatusInternalServerError, "cancel %s: %v", j.ID, err)
-			return
-		}
-		if local {
-			// Held here: stop it now rather than at the next heartbeat. The
-			// worker commits the terminal manifest and releases the lease.
-			j.requestCancel(errors.New("cancelled by client"))
-		}
-		writeJSON(w, http.StatusAccepted, j.status(j.system))
-		return
-	}
-	state, changed := j.requestCancel(errors.New("cancelled by client"))
-	if !changed {
+	if state := j.snapshot().State; state.Terminal() {
 		writeError(w, http.StatusConflict, "job %s is already %s", j.ID, state)
 		return
 	}
-	if state == StateCancelled {
-		// Was still queued: terminal on the spot.
-		s.persist(j)
-		s.reg.Counter("serve.jobs_cancelled").Inc()
-		if s.lifecycleTracing() {
-			j.mu.Lock()
-			dwellNs := j.dwellLocked(time.Now())
-			j.mu.Unlock()
-			s.emitTerminal(j, StateQueued, StateCancelled, 0, dwellNs, 0, "cancelled by client")
+	held, err := s.store.requestCancel(j)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "cancel %s: %v", j.ID, err)
+		return
+	}
+	if held {
+		// A queued job turns terminal on the spot; a running one stops at
+		// its next generation boundary and its worker commits it.
+		if state, changed := j.requestCancel(errors.New("cancelled by client")); changed && state == StateCancelled {
+			s.commitCancel(j)
 		}
-		s.mu.Lock()
-		s.jobsByState()
-		s.mu.Unlock()
 	}
 	writeJSON(w, http.StatusAccepted, j.status(j.system))
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,7 +11,8 @@ import (
 	"time"
 
 	"momosyn/internal/durable"
-	"momosyn/internal/fleet"
+	"momosyn/internal/runctl"
+	"momosyn/internal/synth"
 )
 
 // manifest is the on-disk record of one job, written atomically on every
@@ -91,14 +93,6 @@ func decodeManifest(data []byte, id string) (*manifest, error) {
 	return &m, nil
 }
 
-// manifestValid is decodeManifest as a fleet-store validator.
-func manifestValid(id string) func([]byte) error {
-	return func(data []byte) error {
-		_, err := decodeManifest(data, id)
-		return err
-	}
-}
-
 const (
 	manifestFile   = "manifest.json"
 	checkpointFile = "job.ckpt"
@@ -106,77 +100,163 @@ const (
 	traceFile      = "trace.jsonl"
 )
 
-// jobDir returns the directory owning the job's artefacts.
-func (s *Server) jobDir(id string) string {
-	return filepath.Join(s.cfg.DataDir, "jobs", id)
+// jobStore is the one seam between the shared job lifecycle and the two
+// on-disk layouts. The lifecycle code decides what a job's state is and
+// what to write when; a store decides only where the bytes go, who may
+// write them, and how a job is handed to execution. dirStore is the
+// single-node job directory; fleetJobs is the lease-fenced fleet
+// directory (see fleet.go).
+type jobStore interface {
+	// newJobID allocates the next job ID. s.mu is held.
+	newJobID() (string, error)
+	// create makes a new job and its first manifest durable. A job born
+	// terminal (a cache hit) carries its result document, which lands
+	// before the manifest. s.mu is held.
+	create(j *Job, result []byte) error
+	// writeManifest persists the manifest rendered from snap.
+	writeManifest(j *Job, snap jobSnapshot) error
+	// writeResult persists the job's rendered result document.
+	writeResult(j *Job, doc []byte) error
+	// readResult returns the job's persisted result document, or nil.
+	readResult(j *Job) []byte
+	// checkpointing points opts at the job's checkpoint and returns the
+	// checkpoint the attempt resumes from; nil means a fresh start.
+	checkpointing(j *Job, opts *synth.Options) (*runctl.Checkpoint, error)
+	// tracePath names the file of the attempt's JSONL run trace.
+	tracePath(j *Job) string
+	// removeCheckpoints deletes the checkpoint of a job that will never
+	// run again (best effort).
+	removeCheckpoints(j *Job)
+	// requestCancel records a client's cancel where the job's owner will
+	// see it, and reports whether this server holds the job and so must
+	// cancel it itself.
+	requestCancel(j *Job) (held bool, err error)
+	// backlog reports the admitted jobs that wait to start and the bound
+	// admission holds them to. s.mu is held.
+	backlog() (queued, limit int)
+	// dispatch hands a freshly created queued job to execution; false
+	// means there is no room and the creation is undone. s.mu and j.mu
+	// are held.
+	dispatch(j *Job) bool
+	// handBack returns a job after an attempt or a commit; retryIn > 0
+	// runs it again once that backoff has passed.
+	handBack(j *Job, retryIn time.Duration)
 }
 
-// persist writes the job's manifest. Persistence failures are logged, not
-// fatal: the in-memory job table keeps serving, the job merely loses
-// restart durability. In fleet mode the write goes through the lease
-// fence instead.
-func (s *Server) persist(j *Job) { s.persistSnap(j, j.snapshot()) }
-
-// persistSnap is persist with an explicit snapshot, for the worker's
-// terminal path where the manifest must carry the job's final state while
-// the in-memory job still hides it.
-func (s *Server) persistSnap(j *Job, snap jobSnapshot) {
-	if s.fleetStore != nil {
-		s.fleetPersistSnap(j, snap)
-		return
-	}
-	data, err := renderManifest(j, snap, "", 0)
-	if err == nil {
-		err = durable.WriteAtomic(s.cfg.FS, filepath.Join(j.dir, manifestFile), data)
-	}
-	if err != nil {
-		s.logf("serve: job %s: persist manifest: %v", j.ID, err)
-	}
+// dirStore is the single-node layout: DataDir/jobs/<id>/ holds
+// manifest.json, result.json and job.ckpt (and trace.jsonl with
+// Config.TraceJobs), and admitted jobs go straight onto the server's own
+// queue.
+type dirStore struct {
+	s    *Server
+	root string // DataDir/jobs
+	// seq is the highest job sequence number in use, guarded by s.mu. An
+	// ID counts as used once its job is created; a creation undone at
+	// dispatch gives it back.
+	seq int
 }
 
-// persistResult stores the rendered result document next to the manifest
-// so terminal jobs keep serving their result across restarts. Fleet mode
-// writes it through the lease fence at the lease's epoch.
-func (s *Server) persistResult(j *Job, doc []byte) {
+func (d *dirStore) dir(id string) string { return filepath.Join(d.root, id) }
+
+func (d *dirStore) newJobID() (string, error) { return jobID(d.seq + 1), nil }
+
+func (d *dirStore) create(j *Job, result []byte) error {
+	dir := d.dir(j.ID)
+	if err := durable.Mkdir(d.s.cfg.FS, dir); err != nil {
+		return fmt.Errorf("job dir: %w", err)
+	}
 	var err error
-	if s.fleetStore != nil {
-		j.mu.Lock()
-		lease := j.lease
-		j.mu.Unlock()
-		if lease == nil {
-			return
-		}
-		err = lease.Write(fleet.KindResult, doc)
-	} else {
-		err = durable.WriteAtomic(s.cfg.FS, filepath.Join(j.dir, resultFile), doc)
+	if result != nil {
+		err = d.writeResult(j, result)
+	}
+	if err == nil {
+		err = d.writeManifest(j, j.snapshot())
 	}
 	if err != nil {
-		s.logf("serve: job %s: persist result: %v", j.ID, err)
+		os.RemoveAll(dir)
+		return err
 	}
+	d.seq++
+	return nil
 }
 
-// loadResult returns the persisted result document, or nil.
-func (j *Job) loadResult() []byte {
-	data, err := os.ReadFile(filepath.Join(j.dir, resultFile))
+func (d *dirStore) writeManifest(j *Job, snap jobSnapshot) error {
+	data, err := renderManifest(j, snap, "", 0)
+	if err != nil {
+		return err
+	}
+	return durable.WriteAtomic(d.s.cfg.FS, filepath.Join(d.dir(j.ID), manifestFile), data)
+}
+
+func (d *dirStore) writeResult(j *Job, doc []byte) error {
+	return durable.WriteAtomic(d.s.cfg.FS, filepath.Join(d.dir(j.ID), resultFile), doc)
+}
+
+func (d *dirStore) readResult(j *Job) []byte {
+	data, err := os.ReadFile(filepath.Join(d.dir(j.ID), resultFile))
 	if err != nil {
 		return nil
 	}
 	return data
 }
 
-// recover scans the data directory and rebuilds the job table: terminal
-// jobs come back for listing and result serving; queued and running jobs
-// are re-queued (running ones were interrupted — they resume from their
-// checkpoint when one exists). It returns the jobs to enqueue, in ID
-// order, and the highest sequence number seen.
-func (s *Server) recoverJobs() (requeue []*Job, maxSeq int, err error) {
-	root := filepath.Join(s.cfg.DataDir, "jobs")
-	if err := durable.Mkdir(s.cfg.FS, root); err != nil {
-		return nil, 0, fmt.Errorf("serve: data dir: %w", err)
+func (d *dirStore) checkpointing(j *Job, opts *synth.Options) (*runctl.Checkpoint, error) {
+	ckpt := filepath.Join(d.dir(j.ID), checkpointFile)
+	opts.CheckpointPath = ckpt
+	opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error { return runctl.SaveFS(d.s.cfg.FS, p, cp) }
+	cp, err := runctl.Load(ckpt)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
 	}
-	entries, err := os.ReadDir(root)
 	if err != nil {
-		return nil, 0, fmt.Errorf("serve: data dir: %w", err)
+		_ = d.s.cfg.FS.Remove(ckpt) // best effort: the first save replaces it
+		return nil, err
+	}
+	return cp, nil
+}
+
+func (d *dirStore) tracePath(j *Job) string { return filepath.Join(d.dir(j.ID), traceFile) }
+
+func (d *dirStore) removeCheckpoints(j *Job) {
+	_ = d.s.cfg.FS.Remove(filepath.Join(d.dir(j.ID), checkpointFile)) // best effort, see jobStore
+}
+
+func (d *dirStore) requestCancel(*Job) (bool, error) { return true, nil }
+
+func (d *dirStore) backlog() (int, int) { return len(d.s.queue), cap(d.s.queue) }
+
+func (d *dirStore) dispatch(j *Job) bool {
+	select {
+	case d.s.queue <- j:
+		d.s.qDepth.Set(float64(len(d.s.queue)))
+		return true
+	default:
+		os.RemoveAll(d.dir(j.ID))
+		d.seq--
+		return false
+	}
+}
+
+func (d *dirStore) handBack(j *Job, retryIn time.Duration) {
+	if retryIn > 0 {
+		d.s.requeueAfter(j, retryIn)
+	}
+}
+
+// recoverJobs scans the job directory and rebuilds the job table: terminal
+// jobs come back for listing and result serving; queued and running jobs
+// go through the reclaim rule (a running manifest's attempt died with the
+// server) and are re-queued, or quarantined when their budget is spent.
+// Re-queued jobs resume from their checkpoints when one exists. It returns
+// the jobs to enqueue, in ID order, and sets the store's sequence to the
+// highest ID seen.
+func (s *Server) recoverJobs(d *dirStore) (requeue []*Job, err error) {
+	if err := durable.Mkdir(s.cfg.FS, d.root); err != nil {
+		return nil, fmt.Errorf("serve: data dir: %w", err)
+	}
+	entries, err := os.ReadDir(d.root)
+	if err != nil {
+		return nil, fmt.Errorf("serve: data dir: %w", err)
 	}
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
@@ -187,8 +267,7 @@ func (s *Server) recoverJobs() (requeue []*Job, maxSeq int, err error) {
 	sort.Strings(names)
 	skipped := s.reg.Counter("serve.manifests_skipped")
 	for _, name := range names {
-		dir := filepath.Join(root, name)
-		path := filepath.Join(dir, manifestFile)
+		path := filepath.Join(d.dir(name), manifestFile)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			s.logf("serve: recovery: skipping %s: unreadable manifest: %v", path, err)
@@ -201,62 +280,32 @@ func (s *Server) recoverJobs() (requeue []*Job, maxSeq int, err error) {
 			skipped.Inc()
 			continue
 		}
-		if n, err := strconv.Atoi(name[1:]); err == nil && n > maxSeq {
-			maxSeq = n
+		if n, err := strconv.Atoi(name[1:]); err == nil && n > d.seq {
+			d.seq = n
 		}
-		j := &Job{ID: m.ID, Request: m.Request, dir: dir, system: m.System}
-		j.created = m.Created
-		j.cached = m.Cached
-		j.resumedFrom = m.ResumedFrom
-		j.attempts = m.Attempts
-		if m.NotBefore != nil {
-			j.notBefore = *m.NotBefore
-		}
-		j.err = m.Error
-		switch m.State {
-		case StateDone, StateFailed, StateCancelled, StateQuarantined:
-			j.state = m.State
-			j.started = m.Started
-			j.finished = m.Finished
-		case StateQueued, StateRunning:
-			// An interrupted run: the execution that was in flight died with
-			// the process and counts against the attempt budget. A job whose
-			// budget is spent is quarantined here instead of re-queued —
-			// this is what stops a poison job that kills the server from
-			// crash-looping across restarts forever.
-			if m.State == StateRunning {
-				j.attempts++
-			}
-			if j.attempts >= s.cfg.MaxAttempts {
-				j.state = StateQuarantined
-				j.started = m.Started
-				j.finished = time.Now()
-				j.err = quarantineCause(j.attempts, fmt.Errorf("attempt died with the server (last error: %s)", orNone(m.Error)))
-				s.reg.Counter("serve.jobs_quarantined").Inc()
-				s.quarWindow.record(time.Now())
-				s.logf("serve: recovery: job %s quarantined after %d attempts", j.ID, j.attempts)
-				s.persistRecovered(j)
-				break
-			}
-			// Back to the queue. The worker decides between resume and
-			// fresh start when it finds (or fails to load) the checkpoint.
-			j.state = StateQueued
-			if m.State == StateRunning {
-				s.persistRecovered(j) // make the consumed attempt durable
-			}
-			s.reg.Counter("serve.jobs_requeued").Inc()
-			requeue = append(requeue, j)
-		}
+		j := &Job{ID: m.ID, Request: m.Request, system: m.System}
+		j.applyManifest(m)
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)
+		if m.State.Terminal() {
+			continue
+		}
+		j.mu.Lock()
+		died, quarantined := s.reclaimLocked(j, "the server", time.Now())
+		snap := j.snapshotLocked()
+		j.mu.Unlock()
+		if quarantined {
+			s.commitTerminal(j, snap, m.State, 0, snap.Err)
+			continue
+		}
+		if died {
+			s.persist(j) // make the consumed attempt durable
+		}
+		s.reg.Counter("serve.jobs_requeued").Inc()
+		requeue = append(requeue, j)
 	}
-	return requeue, maxSeq, nil
+	return requeue, nil
 }
-
-// persistRecovered persists a state decision made during recovery. It runs
-// before the fleet/single-node split matters (recovery is single-node only)
-// and before the job is visible, so a plain persist is safe.
-func (s *Server) persistRecovered(j *Job) { s.persist(j) }
 
 func orNone(s string) string {
 	if s == "" {

@@ -160,21 +160,16 @@ type allocator struct {
 	tds   []typeDemand
 }
 
-// AllocateCores implements paper Fig. 4 line 5 ("ImplementHWcores"): every
-// task type mapped to a hardware PE gets one mandatory core; replica cores
-// are added for task types whose tasks have overlapping mobility windows
-// (likely parallel execution), as long as the area budget permits. ASICs
-// allocate the per-type maximum demand over all modes statically; FPGAs
-// allocate per-mode working sets.
+// AllocateCoresWith implements paper Fig. 4 line 5 ("ImplementHWcores"):
+// every task type mapped to a hardware PE gets one mandatory core; replica
+// cores are added for task types whose tasks have overlapping mobility
+// windows (likely parallel execution), as long as the area budget permits.
+// ASICs allocate the per-type maximum demand over all modes statically;
+// FPGAs allocate per-mode working sets. noReplicas limits every hardware
+// type to its single mandatory core (the ablation baseline without the
+// parallelism cores).
 //
 // mob holds the per-mode mobility analyses (indexed by ModeID).
-func AllocateCores(s *model.System, mapping model.Mapping, mob []*sched.Mobility) *Allocation {
-	return AllocateCoresWith(s, mapping, mob, false)
-}
-
-// AllocateCoresWith is AllocateCores with an explicit replica toggle:
-// noReplicas limits every hardware type to its single mandatory core (the
-// ablation baseline without paper Fig. 4 line 5's parallelism cores).
 func AllocateCoresWith(s *model.System, mapping model.Mapping, mob []*sched.Mobility, noReplicas bool) *Allocation {
 	var al allocator
 	a := &Allocation{}

@@ -101,7 +101,7 @@ func TestAllocationMandatoryCores(t *testing.T) {
 	m[0][0], m[0][1] = 0, 0
 	m[1][0], m[1][1], m[1][2] = 0, 1, 0
 	mob := mobilities(t, sys, m)
-	alloc := AllocateCores(sys, m, mob)
+	alloc := AllocateCoresWith(sys, m, mob, false)
 	if got := alloc.Instances(1, 1, 2); got != 1 {
 		t.Errorf("hwable instances in mode 1 = %d, want 1", got)
 	}
@@ -124,13 +124,13 @@ func TestAllocationReplicaCores(t *testing.T) {
 	m[0][0], m[0][1] = 0, 0
 	m[1][0], m[1][1], m[1][2] = 0, 1, 1 // c and d parallel on hw
 	mob := mobilities(t, sys, m)
-	alloc := AllocateCores(sys, m, mob)
+	alloc := AllocateCoresWith(sys, m, mob, false)
 	if got := alloc.Instances(1, 1, 2); got != 2 {
 		t.Errorf("parallel tasks with area available: %d cores, want 2", got)
 	}
 	// With the small ASIC there is area for only one core: no replica.
 	sys.Arch.PEs[1].Area = 400
-	alloc = AllocateCores(sys, m, mob)
+	alloc = AllocateCoresWith(sys, m, mob, false)
 	if got := alloc.Instances(1, 1, 2); got != 1 {
 		t.Errorf("tight area: %d cores, want 1", got)
 	}
@@ -146,7 +146,7 @@ func TestAllocationAreaViolation(t *testing.T) {
 	m[0][0], m[0][1] = 0, 0
 	m[1][0], m[1][1], m[1][2] = 0, 1, 0
 	mob := mobilities(t, sys, m)
-	alloc := AllocateCores(sys, m, mob)
+	alloc := AllocateCoresWith(sys, m, mob, false)
 	if alloc.AreaFeasible() {
 		t.Fatal("mandatory core exceeding area must violate")
 	}
@@ -184,7 +184,7 @@ func TestFPGAAllocationAndTransitions(t *testing.T) {
 	m := model.NewMapping(sys.App)
 	m[0][0], m[1][0] = 1, 1 // both on the FPGA; cores swap between modes
 	mob := mobilities(t, sys, m)
-	alloc := AllocateCores(sys, m, mob)
+	alloc := AllocateCoresWith(sys, m, mob, false)
 	// Per-mode working sets fit (200 <= 300) even though the union (400)
 	// would not: that is the FPGA advantage.
 	if !alloc.AreaFeasible() {
