@@ -35,13 +35,14 @@ bench-pins:
 	$(GO) test -run TestAllocPins -count=1 ./internal/sched ./internal/synth ./internal/dvs ./internal/ga ./internal/allocpin
 
 # Short native-fuzzing bursts over the untrusted-input readers (spec files
-# and checkpoints) and the differential checks of the evaluator and of
-# voltage scaling against their reference copies. The minimise
-# time must be capped: the default 60s minimiser can dwarf the fuzz time
-# itself on the ~30KB seed corpus entries.
+# and checkpoints), the spec writer against its fmt-based reference, and the
+# differential checks of the evaluator and of voltage scaling against their
+# reference copies. The minimise time must be capped: the default 60s
+# minimiser can dwarf the fuzz time itself on the ~30KB seed corpus entries.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
 	$(GO) test -run='^$$' -fuzz=FuzzCanonical -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
+	$(GO) test -run='^$$' -fuzz=FuzzWriteReference -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
 	$(GO) test -run='^$$' -fuzz=FuzzEvaluateDifferential -fuzztime=5s -fuzzminimizetime=5s ./internal/synth
 	$(GO) test -run='^$$' -fuzz=FuzzScaleDifferential -fuzztime=5s -fuzzminimizetime=5s ./internal/dvs

@@ -209,11 +209,12 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Resolve and parse every spec before admitting anything: a malformed
 	// spec fails the whole batch with nothing queued, not a half-admitted
-	// matrix.
+	// matrix. Each spec is parsed and canonicalised once; its cells share
+	// the system and the canonical form.
 	type parsedSpec struct {
-		text   string
-		sys    *model.System
-		system string
+		text  string
+		sys   *model.System
+		canon []byte
 	}
 	specs := make([]parsedSpec, len(req.Specs))
 	var warnings []string
@@ -228,7 +229,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "specs[%d]: spec: %v", i, err)
 			return
 		}
-		specs[i] = parsedSpec{text: probe.Spec, sys: sys, system: sys.App.Name}
+		specs[i] = parsedSpec{text: probe.Spec, sys: sys, canon: s.canonicalSpec(sys)}
 		for _, wn := range warns {
 			warnings = append(warnings, fmt.Sprintf("specs[%d]: %s", i, wn.String()))
 		}
@@ -250,7 +251,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 			for oi := range options {
 				cell := BatchCell{
 					Cell: len(b.Cells), Spec: si, Seed: seed, Option: oi,
-					System: specs[si].system,
+					System: specs[si].sys.App.Name,
 				}
 				creq := cellRequest(options[oi], specs[si].text, seed)
 				if aerr := s.validateJob(&creq); aerr != nil {
@@ -259,7 +260,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 					b.Cells = append(b.Cells, cell)
 					continue
 				}
-				key, keyable := s.cacheKey(specs[si].sys, &creq)
+				key, keyable := s.cacheKey(specs[si].canon, &creq)
 				if keyable {
 					if owner, dup := seen[key]; dup {
 						cell.Job, cell.Duplicate = owner, true
@@ -268,7 +269,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 						continue
 					}
 					if e, hit := s.cache.Get(key); hit {
-						if j, aerr := s.materializeCached(creq, specs[si].system, e); aerr != nil {
+						if j, aerr := s.materializeCached(creq, specs[si].sys.App.Name, e); aerr != nil {
 							cell.Rejected = aerr.msg
 							rejected++
 							b.Cells = append(b.Cells, cell)
@@ -283,7 +284,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 						// Hit not materialisable: run the cell for real.
 					}
 				}
-				j, aerr := s.admitJob(creq, specs[si].system)
+				j, aerr := s.admitJob(creq, specs[si].sys, key)
 				if aerr != nil {
 					cell.Rejected = aerr.msg
 					rejected++

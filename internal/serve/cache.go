@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -42,15 +43,26 @@ func keyOptions(req *JobRequest) synth.Options {
 	}
 }
 
-// cacheKey derives the request's content address, or ok=false when the
-// request is uncacheable (no cache configured, or a failpoint drill —
-// injected faults must actually run).
-func (s *Server) cacheKey(sys *model.System, req *JobRequest) (string, bool) {
-	if s.cache == nil || req.Failpoint != "" {
-		return "", false
+// canonicalSpec renders sys in its canonical form, the spec part of every
+// cache key; nil when no cache is configured. A submission renders it
+// once, a batch once per spec.
+func (s *Server) canonicalSpec(sys *model.System) []byte {
+	if s.cache == nil {
+		return nil
 	}
 	canon, err := specio.Canonical(sys)
 	if err != nil {
+		return nil
+	}
+	return canon
+}
+
+// cacheKey derives the request's content address from its spec's
+// canonical form, or ok=false when the request is uncacheable (no
+// canonical form, because no cache is configured, or a failpoint drill —
+// injected faults must actually run).
+func (s *Server) cacheKey(canon []byte, req *JobRequest) (string, bool) {
+	if canon == nil || req.Failpoint != "" {
 		return "", false
 	}
 	return cas.Key(canon, synth.CanonicalOptions(keyOptions(req)), []byte(synth.EngineVersion)), true
@@ -73,15 +85,52 @@ func buildCommit() string {
 // it: fresh ID, done state, no resume provenance (the serving job never
 // ran). Everything else — implementation, power, certification, the
 // original run's statistics — is preserved.
+//
+// A decode into ResultView checks the document's shape: a wrong-shaped
+// entry is an error, and the caller runs the job instead. The documents
+// the server publishes are json.MarshalIndent of a ResultView, which
+// re-encodes to the same bytes, so the id is swapped in the bytes and they
+// are re-indented to the top level (rebindID) rather than re-encoded. A
+// document with resume provenance to drop, or whose head is not the id
+// and done state as MarshalIndent writes them, takes the decode and
+// re-encode round trip instead.
 func rewriteCachedResult(raw json.RawMessage, id string) ([]byte, error) {
 	var v ResultView
 	if err := json.Unmarshal(raw, &v); err != nil {
 		return nil, err
 	}
+	if v.State == StateDone && v.ResumedFrom == 0 {
+		if doc, ok := rebindID(raw, v.ID, id); ok {
+			return doc, nil
+		}
+	}
 	v.ID = id
 	v.State = StateDone
 	v.ResumedFrom = 0
 	return json.MarshalIndent(&v, "", "  ")
+}
+
+// rebindID re-indents a result document to the top level and replaces its
+// id, old, with id. It reports false unless the document opens with the
+// id and done state exactly as json.MarshalIndent writes them.
+func rebindID(raw []byte, old, id string) ([]byte, bool) {
+	const open = "{\n  \"id\": "
+	const state = ",\n  \"state\": \"done\","
+	buf := bytes.NewBuffer(make([]byte, 0, len(raw)+len(id)))
+	if json.Indent(buf, raw, "", "  ") != nil {
+		return nil, false
+	}
+	doc := buf.Bytes()
+	oldHead := appendJSONString([]byte(open), old)
+	if !bytes.HasPrefix(doc, oldHead) || !bytes.HasPrefix(doc[len(oldHead):], []byte(state)) {
+		return nil, false
+	}
+	head := appendJSONString([]byte(open), id)
+	if len(head) == len(oldHead) {
+		copy(doc, head)
+		return doc, true
+	}
+	return append(head, doc[len(oldHead):]...), true
 }
 
 // materializeCached answers a submission from a cache hit: it creates a
@@ -127,8 +176,10 @@ func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) 
 }
 
 // cachePublish stores a completed job's certified result document in the
-// cache (worker path). Only full, certified runs are published: a partial
-// or uncertified result must never short-circuit a future submission.
+// cache (worker path) under the key computed at admission, or for a job
+// from disk one derived here. Only full, certified runs are published: a
+// partial or uncertified result must never short-circuit a future
+// submission.
 func (s *Server) cachePublish(j *Job, sys *model.System, res *synth.Result, doc []byte) {
 	if s.cache == nil || res == nil || res.Partial {
 		return
@@ -136,7 +187,10 @@ func (s *Server) cachePublish(j *Job, sys *model.System, res *synth.Result, doc 
 	if res.Certification == nil || !res.Certification.Certified() {
 		return
 	}
-	key, ok := s.cacheKey(sys, &j.Request)
+	key, ok := j.key, j.key != ""
+	if !ok {
+		key, ok = s.cacheKey(s.canonicalSpec(sys), &j.Request)
+	}
 	if !ok {
 		return
 	}

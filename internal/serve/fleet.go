@@ -234,9 +234,6 @@ func (s *Server) syncFleet() error {
 			}
 		}
 	}
-	s.mu.Lock()
-	s.jobsByState()
-	s.mu.Unlock()
 	return nil
 }
 
@@ -259,8 +256,7 @@ func (s *Server) adopt(id string) *Job {
 	if prior := s.jobs[id]; prior != nil {
 		return prior
 	}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	s.addJobLocked(j)
 	return j
 }
 
@@ -327,7 +323,7 @@ func (j *Job) applyManifestLocked(m *manifest) {
 		// events emitted here attribute time from when we observed it.
 		j.transitioned = time.Now()
 	}
-	j.state = m.State
+	j.setStateLocked(m.State)
 	j.err = m.Error
 	j.created = m.Created
 	j.started = m.Started

@@ -8,7 +8,7 @@ import (
 	"momosyn/internal/fleet"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
-	"momosyn/internal/synth"
+	"momosyn/internal/specio"
 )
 
 // State is one stage of the job lifecycle. The machine is strictly
@@ -103,14 +103,19 @@ type Progress struct {
 }
 
 // Job is one synthesis job owned by the server. The mutex guards every
-// mutable field; the identity fields (ID, Request, system) are immutable
-// after construction.
+// mutable field; the identity fields (ID, Request, system, key) are
+// immutable after construction.
 type Job struct {
 	ID      string
 	Request JobRequest
 	// system is the specification's system name, resolved at submission
 	// (or recovery) time for display.
 	system string
+	// key is the result-cache key computed at admission, which the
+	// terminal commit publishes under; empty when the request is
+	// uncacheable or the job was recovered or adopted from disk (its
+	// publish derives the key from the parsed spec).
+	key string
 
 	mu       sync.Mutex
 	state    State
@@ -153,10 +158,54 @@ type Job struct {
 	// cached marks a job that was born terminal from the result cache: it
 	// never queued, never ran, and owns no checkpoint or trace state.
 	cached bool
-	// sys and result hold the in-memory outcome for result rendering; jobs
-	// recovered from disk serve their persisted result.json instead.
-	sys    *model.System
-	result *synth.Result
+	// sys is the system admission parsed, so an attempt need not parse the
+	// spec again; nil for jobs recovered or adopted from disk (each of
+	// their attempts parses the request's spec) and dropped once the job
+	// is terminal.
+	sys *model.System
+	// manifestRequest is Request encoded once for the manifest writes of a
+	// job that can still change state; see manifestRequestDoc.
+	manifestRequest []byte
+	// doc is the result document rendered at the terminal commit of a run
+	// in this process, served to every later result request; nil for jobs
+	// whose document lives only on disk (cache hits among them).
+	doc []byte
+	// gauges are the server's per-state job gauges once the job is in the
+	// table, nil before; see setStateLocked.
+	gauges stateGauges
+}
+
+// stateGauges holds one serve.jobs_state_<state> gauge per state. A job
+// in the table is counted under its current state: addJobLocked counts it
+// in and every state change moves it from one gauge to the other, so the
+// gauges always equal a recount of the table without ever doing one.
+type stateGauges map[State]*obs.Gauge
+
+// setStateLocked moves the job to state st and its count with it. A
+// terminal job lets its parsed system go: no attempt follows. j.mu must
+// be held.
+func (j *Job) setStateLocked(st State) {
+	if j.gauges != nil && st != j.state {
+		j.gauges[j.state].Add(-1)
+		j.gauges[st].Add(1)
+	}
+	j.state = st
+	if st.Terminal() {
+		j.sys = nil
+	}
+}
+
+// parsedSpec returns the system an attempt runs on: the one parsed at
+// admission, or a parse of the request's spec for a job that came from
+// disk.
+func (j *Job) parsedSpec() (*model.System, error) {
+	j.mu.Lock()
+	sys := j.sys
+	j.mu.Unlock()
+	if sys != nil {
+		return sys, nil
+	}
+	return specio.ReadBytes([]byte(j.Request.Spec))
 }
 
 // snapshot captures the mutable fields under the lock.
@@ -292,7 +341,7 @@ func (j *Job) requestCancel(cause error) (State, bool) {
 // cancelled. j.mu must be held.
 func (j *Job) cancelQueuedLocked() {
 	j.cancelRequested = true
-	j.state = StateCancelled
+	j.setStateLocked(StateCancelled)
 	j.err = ""
 	j.finished = time.Now()
 }

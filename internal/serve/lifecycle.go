@@ -48,7 +48,7 @@ func (s *Server) spendLocked(j *Job, last error, now time.Time) bool {
 	if j.attempts < s.cfg.MaxAttempts {
 		return false
 	}
-	j.state = StateQuarantined
+	j.setStateLocked(StateQuarantined)
 	j.err = quarantineCause(j.attempts, last)
 	j.finished = now
 	return true
@@ -69,7 +69,7 @@ func (s *Server) reclaimLocked(j *Job, owner string, now time.Time) (died, quara
 	if s.spendLocked(j, fmt.Errorf("attempt died with %s (last error: %s)", owner, orNone(j.err)), now) {
 		return died, true
 	}
-	j.state = StateQueued
+	j.setStateLocked(StateQueued)
 	j.started = time.Time{}
 	return died, false
 }
@@ -86,7 +86,7 @@ func (s *Server) commitTerminal(j *Job, snap jobSnapshot, from State, dwellNs in
 	s.persistSnap(j, snap)
 	s.store.removeCheckpoints(j)
 	j.mu.Lock()
-	j.state = snap.State
+	j.setStateLocked(snap.State)
 	epoch := leaseEpoch(j.lease)
 	switch snap.State {
 	case StateDone:
@@ -127,9 +127,6 @@ func (s *Server) commitCancel(j *Job) {
 	snap := j.snapshotLocked()
 	j.mu.Unlock()
 	s.commitTerminal(j, snap, StateQueued, dwellNs, "cancelled by client")
-	s.mu.Lock()
-	s.jobsByState()
-	s.mu.Unlock()
 }
 
 // leaseEpoch is the epoch a job's state is written at: its lease's, or 0
@@ -141,11 +138,15 @@ func leaseEpoch(l *fleet.Lease) int {
 	return l.Epoch
 }
 
-// addJobLocked makes a created job visible in the table. s.mu must be held.
+// addJobLocked makes a created job visible in the table and counts it in
+// the per-state gauges. s.mu must be held.
 func (s *Server) addJobLocked(j *Job) {
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
-	s.jobsByState()
+	j.mu.Lock()
+	j.gauges = s.stateGauges
+	j.gauges[j.state].Add(1)
+	j.mu.Unlock()
 }
 
 // Job-lifecycle span events. When Config.Lifecycle carries a tracing obs

@@ -244,6 +244,7 @@ type Server struct {
 	batchSeq   int
 
 	// Metric handles held once so the hot paths skip the registry map.
+	stateGauges     stateGauges
 	qDepth          *obs.Gauge
 	running         *obs.Gauge
 	busy            *obs.Gauge
@@ -268,6 +269,12 @@ func New(cfg Config) (*Server, error) {
 		reg:     cfg.Registry,
 		jobs:    make(map[string]*Job),
 		batches: make(map[string]*Batch),
+	}
+	s.stateGauges = make(stateGauges)
+	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled, StateQuarantined} {
+		g := s.reg.Gauge("serve.jobs_state_" + string(st))
+		g.Set(0) // a shared registry may hold an earlier server's counts
+		s.stateGauges[st] = g
 	}
 	s.batchesGauge = s.reg.Gauge("serve.batches")
 	s.qDepth = s.reg.Gauge("serve.queue_depth")
@@ -342,7 +349,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s.qDepth.Set(float64(len(s.queue)))
-	s.jobsByState()
 	return s, nil
 }
 
@@ -415,18 +421,6 @@ func (s *Server) Draining() bool {
 
 func (s *Server) logf(format string, args ...any) { s.cfg.Logf(format, args...) }
 
-// jobsByState recounts the per-state job gauges (cheap: the job table is
-// the unit of scale here, not the request rate).
-func (s *Server) jobsByState() {
-	counts := map[State]int{}
-	for _, j := range s.jobs {
-		counts[j.snapshot().State]++
-	}
-	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled, StateQuarantined} {
-		s.reg.Gauge("serve.jobs_state_" + string(st)).Set(float64(counts[st]))
-	}
-}
-
 // ---- worker pool ----
 
 // worker pulls jobs off the queue until the root context dies. The
@@ -468,7 +462,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}
 	jobCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	j.state = StateRunning
+	j.setStateLocked(StateRunning)
 	j.started = time.Now()
 	j.finished = time.Time{}
 	j.notBefore = time.Time{}
@@ -511,9 +505,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.persist(j)
 	s.running.Add(1)
 	s.busy.Add(1)
-	s.mu.Lock()
-	s.jobsByState()
-	s.mu.Unlock()
 	start := time.Now()
 	defer func() {
 		s.running.Add(-1)
@@ -522,9 +513,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.jobSeconds.ObserveDuration(d)
 		s.observeServiceTime(d)
 		s.reg.Gauge("serve.worker_busy_seconds").Add(d.Seconds())
-		s.mu.Lock()
-		s.jobsByState()
-		s.mu.Unlock()
 	}()
 
 	// Per-job instrumentation: a private registry for the progress gauges
@@ -566,7 +554,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		// Another node holds a higher lease epoch: it owns the job now and
 		// this run's outcome is void. Persist NOTHING — the view refreshes
 		// from the new holder's manifests at the next fleet sync.
-		j.state = StateQueued
+		j.setStateLocked(StateQueued)
 		j.started = time.Time{}
 		j.err = ""
 		j.lease = nil
@@ -588,14 +576,14 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		// Server shutdown interrupted the run mid-flight; its closing
 		// checkpoint is on disk. Back to queued so the next server (or a
 		// later worker, if only the context was cancelled) resumes it.
-		j.state = StateQueued
+		j.setStateLocked(StateQueued)
 		j.started = time.Time{}
 		j.err = ""
 	case deadlineHit && !cancelled:
 		// A deadline miss is terminal, not retried: another attempt cannot
 		// make the clock move backwards. The best-so-far partial result is
 		// persisted below.
-		j.state = StateFailed
+		j.setStateLocked(StateFailed)
 		j.err = "job deadline exceeded (best-so-far result recorded)"
 		j.finished = now
 	case err != nil && !cancelled:
@@ -604,23 +592,19 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		j.attempts++
 		if !s.spendLocked(j, err, now) {
 			retryIn = retryDelay(s.cfg.RetryBackoff, j.attempts)
-			j.state = StateQueued
+			j.setStateLocked(StateQueued)
 			j.started = time.Time{}
 			j.err = err.Error()
 			j.notBefore = now.Add(retryIn)
 		}
 	case cancelled:
-		j.state = StateCancelled
+		j.setStateLocked(StateCancelled)
 		j.err = ""
 		j.finished = now
 	default:
-		j.state = StateDone
+		j.setStateLocked(StateDone)
 		j.err = ""
 		j.finished = now
-	}
-	if res != nil {
-		j.sys = sys
-		j.result = res
 	}
 	var dwellNs int64
 	if s.lifecycleTracing() {
@@ -634,7 +618,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		// gone), whether it resubmits, restarts the server or scrapes
 		// /metrics in the very next request. The snapshot carries the real
 		// final state for the commit below.
-		j.state = StateRunning
+		j.setStateLocked(StateRunning)
 	} else if retryIn > 0 {
 		s.reg.Counter("serve.jobs_retried").Inc()
 	}
@@ -644,8 +628,12 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		if res != nil {
 			if doc, rerr := renderResult(j, snap, sys, res); rerr == nil {
 				// The result document outlives the process, so terminal
-				// jobs keep serving it after a restart and on every node.
+				// jobs keep serving it after a restart and on every node;
+				// this process serves it from memory.
 				s.checkPersist(j, "result", s.store.writeResult(j, doc))
+				j.mu.Lock()
+				j.doc = doc
+				j.mu.Unlock()
 				if snap.State == StateDone {
 					s.cachePublish(j, sys, res, doc)
 				}
@@ -714,12 +702,12 @@ func (s *Server) requeueAfter(j *Job, delay time.Duration) {
 	}()
 }
 
-// synthesize parses the job's spec, decides fresh-versus-resume from the
-// job's checkpoint, and runs the synthesis behind a recover barrier. A
+// synthesize takes the job's parsed spec, decides fresh-versus-resume from
+// the job's checkpoint, and runs the synthesis behind a recover barrier. A
 // checkpoint that fails to load or resume degrades gracefully to a fresh
 // run instead of failing the job.
 func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.System, *synth.Result, error) {
-	sys, err := specio.ReadBytes([]byte(j.Request.Spec))
+	sys, err := j.parsedSpec()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1070,7 +1058,7 @@ func (s *Server) validateJob(req *JobRequest) *admitError {
 // is durable before a worker can see the job: once dispatched a worker may
 // take it to running (or even terminal), and a stale queued write landing
 // afterwards would clobber the newer state.
-func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
+func (s *Server) admitJob(req JobRequest, sys *model.System, key string) (*Job, *admitError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -1087,7 +1075,7 @@ func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 	if err != nil {
 		return nil, admitErrorf(http.StatusInternalServerError, "job id: %v", err)
 	}
-	j := &Job{ID: id, Request: req, system: system}
+	j := &Job{ID: id, Request: req, system: sys.App.Name, key: key, sys: sys}
 	j.state = StateQueued
 	j.created = time.Now()
 	if err := s.store.create(j, nil); err != nil {
@@ -1161,7 +1149,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Cache consult happens before admission: a hit consumes no queue slot
 	// and no worker, so it bypasses backlog bounds and shedding entirely.
-	if key, ok := s.cacheKey(sys, &req); ok {
+	// The key is computed once: a miss carries it to the terminal commit,
+	// which publishes the result under it.
+	key, keyable := s.cacheKey(s.canonicalSpec(sys), &req)
+	if keyable {
 		if e, hit := s.cache.Get(key); hit {
 			j, aerr := s.materializeCached(req, sys.App.Name, e)
 			if aerr != nil {
@@ -1176,7 +1167,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	j, aerr := s.admitJob(req, sys.App.Name)
+	j, aerr := s.admitJob(req, sys, key)
 	if aerr != nil {
 		s.writeAPIError(w, aerr)
 		return
@@ -1279,16 +1270,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(doc)
 }
 
-// resultDoc returns a terminal job's result document: rendered from the
-// run held in memory, else the persisted copy; nil when it has none.
+// resultDoc returns a terminal job's result document: the one committed
+// in this process, else the persisted copy; nil when it has none.
 func (s *Server) resultDoc(j *Job) []byte {
 	j.mu.Lock()
-	sys, res := j.sys, j.result
+	doc := j.doc
 	j.mu.Unlock()
-	if sys != nil && res != nil {
-		if doc, err := renderResult(j, j.snapshot(), sys, res); err == nil {
-			return doc
-		}
+	if doc != nil {
+		return doc
 	}
 	return s.store.readResult(j)
 }

@@ -18,7 +18,10 @@ import (
 // manifest is the on-disk record of one job, written atomically on every
 // state transition so a killed server can reconstruct its job table. The
 // resolved spec text is embedded: recovery never needs the spec directory
-// the job was submitted against.
+// the job was submitted against. Recovery decodes this struct, and
+// renderManifest writes its encoding field by field: a field added here
+// must be added there (and to TestManifestWriterMatchesMarshal's
+// reference).
 type manifest struct {
 	ID       string     `json:"id"`
 	Request  JobRequest `json:"request"`
@@ -50,30 +53,103 @@ type manifest struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-// renderManifest renders the job's manifest document from a snapshot.
-// node and epoch are fleet provenance; single-node mode passes "" and 0,
-// which the encoding omits, so both modes share one layout.
+// renderManifest renders the job's manifest document from a snapshot. The
+// bytes are those of json.MarshalIndent of the manifest struct, written
+// field by field around the request part, which the job encodes once
+// (manifestRequestDoc): the spec text in it is most of every manifest, and
+// a job that runs writes several. node and epoch are fleet provenance;
+// single-node mode passes "" and 0, which the encoding omits, so both
+// modes share one layout.
 func renderManifest(j *Job, snap jobSnapshot, node string, epoch int) ([]byte, error) {
-	m := manifest{
-		ID:          j.ID,
-		Request:     j.Request,
-		System:      j.system,
-		State:       snap.State,
-		Error:       snap.Err,
-		Created:     snap.Created,
-		Started:     snap.Started,
-		Finished:    snap.Finished,
-		ResumedFrom: snap.ResumedFrom,
-		Attempts:    snap.Attempts,
-		Node:        node,
-		Epoch:       epoch,
-		Cached:      snap.Cached,
+	req, err := j.manifestRequestDoc(snap.State.Terminal())
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, len(req)+512)
+	b = appendJSONString(append(b, "{\n  \"id\": "...), j.ID)
+	b = append(append(b, ",\n  \"request\": "...), req...)
+	if j.system != "" {
+		b = appendJSONString(append(b, ",\n  \"system\": "...), j.system)
+	}
+	b = appendJSONString(append(b, ",\n  \"state\": "...), string(snap.State))
+	if snap.Err != "" {
+		b = appendJSONString(append(b, ",\n  \"error\": "...), snap.Err)
+	}
+	if b, err = appendJSONTime(append(b, ",\n  \"created\": "...), snap.Created); err != nil {
+		return nil, err
+	}
+	if b, err = appendJSONTime(append(b, ",\n  \"started\": "...), snap.Started); err != nil {
+		return nil, err
+	}
+	if b, err = appendJSONTime(append(b, ",\n  \"finished\": "...), snap.Finished); err != nil {
+		return nil, err
+	}
+	if snap.ResumedFrom != 0 {
+		b = strconv.AppendInt(append(b, ",\n  \"resumed_from\": "...), int64(snap.ResumedFrom), 10)
+	}
+	if snap.Attempts != 0 {
+		b = strconv.AppendInt(append(b, ",\n  \"attempts\": "...), int64(snap.Attempts), 10)
 	}
 	if !snap.NotBefore.IsZero() {
-		nb := snap.NotBefore
-		m.NotBefore = &nb
+		if b, err = appendJSONTime(append(b, ",\n  \"not_before\": "...), snap.NotBefore); err != nil {
+			return nil, err
+		}
 	}
-	return json.MarshalIndent(&m, "", "  ")
+	if node != "" {
+		b = appendJSONString(append(b, ",\n  \"node\": "...), node)
+	}
+	if epoch != 0 {
+		b = strconv.AppendInt(append(b, ",\n  \"epoch\": "...), int64(epoch), 10)
+	}
+	if snap.Cached {
+		b = append(b, ",\n  \"cached\": true"...)
+	}
+	return append(b, "\n}"...), nil
+}
+
+// manifestRequestDoc returns the job's request encoded as the manifest
+// nests it (json.MarshalIndent with a two-space prefix). It is encoded
+// once per job: a job that can still change state keeps the encoding for
+// its next manifest, and the last write, with last set, takes it along
+// (no manifest follows a terminal one).
+func (j *Job) manifestRequestDoc(last bool) ([]byte, error) {
+	j.mu.Lock()
+	req := j.manifestRequest
+	if last {
+		j.manifestRequest = nil
+	}
+	j.mu.Unlock()
+	if req != nil {
+		return req, nil
+	}
+	req, err := json.MarshalIndent(&j.Request, "  ", "  ")
+	if err == nil && !last {
+		j.mu.Lock()
+		j.manifestRequest = req
+		j.mu.Unlock()
+	}
+	return req, err
+}
+
+// appendJSONString appends s as encoding/json encodes a string. Printable
+// ASCII without a quote, backslash or HTML-escaped byte is copied as is;
+// anything else goes through json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONTime appends t as encoding/json encodes a time.Time.
+func appendJSONTime(b []byte, t time.Time) ([]byte, error) {
+	q, err := t.MarshalJSON()
+	return append(b, q...), err
 }
 
 // decodeManifest parses a manifest document and checks that it is usable
@@ -285,8 +361,7 @@ func (s *Server) recoverJobs(d *dirStore) (requeue []*Job, err error) {
 		}
 		j := &Job{ID: m.ID, Request: m.Request, system: m.System}
 		j.applyManifest(m)
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
+		s.addJobLocked(j)
 		if m.State.Terminal() {
 			continue
 		}

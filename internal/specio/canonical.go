@@ -1,7 +1,6 @@
 package specio
 
 import (
-	"bytes"
 	"sort"
 
 	"momosyn/internal/model"
@@ -26,11 +25,7 @@ import (
 // differently. Canonical is idempotent: parsing its output and
 // canonicalising again reproduces the same bytes (FuzzCanonical pins this).
 func Canonical(sys *model.System) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := Write(&buf, sortTransitions(sys)); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return appendSpec(nil, sortTransitions(sys)), nil
 }
 
 // sortTransitions returns sys with its transitions in model.TransitionLess

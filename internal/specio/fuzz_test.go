@@ -56,17 +56,9 @@ func FuzzRead(f *testing.F) {
 // to neighbouring floats could share a key; without the second, two cache
 // lookups for the same spec could disagree on it.
 func FuzzCanonical(f *testing.F) {
-	if specs, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec")); err == nil {
-		for _, path := range specs {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				f.Fatalf("seed %s: %v", path, err)
-			}
-			f.Add(string(data))
-		}
+	for _, seed := range canonicalCorpus(f) {
+		f.Add(seed)
 	}
-	f.Add("system x\npe P class=gpp vmax=3.3 vt=0.8\ntype t\nimpl t P time=1ms power=1mW\nmode m prob=1 period=1s\ntask m a type=t\n")
-	f.Add("system x\npe P class=gpp vmax=3.3 vt=0.8\ntype t\nimpl t P time=1ms power=1mW\nmode m prob=1 period=0.018s\ntask m a type=t\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		sys, _, err := ReadWarnBytes([]byte(input))
 		if err != nil {
@@ -90,5 +82,42 @@ func FuzzCanonical(f *testing.F) {
 		if string(second) != string(first) {
 			t.Fatalf("canonicalisation is not idempotent:\n--- first\n%s\n--- second\n%s", first, second)
 		}
+	})
+}
+
+// canonicalCorpus is the seed corpus of FuzzCanonical and
+// FuzzWriteReference: every shipped spec plus two stubs, the second with a
+// period whose scaled unit rendering would not read back exactly.
+func canonicalCorpus(tb testing.TB) []string {
+	var seeds []string
+	if specs, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec")); err == nil {
+		for _, path := range specs {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				tb.Fatalf("seed %s: %v", path, err)
+			}
+			seeds = append(seeds, string(data))
+		}
+	}
+	return append(seeds,
+		"system x\npe P class=gpp vmax=3.3 vt=0.8\ntype t\nimpl t P time=1ms power=1mW\nmode m prob=1 period=1s\ntask m a type=t\n",
+		"system x\npe P class=gpp vmax=3.3 vt=0.8\ntype t\nimpl t P time=1ms power=1mW\nmode m prob=1 period=0.018s\ntask m a type=t\n",
+	)
+}
+
+// FuzzWriteReference asserts that Write emits, for every parsable input,
+// exactly the bytes of the fmt-based writer it replaced
+// (writeFmtReference); the canonical form, and with it every cache key,
+// is those bytes.
+func FuzzWriteReference(f *testing.F) {
+	for _, seed := range canonicalCorpus(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		sys, _, err := ReadWarnBytes([]byte(input))
+		if err != nil {
+			t.Skip() // unparsable input is FuzzRead's territory
+		}
+		checkWriteReference(t, sys)
 	})
 }

@@ -580,76 +580,142 @@ func (p *parser) finish() (*model.System, []Warning, error) {
 // Write emits the canonical text form of the system. Reading the output
 // back reproduces an identical specification.
 func Write(w io.Writer, sys *model.System) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "system %s\n\n", sys.App.Name)
+	_, err := w.Write(appendSpec(nil, sys))
+	return err
+}
+
+// appendSpec appends the text form of sys to b. It builds the text with
+// strconv appends rather than fmt; %g and strconv's shortest 'g' form are
+// the same digits, so the bytes are those of the fmt rendering it
+// replaces, which the canonical form (and every cache key) depends on
+// (TestWriteMatchesFmtReference and FuzzWriteReference pin this).
+func appendSpec(b []byte, sys *model.System) []byte {
+	b = append(b, "system "...)
+	b = append(b, sys.App.Name...)
+	b = append(b, "\n\n"...)
 	for _, pe := range sys.Arch.PEs {
-		fmt.Fprintf(bw, "pe %s class=%s vmax=%g vt=%g", pe.Name, strings.ToLower(pe.Class.String()), pe.Vmax, pe.Vt)
+		b = append(b, "pe "...)
+		b = append(b, pe.Name...)
+		b = append(b, " class="...)
+		b = append(b, strings.ToLower(pe.Class.String())...)
+		b = append(b, " vmax="...)
+		b = appendG(b, pe.Vmax)
+		b = append(b, " vt="...)
+		b = appendG(b, pe.Vt)
 		if pe.Area > 0 {
-			fmt.Fprintf(bw, " area=%d", pe.Area)
+			b = append(b, " area="...)
+			b = strconv.AppendInt(b, int64(pe.Area), 10)
 		}
 		if pe.StaticPower > 0 {
-			fmt.Fprintf(bw, " static=%s", FormatPower(pe.StaticPower))
+			b = append(b, " static="...)
+			b = appendUnit(b, pe.StaticPower, powerUnits)
 		}
 		if pe.ReconfigTime > 0 {
-			fmt.Fprintf(bw, " reconfig=%s", FormatTime(pe.ReconfigTime))
+			b = append(b, " reconfig="...)
+			b = appendUnit(b, pe.ReconfigTime, timeUnits)
 		}
 		if pe.DVS {
-			strs := make([]string, len(pe.Levels))
+			b = append(b, " levels="...)
 			for i, l := range pe.Levels {
-				strs[i] = strconv.FormatFloat(l, 'g', -1, 64)
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = appendG(b, l)
 			}
-			fmt.Fprintf(bw, " levels=%s", strings.Join(strs, ","))
 		}
-		fmt.Fprintln(bw)
+		b = append(b, '\n')
 	}
 	for _, cl := range sys.Arch.CLs {
-		names := make([]string, len(cl.PEs))
-		for i, pid := range cl.PEs {
-			names[i] = sys.Arch.PE(pid).Name
-		}
-		fmt.Fprintf(bw, "cl %s bw=%s", cl.Name, FormatBandwidth(cl.BytesPerSec))
+		b = append(b, "cl "...)
+		b = append(b, cl.Name...)
+		b = append(b, " bw="...)
+		b = appendUnit(b, cl.BytesPerSec, bandwidthUnits)
 		if cl.PowerActive > 0 {
-			fmt.Fprintf(bw, " active=%s", FormatPower(cl.PowerActive))
+			b = append(b, " active="...)
+			b = appendUnit(b, cl.PowerActive, powerUnits)
 		}
 		if cl.StaticPower > 0 {
-			fmt.Fprintf(bw, " static=%s", FormatPower(cl.StaticPower))
+			b = append(b, " static="...)
+			b = appendUnit(b, cl.StaticPower, powerUnits)
 		}
-		fmt.Fprintf(bw, " pes=%s\n", strings.Join(names, ","))
+		b = append(b, " pes="...)
+		for i, pid := range cl.PEs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, sys.Arch.PE(pid).Name...)
+		}
+		b = append(b, '\n')
 	}
-	fmt.Fprintln(bw)
+	b = append(b, '\n')
 	for _, tt := range sys.Lib.Types {
-		fmt.Fprintf(bw, "type %s\n", tt.Name)
+		b = append(b, "type "...)
+		b = append(b, tt.Name...)
+		b = append(b, '\n')
 		for _, im := range tt.Impls {
-			fmt.Fprintf(bw, "impl %s %s time=%s power=%s",
-				tt.Name, sys.Arch.PE(im.PE).Name, FormatTime(im.Time), FormatPower(im.Power))
+			b = append(b, "impl "...)
+			b = append(b, tt.Name...)
+			b = append(b, ' ')
+			b = append(b, sys.Arch.PE(im.PE).Name...)
+			b = append(b, " time="...)
+			b = appendUnit(b, im.Time, timeUnits)
+			b = append(b, " power="...)
+			b = appendUnit(b, im.Power, powerUnits)
 			if im.Area > 0 {
-				fmt.Fprintf(bw, " area=%d", im.Area)
+				b = append(b, " area="...)
+				b = strconv.AppendInt(b, int64(im.Area), 10)
 			}
-			fmt.Fprintln(bw)
+			b = append(b, '\n')
 		}
 	}
-	fmt.Fprintln(bw)
+	b = append(b, '\n')
 	for _, m := range sys.App.Modes {
-		fmt.Fprintf(bw, "mode %s prob=%g period=%s\n", m.Name, m.Prob, FormatTime(m.Period))
+		b = append(b, "mode "...)
+		b = append(b, m.Name...)
+		b = append(b, " prob="...)
+		b = appendG(b, m.Prob)
+		b = append(b, " period="...)
+		b = appendUnit(b, m.Period, timeUnits)
+		b = append(b, '\n')
 		for _, task := range m.Graph.Tasks {
-			fmt.Fprintf(bw, "task %s %s type=%s", m.Name, task.Name, sys.Lib.Type(task.Type).Name)
+			b = append(b, "task "...)
+			b = append(b, m.Name...)
+			b = append(b, ' ')
+			b = append(b, task.Name...)
+			b = append(b, " type="...)
+			b = append(b, sys.Lib.Type(task.Type).Name...)
 			if task.Deadline > 0 {
-				fmt.Fprintf(bw, " deadline=%s", FormatTime(task.Deadline))
+				b = append(b, " deadline="...)
+				b = appendUnit(b, task.Deadline, timeUnits)
 			}
-			fmt.Fprintln(bw)
+			b = append(b, '\n')
 		}
 		for _, e := range m.Graph.Edges {
-			fmt.Fprintf(bw, "edge %s %s %s bytes=%g\n",
-				m.Name, m.Graph.Task(e.Src).Name, m.Graph.Task(e.Dst).Name, e.Bytes)
+			b = append(b, "edge "...)
+			b = append(b, m.Name...)
+			b = append(b, ' ')
+			b = append(b, m.Graph.Task(e.Src).Name...)
+			b = append(b, ' ')
+			b = append(b, m.Graph.Task(e.Dst).Name...)
+			b = append(b, " bytes="...)
+			b = appendG(b, e.Bytes)
+			b = append(b, '\n')
 		}
 	}
-	fmt.Fprintln(bw)
+	b = append(b, '\n')
 	for _, tr := range sys.App.Transitions {
-		fmt.Fprintf(bw, "transition %s %s", sys.App.Mode(tr.From).Name, sys.App.Mode(tr.To).Name)
+		b = append(b, "transition "...)
+		b = append(b, sys.App.Mode(tr.From).Name...)
+		b = append(b, ' ')
+		b = append(b, sys.App.Mode(tr.To).Name...)
 		if tr.MaxTime > 0 {
-			fmt.Fprintf(bw, " max=%s", FormatTime(tr.MaxTime))
+			b = append(b, " max="...)
+			b = appendUnit(b, tr.MaxTime, timeUnits)
 		}
-		fmt.Fprintln(bw)
+		b = append(b, '\n')
 	}
-	return bw.Flush()
+	return b
 }
+
+// appendG appends v in the shortest 'g' form, the digits of fmt's %g.
+func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }

@@ -64,39 +64,34 @@ func parseUnit(s, what string, units []unit) (float64, error) {
 	return v * scale, nil
 }
 
+// The unit tables of the formatters, largest unit first.
+var (
+	timeUnits      = []unit{{"s", 1}, {"ms", 1e-3}, {"us", 1e-6}, {"ns", 1e-9}}
+	powerUnits     = []unit{{"W", 1}, {"mW", 1e-3}, {"uW", 1e-6}}
+	bandwidthUnits = []unit{{"GB/s", 1e9}, {"MB/s", 1e6}, {"kB/s", 1e3}, {"B/s", 1}}
+)
+
 // FormatTime renders seconds with the largest unit that keeps the value
 // >= 1 (or ns for very small values), using minimal digits, unless that
-// rendering would not parse back to exactly v (see formatUnit).
-func FormatTime(v float64) string {
-	return formatUnit(v, []unit{
-		{"s", 1}, {"ms", 1e-3}, {"us", 1e-6}, {"ns", 1e-9},
-	})
-}
+// rendering would not parse back to exactly v (see appendUnit).
+func FormatTime(v float64) string { return string(appendUnit(nil, v, timeUnits)) }
 
 // FormatPower renders watts analogously (W, mW, uW).
-func FormatPower(v float64) string {
-	return formatUnit(v, []unit{
-		{"W", 1}, {"mW", 1e-3}, {"uW", 1e-6},
-	})
-}
+func FormatPower(v float64) string { return string(appendUnit(nil, v, powerUnits)) }
 
 // FormatBandwidth renders bytes per second (GB/s, MB/s, kB/s, B/s).
-func FormatBandwidth(v float64) string {
-	return formatUnit(v, []unit{
-		{"GB/s", 1e9}, {"MB/s", 1e6}, {"kB/s", 1e3}, {"B/s", 1},
-	})
-}
+func FormatBandwidth(v float64) string { return string(appendUnit(nil, v, bandwidthUnits)) }
 
-// formatUnit renders v in the largest unit of units (ordered largest
-// first) that keeps the number >= 1, provided parseUnit reads that
+// appendUnit appends v rendered in the largest unit of units (ordered
+// largest first) that keeps the number >= 1, provided parseUnit reads that
 // rendering back to exactly v. v/scale printed with minimal digits does
 // not always do that: 0.018 renders as "18ms", which parses to 18*1e-3, a
 // neighbouring float. When the scaled rendering misses, v falls back to
 // the base unit (scale 1), where the minimal-digit form is exact.
-func formatUnit(v float64, units []unit) string {
+func appendUnit(b []byte, v float64, units []unit) []byte {
 	u := units[len(units)-1]
 	if v == 0 {
-		return "0" + u.suffix
+		return append(append(b, '0'), u.suffix...)
 	}
 	for _, c := range units {
 		if v >= c.scale {
@@ -104,14 +99,15 @@ func formatUnit(v float64, units []unit) string {
 			break
 		}
 	}
-	s := strconv.FormatFloat(v/u.scale, 'g', -1, 64)
-	if back, err := strconv.ParseFloat(s, 64); err == nil && back*u.scale == v {
-		return s + u.suffix
+	n := len(b)
+	b = strconv.AppendFloat(b, v/u.scale, 'g', -1, 64)
+	if back, err := strconv.ParseFloat(string(b[n:]), 64); err == nil && back*u.scale == v {
+		return append(b, u.suffix...)
 	}
 	for _, c := range units {
 		if c.scale == 1 {
 			u = c
 		}
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64) + u.suffix
+	return append(strconv.AppendFloat(b[:n], v, 'g', -1, 64), u.suffix...)
 }
