@@ -35,17 +35,20 @@ bench-pins:
 	$(GO) test -run TestAllocPins -count=1 ./internal/sched ./internal/synth ./internal/dvs ./internal/ga ./internal/allocpin
 
 # Short native-fuzzing bursts over the untrusted-input readers (spec files
-# and checkpoints), the spec writer against its fmt-based reference, and the
-# differential checks of the evaluator and of voltage scaling against their
-# reference copies. The minimise time must be capped: the default 60s
+# and checkpoints), the spec reader and writer against their reference
+# copies, and the differential checks of the evaluator and of voltage
+# scaling against theirs. The minimise time must be capped: the default 60s
 # minimiser can dwarf the fuzz time itself on the ~30KB seed corpus entries.
+# Each -fuzz pattern is anchored: go test refuses a pattern that matches
+# more than one target (FuzzRead would match FuzzReadReference).
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzRead -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
-	$(GO) test -run='^$$' -fuzz=FuzzCanonical -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
-	$(GO) test -run='^$$' -fuzz=FuzzWriteReference -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
-	$(GO) test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
-	$(GO) test -run='^$$' -fuzz=FuzzEvaluateDifferential -fuzztime=5s -fuzzminimizetime=5s ./internal/synth
-	$(GO) test -run='^$$' -fuzz=FuzzScaleDifferential -fuzztime=5s -fuzzminimizetime=5s ./internal/dvs
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
+	$(GO) test -run='^$$' -fuzz='^FuzzReadReference$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
+	$(GO) test -run='^$$' -fuzz='^FuzzCanonical$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
+	$(GO) test -run='^$$' -fuzz='^FuzzWriteReference$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/specio
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckpoint$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
+	$(GO) test -run='^$$' -fuzz='^FuzzEvaluateDifferential$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/synth
+	$(GO) test -run='^$$' -fuzz='^FuzzScaleDifferential$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/dvs
 
 # Observability smoke: a traced mmsynth run on a small spec, every JSONL
 # event and the metrics snapshot validated by mmtrace, then one mmserved

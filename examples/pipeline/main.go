@@ -13,7 +13,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"momosyn/internal/ga"
 	"momosyn/internal/gantt"
@@ -80,7 +79,7 @@ func main() {
 	fmt.Println("artifacts in", dir)
 
 	// 1. Parse the specification.
-	sys, err := specio.Read(strings.NewReader(spec))
+	sys, err := specio.ReadBytes([]byte(spec))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -237,6 +237,39 @@ func TestStoreSchemaMismatchEvicted(t *testing.T) {
 	}
 }
 
+// TestStoreDiscard: a discarded entry and its sidecar are gone and counted
+// as corrupt, so a later Put of the key publishes afresh instead of losing
+// the link race to the discarded bytes.
+func TestStoreDiscard(t *testing.T) {
+	var m testMetrics
+	s, err := Open(t.TempDir(), 0, m.metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key([]byte("discard"))
+	if err := s.Put(testEntry(key, "unusable")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.Dir(), key[:2], key+".json")
+	s.Discard(key)
+	s.Discard("not a key")
+	for _, p := range []string{path, atimePath(path)} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("%s survived Discard (stat error %v)", p, err)
+		}
+	}
+	if m.corrupt.value() != 1 {
+		t.Fatalf("corrupt = %d, want 1", m.corrupt.value())
+	}
+	if err := s.Put(testEntry(key, "fresh")); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.Get(key)
+	if !ok || !strings.Contains(string(e.Result), "fresh") {
+		t.Fatalf("Put after Discard did not republish the key: hit %v", ok)
+	}
+}
+
 // TestStoreLRUEviction fills the store past its cap and proves the
 // least-recently-used entries go first: the oldest entry survives because
 // a Get refreshed it, while untouched middle entries are evicted.

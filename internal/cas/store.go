@@ -127,6 +127,19 @@ func (s *Store) Get(key string) (*Entry, bool) {
 	return e, true
 }
 
+// Discard removes the entry under key and its sidecar, and counts it as
+// corrupt, as Get does for an entry that fails to decode. It is for an
+// entry Get served that the caller then found unusable: left in place, it
+// would shadow every later Put of the key, since a Put loses the link race
+// to an existing entry. Best-effort, like Get's eviction.
+func (s *Store) Discard(key string) {
+	if !ValidKey(key) {
+		return
+	}
+	s.evictCorrupt(s.entryPath(key))
+	inc(s.metrics.Corrupt)
+}
+
 // decodeEntry strictly decodes and validates one entry file against the
 // key it was looked up under.
 func decodeEntry(data []byte, key string) (*Entry, error) {

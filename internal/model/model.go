@@ -318,9 +318,28 @@ func NewTaskGraph(tasks []*Task, edges []*Edge) *TaskGraph {
 	return g
 }
 
+// reindex builds the adjacency lists, each in edge order, and the
+// topological order. The lists are cut from one backing array sized by a
+// first pass over the degrees; a task without edges in a direction keeps
+// a nil list there.
 func (g *TaskGraph) reindex() {
-	g.succ = make([][]EdgeID, len(g.Tasks))
-	g.pred = make([][]EdgeID, len(g.Tasks))
+	n := len(g.Tasks)
+	g.succ = make([][]EdgeID, n)
+	g.pred = make([][]EdgeID, n)
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	for _, e := range g.Edges {
+		deg[e.Src]++
+		deg[n+int(e.Dst)]++
+	}
+	ids := make([]EdgeID, 2*len(g.Edges))
+	for t := 0; t < n; t++ {
+		if d := deg[t]; d > 0 {
+			g.succ[t], ids = ids[:0:d], ids[d:]
+		}
+		if d := deg[n+t]; d > 0 {
+			g.pred[t], ids = ids[:0:d], ids[d:]
+		}
+	}
 	for _, e := range g.Edges {
 		g.succ[e.Src] = append(g.succ[e.Src], e.ID)
 		g.pred[e.Dst] = append(g.pred[e.Dst], e.ID)

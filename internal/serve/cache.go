@@ -138,7 +138,9 @@ func rebindID(raw []byte, old, id string) ([]byte, bool) {
 // run (same manifest and result layout, so restarts and fleet peers see a
 // normal done job). It returns (nil, nil) — no job, no error — when the
 // hit could not be materialised; the caller then falls through to a normal
-// run. A draining server refuses with the usual 503.
+// run. An entry whose result document cannot be rebound is discarded from
+// the cache, so that run can publish its own. A draining server refuses
+// with the usual 503.
 func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) (*Job, *admitError) {
 	s.mu.Lock()
 	if s.draining {
@@ -147,8 +149,10 @@ func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) 
 	}
 	id, err := s.store.newJobID()
 	var doc []byte
+	damaged := false
 	if err == nil {
 		doc, err = rewriteCachedResult(e.Result, id)
+		damaged = err != nil
 	}
 	now := time.Now()
 	j := &Job{ID: id, Request: req, system: system}
@@ -162,6 +166,9 @@ func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) 
 		s.addJobLocked(j)
 	}
 	s.mu.Unlock()
+	if damaged {
+		s.cache.Discard(e.Key)
+	}
 	if err != nil {
 		s.logf("serve: cache hit for %s discarded: %v", system, err)
 		return nil, nil

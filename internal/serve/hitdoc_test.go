@@ -154,8 +154,9 @@ func TestCacheHitDocumentDifferential(t *testing.T) {
 
 // TestCacheHitDiscardsDamagedEntries: an entry whose result is valid JSON
 // of the wrong shape, a truncated entry and an entry filed under another
-// request's key are never served; each resubmission runs for real and
-// completes certified.
+// request's key are never served; each resubmission runs for real,
+// completes certified and republishes the entry, which answers the next
+// resubmission.
 func TestCacheHitDiscardsDamagedEntries(t *testing.T) {
 	spec := tinySpec(t)
 	damages := map[string]func(t *testing.T, a *api, entry string){
@@ -217,6 +218,9 @@ func TestCacheHitDiscardsDamagedEntries(t *testing.T) {
 			}
 			if res.Certification == nil || !res.Certification.Certified || res.ID != j.ID {
 				t.Fatalf("re-run result is not the job's certified result: id %s certification %+v", res.ID, res.Certification)
+			}
+			if again := a.submit(quickJob(spec, 41)); !again.Cached || again.State != serve.StateDone {
+				t.Fatalf("resubmission after the re-run: state %s cached %v, want a cache hit", again.State, again.Cached)
 			}
 		})
 	}

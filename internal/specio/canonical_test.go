@@ -1,9 +1,7 @@
 package specio
 
 import (
-	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -239,53 +237,12 @@ func TestCanonicalExactModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Read(bytes.NewReader(text))
+		back, err := ReadBytes(text)
 		if err != nil {
 			t.Fatalf("%s: canonical form does not reparse: %v", s.name, err)
 		}
-		if diffs := floatDiffs(sortTransitions(sys), back); len(diffs) > 0 {
-			t.Errorf("%s: %d values change through Canonical→Read, e.g. %s", s.name, len(diffs), diffs[0])
+		if d := modelDiff("sys", reflect.ValueOf(sortTransitions(sys)), reflect.ValueOf(back)); d != "" {
+			t.Errorf("%s: the model changes through Canonical→Read at %s", s.name, d)
 		}
 	}
-}
-
-// floatDiffs walks the exported fields of two models in parallel and
-// lists every float64 whose bits differ (two NaNs count as equal) and
-// every slice whose length differs.
-func floatDiffs(a, b any) []string {
-	var out []string
-	var walk func(path string, x, y reflect.Value)
-	walk = func(path string, x, y reflect.Value) {
-		switch x.Kind() {
-		case reflect.Pointer:
-			if x.IsNil() || y.IsNil() {
-				if x.IsNil() != y.IsNil() {
-					out = append(out, path+": nil mismatch")
-				}
-				return
-			}
-			walk(path, x.Elem(), y.Elem())
-		case reflect.Struct:
-			for i := 0; i < x.NumField(); i++ {
-				if f := x.Type().Field(i); f.IsExported() {
-					walk(path+"."+f.Name, x.Field(i), y.Field(i))
-				}
-			}
-		case reflect.Slice:
-			if x.Len() != y.Len() {
-				out = append(out, fmt.Sprintf("%s: length %d vs %d", path, x.Len(), y.Len()))
-				return
-			}
-			for i := 0; i < x.Len(); i++ {
-				walk(fmt.Sprintf("%s[%d]", path, i), x.Index(i), y.Index(i))
-			}
-		case reflect.Float64:
-			u, v := x.Float(), y.Float()
-			if math.Float64bits(u) != math.Float64bits(v) && !(math.IsNaN(u) && math.IsNaN(v)) {
-				out = append(out, fmt.Sprintf("%s: %.20g vs %.20g", path, u, v))
-			}
-		}
-	}
-	walk("sys", reflect.ValueOf(a), reflect.ValueOf(b))
-	return out
 }

@@ -3,26 +3,49 @@ package specio
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzRead asserts that Read never panics and never returns (nil, nil) on
-// arbitrary input, and that every error it does return names an input line
-// (whole-spec semantic errors from validation are the one exception). The
-// corpus is seeded with all shipped example specs plus targeted stubs of
-// each directive.
+// FuzzRead asserts that ReadBytes never panics and never returns both or
+// neither of a system and an error on arbitrary input. The corpus is
+// seeded with all shipped example specs plus targeted stubs of each
+// directive (readCorpus).
 func FuzzRead(f *testing.F) {
+	for _, seed := range readCorpus(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		sys, err := ReadBytes([]byte(input))
+		if err == nil && sys == nil {
+			t.Fatal("ReadBytes returned neither a system nor an error")
+		}
+		if err != nil && sys != nil {
+			t.Fatal("ReadBytes returned both a system and an error")
+		}
+	})
+}
+
+// shippedSpecs returns the text of every spec under specs/.
+func shippedSpecs(tb testing.TB) []string {
+	var texts []string
 	if specs, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec")); err == nil {
 		for _, path := range specs {
 			data, err := os.ReadFile(path)
 			if err != nil {
-				f.Fatalf("seed %s: %v", path, err)
+				tb.Fatalf("seed %s: %v", path, err)
 			}
-			f.Add(string(data))
+			texts = append(texts, string(data))
 		}
 	}
-	for _, seed := range []string{
+	return texts
+}
+
+// readCorpus is the seed corpus of FuzzRead: every shipped spec plus a stub
+// of each directive and a few malformed lines.
+func readCorpus(tb testing.TB) []string {
+	return append(shippedSpecs(tb),
 		"",
 		"system x",
 		"pe P class=gpp levels=1.2,3.3 static=1mW",
@@ -35,18 +58,7 @@ func FuzzRead(f *testing.F) {
 		"mode m prob=-1 period=0s",
 		"pe \x00 class=gpp",
 		strings.Repeat("type t", 3),
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, input string) {
-		sys, err := Read(strings.NewReader(input))
-		if err == nil && sys == nil {
-			t.Fatal("Read returned neither a system nor an error")
-		}
-		if err != nil && sys != nil {
-			t.Fatal("Read returned both a system and an error")
-		}
-	})
+	)
 }
 
 // FuzzCanonical asserts the keying contract behind internal/cas on
@@ -72,8 +84,8 @@ func FuzzCanonical(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form does not reparse: %v\n%s", err, first)
 		}
-		if diffs := floatDiffs(sortTransitions(sys), back); len(diffs) > 0 {
-			t.Fatalf("canonical form reads back a different model (%s):\n%s", diffs[0], first)
+		if d := modelDiff("sys", reflect.ValueOf(sortTransitions(sys)), reflect.ValueOf(back)); d != "" {
+			t.Fatalf("canonical form reads back a different model (%s):\n%s", d, first)
 		}
 		second, err := Canonical(back)
 		if err != nil {
@@ -89,17 +101,7 @@ func FuzzCanonical(f *testing.F) {
 // FuzzWriteReference: every shipped spec plus two stubs, the second with a
 // period whose scaled unit rendering would not read back exactly.
 func canonicalCorpus(tb testing.TB) []string {
-	var seeds []string
-	if specs, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec")); err == nil {
-		for _, path := range specs {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				tb.Fatalf("seed %s: %v", path, err)
-			}
-			seeds = append(seeds, string(data))
-		}
-	}
-	return append(seeds,
+	return append(shippedSpecs(tb),
 		"system x\npe P class=gpp vmax=3.3 vt=0.8\ntype t\nimpl t P time=1ms power=1mW\nmode m prob=1 period=1s\ntask m a type=t\n",
 		"system x\npe P class=gpp vmax=3.3 vt=0.8\ntype t\nimpl t P time=1ms power=1mW\nmode m prob=1 period=0.018s\ntask m a type=t\n",
 	)
@@ -119,5 +121,18 @@ func FuzzWriteReference(f *testing.F) {
 			t.Skip() // unparsable input is FuzzRead's territory
 		}
 		checkWriteReference(t, sys)
+	})
+}
+
+// FuzzReadReference asserts that ReadWarnBytes agrees with the reader it
+// replaced (readReference) on arbitrary input: the same error text with
+// the same line number, the same warnings, and a system with the same
+// canonical bytes and the same value in every field.
+func FuzzReadReference(f *testing.F) {
+	for _, seed := range referenceCorpus(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		checkReadReference(t, []byte(input))
 	})
 }

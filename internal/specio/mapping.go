@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
 	"momosyn/internal/model"
 )
@@ -53,19 +52,13 @@ func ReadMapping(r io.Reader, sys *model.System) (model.Mapping, error) {
 		}
 	}
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if i := strings.IndexByte(text, '#'); i >= 0 {
-			text = text[:i]
-		}
-		fields := strings.Fields(text)
-		if len(fields) == 0 {
-			continue
-		}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("specio: %w", err)
+	}
+	sc := lineScanner{src: string(data)}
+	for sc.next() {
+		line, fields := sc.line, sc.fields
 		if fields[0] != "map" || len(fields) != 4 {
 			return nil, fmt.Errorf("specio: line %d: want 'map MODE TASK PE'", line)
 		}
@@ -86,8 +79,8 @@ func ReadMapping(r io.Reader, sys *model.System) (model.Mapping, error) {
 		}
 		m[mi][ti] = pe
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("specio: %w", err)
+	if sc.err != nil {
+		return nil, sc.err
 	}
 	for mi, mode := range sys.App.Modes {
 		for ti, task := range mode.Graph.Tasks {

@@ -109,3 +109,18 @@ func TestReadMappingIgnoresCommentsAndBlanks(t *testing.T) {
 		t.Fatal("comments changed the mapping")
 	}
 }
+
+// TestReadMappingLineLimit: a mapping line longer than the 4 MiB limit is
+// rejected with its line number, as the spec reader rejects one.
+func TestReadMappingLineLimit(t *testing.T) {
+	sys, m := phoneWithMapping(t)
+	var buf bytes.Buffer
+	if err := WriteMapping(&buf, sys, m); err != nil {
+		t.Fatal(err)
+	}
+	input := "# header\n" + strings.Repeat("x", maxLine+1) + "\n" + buf.String()
+	const want = "specio: line 2: bufio.Scanner: token too long"
+	if _, err := ReadMapping(strings.NewReader(input), sys); err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %s", err, want)
+	}
+}

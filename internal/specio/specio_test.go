@@ -1,12 +1,15 @@
 package specio
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"momosyn/internal/bench"
 	"momosyn/internal/gen"
@@ -40,7 +43,7 @@ transition idle run
 `
 
 func TestReadSample(t *testing.T) {
-	sys, err := Read(strings.NewReader(sample))
+	sys, err := ReadBytes([]byte(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestReadSample(t *testing.T) {
 }
 
 func TestRoundTripSample(t *testing.T) {
-	sys, err := Read(strings.NewReader(sample))
+	sys, err := ReadBytes([]byte(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func roundTrip(t *testing.T, sys *model.System) {
 	if err := Write(&buf1, sys); err != nil {
 		t.Fatal(err)
 	}
-	sys2, err := Read(bytes.NewReader(buf1.Bytes()))
+	sys2, err := ReadBytes(buf1.Bytes())
 	if err != nil {
 		t.Fatalf("re-read failed: %v\nspec:\n%s", err, buf1.String())
 	}
@@ -137,7 +140,7 @@ func roundTrip(t *testing.T, sys *model.System) {
 	}
 	// After one read the representation is canonical: a further
 	// read/write cycle must be a byte-identical fixed point.
-	sys3, err := Read(bytes.NewReader(buf2.Bytes()))
+	sys3, err := ReadBytes(buf2.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +225,11 @@ func relDiff(a, b float64) float64 {
 }
 
 // TestReadBytesMatchesRead pins the in-memory entry points: ReadBytes and
-// ReadWarnBytes must behave exactly like their reader-based counterparts —
-// same system, same warnings, same line-numbered errors — since the server
+// ReadWarnBytes must behave exactly like the reader-based ReadWarn — same
+// system, same warnings, same line-numbered errors — since the server
 // parses uploaded request bodies through them without a temp file.
 func TestReadBytesMatchesRead(t *testing.T) {
-	fromReader, err := Read(strings.NewReader(sample))
+	fromReader, _, err := ReadWarn(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +245,7 @@ func TestReadBytesMatchesRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Error("ReadBytes parsed a different system than Read")
+		t.Error("ReadBytes parsed a different system than ReadWarn")
 	}
 
 	// Errors keep their 1-based line numbers through the bytes path.
@@ -295,7 +298,7 @@ func TestReadErrors(t *testing.T) {
 		{"bad bytes", "mode m prob=1 period=1s\ntask m a type=t\nedge m a a bytes=x"},
 	}
 	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c.spec)); err == nil {
+		if _, err := ReadBytes([]byte(c.spec)); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
@@ -353,7 +356,7 @@ transition a b max=1ms
 transition b a max=1ms
 transition c a max=1ms
 `
-	_, err := Read(strings.NewReader(spec))
+	_, err := ReadBytes([]byte(spec))
 	if err == nil {
 		t.Fatal("unreachable mode must be rejected")
 	}
@@ -367,7 +370,7 @@ transition c a max=1ms
 
 	// Closing the cycle makes the same spec valid.
 	fixed := spec + "transition a c max=1ms\n"
-	if _, err := Read(strings.NewReader(fixed)); err != nil {
+	if _, err := ReadBytes([]byte(fixed)); err != nil {
 		t.Errorf("reachable state machine rejected: %v", err)
 	}
 }
@@ -387,7 +390,7 @@ transition b a max=1ms
 `
 	for _, bad := range []string{"0s", "0ms", "-5ms"} {
 		spec := fmt.Sprintf(base, bad)
-		_, err := Read(strings.NewReader(spec))
+		_, err := ReadBytes([]byte(spec))
 		if err == nil {
 			t.Errorf("max=%s must be rejected", bad)
 			continue
@@ -401,7 +404,7 @@ transition b a max=1ms
 	}
 	// Omitting max entirely stays legal (unconstrained transition).
 	spec := strings.Replace(fmt.Sprintf(base, "1ms"), " max=1ms\ntransition b a max=1ms", "\ntransition b a", 1)
-	if _, err := Read(strings.NewReader(spec)); err != nil {
+	if _, err := ReadBytes([]byte(spec)); err != nil {
 		t.Errorf("unconstrained transition rejected: %v", err)
 	}
 }
@@ -472,7 +475,7 @@ func TestUnitFormattingRoundTrips(t *testing.T) {
 
 func TestCommentsAndBlankLines(t *testing.T) {
 	spec := "# leading comment\n\n  \nsystem x # trailing\npe cpu class=gpp\ncl b bw=1B/s pes=cpu\ntype t\nimpl t cpu time=1ms power=1mW\nmode m prob=1 period=1s\ntask m a type=t\n"
-	sys, err := Read(strings.NewReader(spec))
+	sys, err := ReadBytes([]byte(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +513,7 @@ func TestReadNeverPanicsOnGarbage(t *testing.T) {
 					t.Fatalf("parser panicked on mangled input: %v\n%s", r, strings.Join(lines, "\n"))
 				}
 			}()
-			sys, err := Read(strings.NewReader(strings.Join(lines, "\n")))
+			sys, err := ReadBytes([]byte(strings.Join(lines, "\n")))
 			if err == nil {
 				// Any accepted output must validate.
 				if verr := sys.Validate(); verr != nil {
@@ -518,5 +521,75 @@ func TestReadNeverPanicsOnGarbage(t *testing.T) {
 				}
 			}
 		}()
+	}
+}
+
+// TestReadReportsFirstBadAttribute: of several bad attributes on a line,
+// the first in line order is the one reported, every time (a reader that
+// walked a map of the attributes named one at random).
+func TestReadReportsFirstBadAttribute(t *testing.T) {
+	const spec = "pe P class=gpp vmax=x vt=y area=z"
+	const want = `specio: line 1: vmax: strconv.ParseFloat: parsing "x": invalid syntax`
+	for i := 0; i < 100; i++ {
+		if _, err := ReadBytes([]byte(spec)); err == nil || err.Error() != want {
+			t.Fatalf("parse %d: error %v, want %s", i, err, want)
+		}
+	}
+}
+
+// TestReadLineLimit pins the 4 MiB line limit at its edge, counting a
+// line's bytes before its newline ('\r' included) whether or not a
+// newline ends it, and the error text naming the line.
+func TestReadLineLimit(t *testing.T) {
+	const head = "pe P class=gpp\ntype t\nimpl t P time=1ms power=1mW\nmode m prob=1 period=1s\ntask m a type=t\n"
+	comment := func(n int) string { return "#" + strings.Repeat("x", n-1) }
+	cases := []struct {
+		name, spec string
+		tooLong    bool
+	}{
+		{"longest line", head + comment(maxLine) + "\n", false},
+		{"longest last line", head + comment(maxLine), false},
+		{"longest line with CR", head + comment(maxLine-1) + "\r\n", false},
+		{"one byte over", head + comment(maxLine+1) + "\n", true},
+		{"one byte over, last line", head + comment(maxLine+1), true},
+		{"one byte over with CR", head + comment(maxLine) + "\r\n", true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkReadReference(t, []byte(c.spec))
+			_, err := ReadBytes([]byte(c.spec))
+			if !c.tooLong {
+				if err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			const want = "specio: line 6: bufio.Scanner: token too long"
+			if err == nil || err.Error() != want || !errors.Is(err, bufio.ErrTooLong) {
+				t.Fatalf("error %v, want %s", err, want)
+			}
+		})
+	}
+}
+
+// TestReadCopiesSystemName: the system's name does not share the input's
+// copy, which every other name is a substring of, so a caller that keeps
+// only the name (a job record) does not keep the whole input alive.
+func TestReadCopiesSystemName(t *testing.T) {
+	// The system line sits between other declarations, inside the extent
+	// of the copy that the other names span.
+	spec := strings.Replace(sample, "system demo\n", "", 1)
+	spec = strings.Replace(spec, "type fir\n", "system demo\ntype fir\n", 1)
+	sys, err := ReadBytes([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+	lo, hi := addr(sys.Arch.PEs[0].Name), addr(sys.App.Modes[1].Graph.Tasks[0].Name)
+	if lo >= hi {
+		t.Fatal("the other names are not substrings of one copy of the input")
+	}
+	if n := addr(sys.App.Name); n >= lo && n <= hi {
+		t.Fatalf("system name %q lies inside the input copy (%#x in [%#x, %#x])", sys.App.Name, n, lo, hi)
 	}
 }

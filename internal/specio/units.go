@@ -8,27 +8,15 @@ import (
 
 // ParseTime parses a duration with unit suffix (ns, us, ms, s) into
 // seconds. A bare number is seconds.
-func ParseTime(s string) (float64, error) {
-	return parseUnit(s, "time", []unit{
-		{"ns", 1e-9}, {"us", 1e-6}, {"ms", 1e-3}, {"s", 1},
-	})
-}
+func ParseTime(s string) (float64, error) { return parseUnit(s, "time", timeUnits) }
 
 // ParsePower parses a power with unit suffix (uW, mW, W) into watts. A
 // bare number is watts.
-func ParsePower(s string) (float64, error) {
-	return parseUnit(s, "power", []unit{
-		{"uW", 1e-6}, {"mW", 1e-3}, {"W", 1},
-	})
-}
+func ParsePower(s string) (float64, error) { return parseUnit(s, "power", powerUnits) }
 
 // ParseBandwidth parses a bandwidth (B/s, kB/s, MB/s, GB/s) into bytes per
 // second. A bare number is bytes per second.
-func ParseBandwidth(s string) (float64, error) {
-	return parseUnit(s, "bandwidth", []unit{
-		{"GB/s", 1e9}, {"MB/s", 1e6}, {"kB/s", 1e3}, {"B/s", 1},
-	})
-}
+func ParseBandwidth(s string) (float64, error) { return parseUnit(s, "bandwidth", bandwidthUnits) }
 
 type unit struct {
 	suffix string
@@ -64,7 +52,8 @@ func parseUnit(s, what string, units []unit) (float64, error) {
 	return v * scale, nil
 }
 
-// The unit tables of the formatters, largest unit first.
+// The unit tables, largest unit first (the order the formatters need;
+// parseUnit matches the longest suffix whatever the order).
 var (
 	timeUnits      = []unit{{"s", 1}, {"ms", 1e-3}, {"us", 1e-6}, {"ns", 1e-9}}
 	powerUnits     = []unit{{"W", 1}, {"mW", 1e-3}, {"uW", 1e-6}}

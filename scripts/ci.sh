@@ -40,7 +40,7 @@ echo "==> benchmark module (go vet, go test)"
 # inner loop and the reference scaler. The
 # minimise time must be capped — the default 60s minimiser can dwarf the
 # fuzz time itself on the ~30KB seed corpus entries.
-echo "==> fuzz smoke (make fuzz-smoke: FuzzRead, FuzzCanonical, FuzzWriteReference, FuzzCheckpoint, FuzzEvaluateDifferential, FuzzScaleDifferential)"
+echo "==> fuzz smoke (make fuzz-smoke: FuzzRead, FuzzReadReference, FuzzCanonical, FuzzWriteReference, FuzzCheckpoint, FuzzEvaluateDifferential, FuzzScaleDifferential)"
 make fuzz-smoke
 
 # Observability smoke: a traced synthesis and benchmark row, every JSONL
