@@ -40,15 +40,16 @@ import (
 var closeObs = func() error { return nil }
 
 func main() {
+	def := bench.DefaultGA()
 	var (
 		table    = flag.String("table", "", "which table to regenerate: 1, 2, 3 or all")
 		figures  = flag.Bool("figures", false, "reproduce the motivational figures 2, 3 and 5")
 		ablation = flag.Bool("ablation", false, "ablation study of the design choices on the smart phone")
 		reps     = flag.Int("reps", 5, "optimisation runs averaged per cell (paper: 40)")
 		seed     = flag.Int64("seed", 1, "base seed")
-		pop      = flag.Int("pop", 64, "GA population size")
-		gens     = flag.Int("gens", 300, "GA generation limit")
-		stag     = flag.Int("stagnation", 80, "GA stagnation limit")
+		pop      = flag.Int("pop", def.PopSize, "GA population size")
+		gens     = flag.Int("gens", def.MaxGenerations, "GA generation limit")
+		stag     = flag.Int("stagnation", def.Stagnation, "GA stagnation limit")
 		parallel = flag.Int("parallel", 4, "concurrent synthesis runs across the whole table (rows fan out onto a worker pool; printed output is identical to -parallel 1)")
 		certify  = flag.Bool("certify", false, "independently certify every repetition's result; a refused certification exits 4")
 

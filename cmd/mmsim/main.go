@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 
+	"momosyn/internal/bench"
 	"momosyn/internal/ga"
 	"momosyn/internal/obs"
 	"momosyn/internal/sim"
@@ -31,6 +32,7 @@ import (
 var closeObs = func() error { return nil }
 
 func main() {
+	def := bench.DefaultGA()
 	var (
 		specPath  = flag.String("spec", "", "specification file (default: stdin)")
 		useDVS    = flag.Bool("dvs", false, "enable dynamic voltage scaling")
@@ -38,8 +40,8 @@ func main() {
 		seed      = flag.Int64("seed", 1, "seed for synthesis and trace")
 		horizon   = flag.Float64("horizon", 3600, "simulated operational time in seconds")
 		dwell     = flag.Float64("dwell", 5, "mean mode dwell time in seconds")
-		pop       = flag.Int("pop", 64, "GA population size")
-		gens      = flag.Int("gens", 300, "GA generation limit")
+		pop       = flag.Int("pop", def.PopSize, "GA population size")
+		gens      = flag.Int("gens", def.MaxGenerations, "GA generation limit")
 		useMap    = flag.String("mapping", "", "simulate a saved mapping instead of synthesising")
 		useTrace  = flag.String("trace", "", "replay a recorded trace file instead of generating one")
 		saveTrace = flag.String("save-trace", "", "record the generated trace to this file")

@@ -29,6 +29,7 @@ import (
 	"os"
 	"sort"
 
+	"momosyn/internal/bench"
 	"momosyn/internal/ga"
 	"momosyn/internal/gantt"
 	"momosyn/internal/model"
@@ -47,14 +48,15 @@ import (
 var closeObs = func() error { return nil }
 
 func main() {
+	def := bench.DefaultGA()
 	var (
 		specPath  = flag.String("spec", "", "specification file (default: stdin)")
 		useDVS    = flag.Bool("dvs", false, "enable dynamic voltage scaling")
 		neglect   = flag.Bool("neglect-probabilities", false, "optimise assuming uniform mode probabilities (baseline)")
 		seed      = flag.Int64("seed", 1, "optimisation seed")
-		pop       = flag.Int("pop", 64, "GA population size")
-		gens      = flag.Int("gens", 300, "GA generation limit")
-		stag      = flag.Int("stagnation", 80, "GA stagnation limit")
+		pop       = flag.Int("pop", def.PopSize, "GA population size")
+		gens      = flag.Int("gens", def.MaxGenerations, "GA generation limit")
+		stag      = flag.Int("stagnation", def.Stagnation, "GA stagnation limit")
 		verbose   = flag.Bool("v", false, "print the per-mode schedules")
 		save      = flag.String("save", "", "write the best task mapping to this file")
 		useMap    = flag.String("mapping", "", "evaluate a saved mapping instead of synthesising")

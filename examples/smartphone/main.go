@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"momosyn/internal/bench"
-	"momosyn/internal/ga"
 	"momosyn/internal/model"
 	"momosyn/internal/synth"
 )
@@ -46,7 +45,7 @@ func main() {
 	}
 	fmt.Printf(" on %s\n\n", sys.Arch.CLs[0].Name)
 
-	cfg := ga.Config{PopSize: 64, MaxGenerations: 300, Stagnation: 80}
+	cfg := bench.DefaultGA()
 	cell := func(useDVS, neglect bool) (float64, time.Duration) {
 		sum, dur := 0.0, time.Duration(0)
 		for r := 0; r < *reps; r++ {

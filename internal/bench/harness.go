@@ -37,8 +37,7 @@ type HarnessConfig struct {
 	Parallel int
 	// BaseSeed offsets the per-repetition seeds.
 	BaseSeed int64
-	// GA tunes the engine; the zero value selects the harness defaults
-	// (population 64, up to 300 generations, stagnation 80).
+	// GA tunes the engine; the zero value selects DefaultGA.
 	GA ga.Config
 	// Context, when non-nil, makes the experiment interruptible: on
 	// cancellation every in-flight synthesis stops at its next generation

@@ -16,7 +16,7 @@ func TestAllocPins(t *testing.T) {
 	p := oneMax{n: 12, k: 4}
 	e := &engine{
 		p:    p,
-		cfg:  Config{PopSize: 20, MaxGenerations: 10, Stagnation: 5}.withDefaults(),
+		cfg:  Config{PopSize: 20, MaxGenerations: 10, Stagnation: 5}.WithDefaults(),
 		rate: mutationRate(p.GenomeLen()),
 		rng:  rand.New(rand.NewSource(1)),
 	}

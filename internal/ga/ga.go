@@ -33,11 +33,12 @@ type Problem interface {
 // re-evaluation). The engine decides which individuals to pass in.
 type Mutator func(genome []int, rng *rand.Rand) bool
 
-// Config sizes the engine's budget. Zero values select the defaults noted
-// per field. The operator settings are fixed at the paper's Fig. 4 values:
-// linear ranking at 1.8, mating tournaments of 2, PopSize/2 offspring (at
-// least one) per generation, a per-locus mutation rate of 1/GenomeLen and
-// an improvement probability of 0.02 per mutator and individual.
+// Config sizes the engine's budget. Zero (or negative) values select the
+// defaults noted per field, which WithDefaults fills in. The operator
+// settings are fixed at the paper's Fig. 4 values: linear ranking at 1.8,
+// mating tournaments of 2, PopSize/2 offspring (at least one) per
+// generation, a per-locus mutation rate of 1/GenomeLen and an improvement
+// probability of 0.02 per mutator and individual.
 type Config struct {
 	// PopSize is the population size (default 32).
 	PopSize int
@@ -62,7 +63,10 @@ const (
 	improvementRate = 0.02
 )
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset budget field replaced by the
+// engine default. Run applies it, so a caller that keys or displays a
+// budget applies it first to name the budget the engine will run.
+func (c Config) WithDefaults() Config {
 	if c.PopSize <= 0 {
 		c.PopSize = 32
 	}
@@ -237,7 +241,7 @@ func Run(p Problem, cfg Config, rng *rand.Rand, mutators ...Mutator) *Result {
 // from a snapshot, and runs the stall watchdog. With a zero RunControl it
 // behaves exactly like Run, consuming the identical random stream.
 func RunControlled(p Problem, cfg Config, rc RunControl, rng *rand.Rand, mutators ...Mutator) *Result {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	ctx := rc.Context
 	if ctx == nil {
 		ctx = context.Background()

@@ -145,7 +145,7 @@ func (p boundsCheck) Fitness(g []int) float64 {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := Config{}.WithDefaults()
 	if c.PopSize != 32 || c.MaxGenerations != 200 || c.Stagnation != 40 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
@@ -158,7 +158,7 @@ func TestConfigDefaults(t *testing.T) {
 	if got := c.offspring(); got != 16 {
 		t.Errorf("offspring = %d, want PopSize/2", got)
 	}
-	if got := (Config{PopSize: 1}).withDefaults().offspring(); got != 1 {
+	if got := (Config{PopSize: 1}).WithDefaults().offspring(); got != 1 {
 		t.Errorf("offspring floor = %d, want 1", got)
 	}
 }

@@ -72,7 +72,7 @@ func RunNSGA2(ctx context.Context, p MultiProblem, cfg Config, rng *rand.Rand, s
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	rate := mutationRate(p.GenomeLen())
 	evals := 0
 	eval := func(g []int) []float64 {

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -167,6 +166,9 @@ func validateBatch(req *BatchRequest) *admitError {
 		case o.Failpoint != "":
 			return admitErrorf(http.StatusBadRequest, "options[%d]: failpoints are not allowed in batches", i)
 		}
+		if aerr := checkBudgets(o); aerr != nil {
+			return admitErrorf(aerr.status, "options[%d]: %s", i, aerr.msg)
+		}
 	}
 	return nil
 }
@@ -181,21 +183,8 @@ func cellRequest(opt JobRequest, spec string, seed int64) JobRequest {
 }
 
 func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
-	const limit = maxSpecBytes * maxBatchSpecs
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if len(body) > limit {
-		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", limit)
-		return
-	}
 	var req BatchRequest
-	dec := json.NewDecoder(bytesReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "request body: %v", err)
+	if !readJSON(w, r, maxSpecBytes*maxBatchSpecs, &req) {
 		return
 	}
 	if aerr := validateBatch(&req); aerr != nil {
@@ -224,7 +213,7 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 			s.writeAPIError(w, admitErrorf(aerr.status, "specs[%d]: %s", i, aerr.msg))
 			return
 		}
-		sys, warns, err := specio.ReadWarnBytes([]byte(probe.Spec))
+		sys, warns, err := specio.ReadWarnString(probe.Spec)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "specs[%d]: spec: %v", i, err)
 			return
@@ -260,40 +249,21 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 					b.Cells = append(b.Cells, cell)
 					continue
 				}
-				key, keyable := s.cacheKey(specs[si].canon, &creq)
-				if keyable {
-					if owner, dup := seen[key]; dup {
-						cell.Job, cell.Duplicate = owner, true
-						dupes++
-						b.Cells = append(b.Cells, cell)
-						continue
-					}
-					if e, hit := s.cache.Get(key); hit {
-						if j, aerr := s.materializeCached(creq, specs[si].sys.App.Name, e); aerr != nil {
-							cell.Rejected = aerr.msg
-							rejected++
-							b.Cells = append(b.Cells, cell)
-							continue
-						} else if j != nil {
-							cell.Job, cell.CacheHit = j.ID, true
-							cacheHits++
-							seen[key] = j.ID
-							b.Cells = append(b.Cells, cell)
-							continue
-						}
-						// Hit not materialisable: run the cell for real.
-					}
-				}
-				j, aerr := s.admitJob(creq, specs[si].sys, key)
-				if aerr != nil {
+				key := s.cacheKey(specs[si].canon, &creq)
+				if owner, dup := seen[key]; dup {
+					cell.Job, cell.Duplicate = owner, true
+					dupes++
+				} else if j, hit, aerr := s.submit(creq, specs[si].sys, key); aerr != nil {
 					cell.Rejected = aerr.msg
 					rejected++
-					b.Cells = append(b.Cells, cell)
-					continue
-				}
-				cell.Job = j.ID
-				if keyable {
-					seen[key] = j.ID
+				} else {
+					cell.Job, cell.CacheHit = j.ID, hit
+					if hit {
+						cacheHits++
+					}
+					if key != "" {
+						seen[key] = j.ID
+					}
 				}
 				b.Cells = append(b.Cells, cell)
 			}

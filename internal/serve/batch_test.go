@@ -260,6 +260,22 @@ func TestBatchValidation(t *testing.T) {
 			Specs: []serve.BatchSpecRef{{Spec: spec}}, Seeds: []int64{1},
 			Options: []serve.JobRequest{{Failpoint: "run-crash"}},
 		}, "failpoints are not allowed"},
+		{"negative pop", serve.BatchRequest{
+			Specs: []serve.BatchSpecRef{{Spec: spec}}, Seeds: []int64{1},
+			Options: []serve.JobRequest{{}, {GA: serve.GAParams{PopSize: -1}}},
+		}, "options[1]: ga.pop_size must not be negative"},
+		{"negative generations", serve.BatchRequest{
+			Specs: []serve.BatchSpecRef{{Spec: spec}}, Seeds: []int64{1},
+			Options: []serve.JobRequest{{GA: serve.GAParams{MaxGenerations: -1}}},
+		}, "ga.max_generations must not be negative"},
+		{"negative stagnation", serve.BatchRequest{
+			Specs: []serve.BatchSpecRef{{Spec: spec}}, Seeds: []int64{1},
+			Options: []serve.JobRequest{{GA: serve.GAParams{Stagnation: -1}}},
+		}, "ga.stagnation must not be negative"},
+		{"negative stall window", serve.BatchRequest{
+			Specs: []serve.BatchSpecRef{{Spec: spec}}, Seeds: []int64{1},
+			Options: []serve.JobRequest{{StallWindow: -1}},
+		}, "stall_window must not be negative"},
 		{"malformed spec", serve.BatchRequest{
 			Specs: []serve.BatchSpecRef{{Spec: spec}, {Spec: "not a spec"}},
 			Seeds: []int64{1, 2},

@@ -33,13 +33,9 @@ func keyOptions(req *JobRequest) synth.Options {
 		UseDVS:               req.DVS,
 		NeglectProbabilities: req.NeglectProbabilities,
 		StallWindow:          req.StallWindow,
-		GA: ga.Config{
-			PopSize:        req.GA.PopSize,
-			MaxGenerations: req.GA.MaxGenerations,
-			Stagnation:     req.GA.Stagnation,
-		},
-		Seed:    req.Seed,
-		Certify: req.certify(),
+		GA:                   ga.Config(req.GA),
+		Seed:                 req.Seed,
+		Certify:              req.certify(),
 	}
 }
 
@@ -58,14 +54,14 @@ func (s *Server) canonicalSpec(sys *model.System) []byte {
 }
 
 // cacheKey derives the request's content address from its spec's
-// canonical form, or ok=false when the request is uncacheable (no
-// canonical form, because no cache is configured, or a failpoint drill —
-// injected faults must actually run).
-func (s *Server) cacheKey(canon []byte, req *JobRequest) (string, bool) {
+// canonical form, or "" when the request is uncacheable (no canonical
+// form, because no cache is configured, or a failpoint drill — injected
+// faults must actually run).
+func (s *Server) cacheKey(canon []byte, req *JobRequest) string {
 	if canon == nil || req.Failpoint != "" {
-		return "", false
+		return ""
 	}
-	return cas.Key(canon, synth.CanonicalOptions(keyOptions(req)), []byte(synth.EngineVersion)), true
+	return cas.Key(canon, synth.CanonicalOptions(keyOptions(req)), []byte(synth.EngineVersion))
 }
 
 // buildCommit is the VCS revision baked into the binary, for cache entry
@@ -194,11 +190,11 @@ func (s *Server) cachePublish(j *Job, sys *model.System, res *synth.Result, doc 
 	if res.Certification == nil || !res.Certification.Certified() {
 		return
 	}
-	key, ok := j.key, j.key != ""
-	if !ok {
-		key, ok = s.cacheKey(s.canonicalSpec(sys), &j.Request)
+	key := j.key
+	if key == "" {
+		key = s.cacheKey(s.canonicalSpec(sys), &j.Request)
 	}
-	if !ok {
+	if key == "" {
 		return
 	}
 	err := s.cache.Put(&cas.Entry{

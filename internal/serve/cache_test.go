@@ -173,6 +173,45 @@ func TestCacheHitResubmission(t *testing.T) {
 	}
 }
 
+// TestGADefaultsAtAdmission pins where a request's GA budget is settled:
+// a zero field takes the engine default at admission, so a request that
+// leaves the GA budget out and one that asks for the default 32/200/40
+// explicitly share one cache entry; and the server's generation cap only
+// lowers a budget, so under a cap of 500 a zero request runs the engine's
+// 200 generations, not 500.
+func TestGADefaultsAtAdmission(t *testing.T) {
+	spec := tinySpec(t)
+	t.Run("one key", func(t *testing.T) {
+		_, a, _ := cacheServer(t, t.TempDir(), t.TempDir(), nil)
+		zero := a.submit(serve.JobRequest{Spec: spec, Seed: 3})
+		a.await(zero.ID, "done", stateIs(serve.StateDone))
+		explicit := a.submit(serve.JobRequest{Spec: spec, Seed: 3,
+			GA: serve.GAParams{PopSize: 32, MaxGenerations: 200, Stagnation: 40}})
+		if !explicit.Cached {
+			t.Fatalf("explicit-default request %s missed the zero request's cache entry", explicit.ID)
+		}
+		if got := metricValue(t, a, "serve.cache_hits"); got != 1 {
+			t.Fatalf("serve.cache_hits = %v, want 1", got)
+		}
+	})
+	t.Run("cap only lowers", func(t *testing.T) {
+		for _, tc := range []struct{ limit, want int }{{500, 200}, {50, 50}} {
+			_, a := startServer(t, serve.Config{Workers: 1, QueueDepth: 8, MaxGenerations: tc.limit})
+			// A stagnation limit past every budget makes the run use all of
+			// its generations.
+			j := a.submit(serve.JobRequest{Spec: spec, Seed: 1, GA: serve.GAParams{PopSize: 4, Stagnation: 1000}})
+			a.await(j.ID, "done", stateIs(serve.StateDone))
+			var res serve.ResultView
+			if resp := a.do("GET", "/v1/jobs/"+j.ID+"/result", nil, &res); resp.StatusCode != http.StatusOK {
+				t.Fatalf("result: status %d", resp.StatusCode)
+			}
+			if res.Generations != tc.want {
+				t.Errorf("cap %d: a zero max_generations ran %d generations, want %d", tc.limit, res.Generations, tc.want)
+			}
+		}
+	})
+}
+
 // TestCacheCorruptionLive corrupts the live cache entry under a running
 // server — structural byte flip and truncation — and proves each damaged
 // entry is evicted and the job re-synthesized, never served.

@@ -160,8 +160,9 @@ func (f *fleetJobs) backlog() (int, int) {
 // dispatch leaves the published job to the claim loops of the fleet.
 func (f *fleetJobs) dispatch(*Job) bool { return true }
 
-// handBack releases the lease, so the fleet can act on the job at once;
-// the claim loops honour a retry delay through the manifest's not_before.
+// handBack releases the lease, so the fleet can act on the queued job at
+// once; the claim loops honour a retry delay through the manifest's
+// not_before.
 func (f *fleetJobs) handBack(j *Job, _ time.Duration) {
 	if lease := j.heldLease(); lease != nil {
 		f.s.dropLease(j, lease)

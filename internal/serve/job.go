@@ -205,7 +205,8 @@ func (j *Job) parsedSpec() (*model.System, error) {
 	if sys != nil {
 		return sys, nil
 	}
-	return specio.ReadBytes([]byte(j.Request.Spec))
+	sys, _, err := specio.ReadWarnString(j.Request.Spec)
+	return sys, err
 }
 
 // snapshot captures the mutable fields under the lock.

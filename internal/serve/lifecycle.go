@@ -78,16 +78,19 @@ func (s *Server) reclaimLocked(j *Job, owner string, now time.Time) (died, quara
 // final state, the checkpoint removed (the job never runs again), then the
 // reveal — the in-memory state and its terminal counter move together
 // under j.mu, so state and /metrics can never disagree — the terminal span
-// (from the state the job left, with dwellNs spent there) and log line,
-// and the job handed back. A caller with a result document persists it
-// first: recovery and fleet adoption trust a terminal manifest to have its
-// result beside it.
+// (from the state the job left, with dwellNs spent there) and log line.
+// A fleet lease is detached, not released: the job never runs again, so
+// rewriting the lease after the commit would buy nothing, and it expires
+// by its TTL. A caller with a result document persists it first: recovery
+// and fleet adoption trust a terminal manifest to have its result beside
+// it.
 func (s *Server) commitTerminal(j *Job, snap jobSnapshot, from State, dwellNs int64, detail string) {
 	s.persistSnap(j, snap)
 	s.store.removeCheckpoints(j)
 	j.mu.Lock()
 	j.setStateLocked(snap.State)
 	epoch := leaseEpoch(j.lease)
+	j.lease = nil
 	switch snap.State {
 	case StateDone:
 		s.reg.Counter("serve.jobs_done").Inc()
@@ -111,7 +114,6 @@ func (s *Server) commitTerminal(j *Job, snap jobSnapshot, from State, dwellNs in
 	default:
 		// Done and cancelled outcomes need no log line.
 	}
-	s.store.handBack(j, 0)
 }
 
 // commitCancel commits a client cancel of a job this server holds and has

@@ -330,6 +330,12 @@ func TestSubmitValidation(t *testing.T) {
 		{"malformed-json", `{"spec":`, http.StatusBadRequest, "request body"},
 		{"bad-spec", `{"spec":"pe cpu class=gpp\nfrobnicate"}`, http.StatusBadRequest, "line 2"},
 		{"no-spec-dir", `{"spec_name":"mul1"}`, http.StatusBadRequest, "no spec directory"},
+		// A negative budget is refused, not run as the engine default under
+		// a key of its own.
+		{"negative-pop", `{"spec":"x","ga":{"pop_size":-1}}`, http.StatusBadRequest, "ga.pop_size must not be negative"},
+		{"negative-gens", `{"spec":"x","ga":{"max_generations":-1}}`, http.StatusBadRequest, "ga.max_generations must not be negative"},
+		{"negative-stagnation", `{"spec":"x","ga":{"stagnation":-1}}`, http.StatusBadRequest, "ga.stagnation must not be negative"},
+		{"negative-stall", `{"spec":"x","stall_window":-1}`, http.StatusBadRequest, "stall_window must not be negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,6 +41,7 @@ import (
 	"momosyn/internal/cas"
 	"momosyn/internal/durable"
 	"momosyn/internal/fleet"
+	"momosyn/internal/ga"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
 	"momosyn/internal/runctl"
@@ -1019,8 +1020,8 @@ func (s *Server) validateJob(req *JobRequest) *admitError {
 	case req.Spec != "" && req.SpecName != "":
 		return admitErrorf(http.StatusBadRequest, "spec and spec_name are mutually exclusive")
 	}
-	if req.DeadlineMS < 0 {
-		return admitErrorf(http.StatusBadRequest, "deadline_ms must be positive")
+	if aerr := checkBudgets(req); aerr != nil {
+		return aerr
 	}
 	if req.Failpoint != "" {
 		if !s.cfg.Failpoints {
@@ -1030,10 +1031,12 @@ func (s *Server) validateJob(req *JobRequest) *admitError {
 			return admitErrorf(http.StatusBadRequest, "unknown failpoint %q", req.Failpoint)
 		}
 	}
-	// The server-side generation budget clamps every run, including ones
-	// asking for the (larger) engine default by leaving the field zero.
-	if s.cfg.MaxGenerations > 0 && (req.GA.MaxGenerations <= 0 || req.GA.MaxGenerations > s.cfg.MaxGenerations) {
-		req.GA.MaxGenerations = s.cfg.MaxGenerations
+	// A zero GA field takes the engine default here, so the request names
+	// the budget it runs and its cache key is the key of the same budget
+	// asked for explicitly. The server's generation cap only lowers it.
+	req.GA = GAParams(ga.Config(req.GA).WithDefaults())
+	if limit := s.cfg.MaxGenerations; limit > 0 && req.GA.MaxGenerations > limit {
+		req.GA.MaxGenerations = limit
 	}
 	if req.SpecName != "" {
 		if s.cfg.SpecDir == "" {
@@ -1049,6 +1052,47 @@ func (s *Server) validateJob(req *JobRequest) *admitError {
 		req.Spec = string(data)
 	}
 	return nil
+}
+
+// checkBudgets refuses a request's negative budgets. A negative deadline,
+// GA budget or stall window means nothing, and admitted it would run the
+// engine default under a cache key of its own.
+func checkBudgets(req *JobRequest) *admitError {
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"deadline_ms", req.DeadlineMS},
+		{"ga.pop_size", int64(req.GA.PopSize)},
+		{"ga.max_generations", int64(req.GA.MaxGenerations)},
+		{"ga.stagnation", int64(req.GA.Stagnation)},
+		{"stall_window", int64(req.StallWindow)},
+	} {
+		if f.v < 0 {
+			return admitErrorf(http.StatusBadRequest, "%s must not be negative", f.name)
+		}
+	}
+	return nil
+}
+
+// submit answers one validated request: from the result cache when key
+// names an entry that can be served, else by admitting a fresh job that
+// carries key to its terminal commit, which publishes the result under it.
+// An empty key means the request is uncacheable. A hit consumes no queue
+// slot and no worker, so it bypasses backlog bounds and shedding. It
+// reports whether the job came from the cache.
+func (s *Server) submit(req JobRequest, sys *model.System, key string) (*Job, bool, *admitError) {
+	if key != "" {
+		if e, hit := s.cache.Get(key); hit {
+			j, aerr := s.materializeCached(req, sys.App.Name, e)
+			if aerr != nil || j != nil {
+				return j, j != nil, aerr
+			}
+			// The hit could not be materialised; run the job for real.
+		}
+	}
+	j, aerr := s.admitJob(req, sys, key)
+	return j, false, aerr
 }
 
 // admitJob admits one validated job: it refuses while draining, bounds
@@ -1118,21 +1162,31 @@ func respondSubmit(w http.ResponseWriter, j *Job, warns []specio.Warning) {
 	writeJSON(w, http.StatusAccepted, view)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+// readJSON reads a request body of at most limit bytes and decodes it
+// strictly into v: an unknown field is an error, not ignored. On failure
+// it writes the 400 or 413 itself and reports false.
+func readJSON(w http.ResponseWriter, r *http.Request, limit int, v any) bool {
+	body, err := io.ReadAll(io.LimitReader(r.Body, int64(limit)+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
-		return
+		return false
 	}
-	if len(body) > maxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", maxSpecBytes)
-		return
+	if len(body) > limit {
+		writeError(w, http.StatusRequestEntityTooLarge, "request exceeds %d bytes", limit)
+		return false
 	}
-	var req JobRequest
 	dec := json.NewDecoder(bytesReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "request body: %v", err)
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req JobRequest
+	if !readJSON(w, r, maxSpecBytes, &req) {
 		return
 	}
 	if aerr := s.validateJob(&req); aerr != nil {
@@ -1141,33 +1195,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Reject malformed specs at the door, with the reader's line-numbered
 	// diagnostics, rather than burning a worker on them.
-	sys, warns, err := specio.ReadWarnBytes([]byte(req.Spec))
+	sys, warns, err := specio.ReadWarnString(req.Spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "spec: %v", err)
 		return
 	}
-
-	// Cache consult happens before admission: a hit consumes no queue slot
-	// and no worker, so it bypasses backlog bounds and shedding entirely.
-	// The key is computed once: a miss carries it to the terminal commit,
-	// which publishes the result under it.
-	key, keyable := s.cacheKey(s.canonicalSpec(sys), &req)
-	if keyable {
-		if e, hit := s.cache.Get(key); hit {
-			j, aerr := s.materializeCached(req, sys.App.Name, e)
-			if aerr != nil {
-				s.writeAPIError(w, aerr)
-				return
-			}
-			if j != nil {
-				respondSubmit(w, j, warns)
-				return
-			}
-			// The hit could not be materialised; run the job for real.
-		}
-	}
-
-	j, aerr := s.admitJob(req, sys, key)
+	j, _, aerr := s.submit(req, sys, s.cacheKey(s.canonicalSpec(sys), &req))
 	if aerr != nil {
 		s.writeAPIError(w, aerr)
 		return

@@ -214,8 +214,8 @@ type jobStore interface {
 	// means there is no room and the creation is undone. s.mu and j.mu
 	// are held.
 	dispatch(j *Job) bool
-	// handBack returns a job after an attempt or a commit; retryIn > 0
-	// runs it again once that backoff has passed.
+	// handBack returns a job after an attempt that left it queued;
+	// retryIn > 0 runs it again once that backoff has passed.
 	handBack(j *Job, retryIn time.Duration)
 }
 

@@ -48,7 +48,7 @@ func sortTransitions(sys *model.System) *model.System {
 // byte form (reader warnings, e.g. probability normalisation, are applied
 // silently — the canonical form is the normalised system).
 func CanonicalBytes(spec []byte) ([]byte, error) {
-	sys, _, err := ReadWarnBytes(spec)
+	sys, _, err := ReadWarnString(string(spec))
 	if err != nil {
 		return nil, err
 	}

@@ -72,7 +72,7 @@ func FuzzCanonical(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		sys, _, err := ReadWarnBytes([]byte(input))
+		sys, _, err := ReadWarnString(input)
 		if err != nil {
 			t.Skip() // unparsable input is FuzzRead's territory
 		}
@@ -80,7 +80,7 @@ func FuzzCanonical(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form of a parsed model: %v", err)
 		}
-		back, _, err := ReadWarnBytes(first)
+		back, _, err := ReadWarnString(string(first))
 		if err != nil {
 			t.Fatalf("canonical form does not reparse: %v\n%s", err, first)
 		}
@@ -116,7 +116,7 @@ func FuzzWriteReference(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		sys, _, err := ReadWarnBytes([]byte(input))
+		sys, _, err := ReadWarnString(input)
 		if err != nil {
 			t.Skip() // unparsable input is FuzzRead's territory
 		}
@@ -124,7 +124,7 @@ func FuzzWriteReference(f *testing.F) {
 	})
 }
 
-// FuzzReadReference asserts that ReadWarnBytes agrees with the reader it
+// FuzzReadReference asserts that ReadWarnString agrees with the reader it
 // replaced (readReference) on arbitrary input: the same error text with
 // the same line number, the same warnings, and a system with the same
 // canonical bytes and the same value in every field.

@@ -19,7 +19,7 @@ import (
 )
 
 // readReference is the bufio.Scanner, strings.Fields and map-per-line
-// reader that ReadWarnBytes replaced, kept as the reference the
+// reader that ReadWarnString replaced, kept as the reference the
 // differential checks compare against (TestReadMatchesReference,
 // FuzzReadReference). It differs from the reader it copies in one way:
 // it walks a line's attributes in line order rather than in map order,
@@ -541,14 +541,14 @@ func (p *refParser) finish() (*model.System, []Warning, error) {
 	return sys, warns, nil
 }
 
-// checkReadReference fails t unless ReadWarnBytes and readReference agree
+// checkReadReference fails t unless ReadWarnString and readReference agree
 // on input: the same error text (line numbers included), the same
 // warnings, and a system with the same canonical bytes and the same value
 // in every field, unexported ones included.
 func checkReadReference(t *testing.T, input []byte) {
 	t.Helper()
 	wantSys, wantWarns, wantErr := readReference(bytes.NewReader(input))
-	sys, warns, err := ReadWarnBytes(input)
+	sys, warns, err := ReadWarnString(string(input))
 	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
 		t.Fatalf("error %v, reference %v\ninput:\n%.2000s", err, wantErr, input)
 	}
@@ -691,7 +691,7 @@ func referenceCorpus(tb testing.TB) []string {
 	)
 }
 
-// TestReadMatchesReference compares ReadWarnBytes with readReference over
+// TestReadMatchesReference compares ReadWarnString with readReference over
 // the FuzzReadReference corpus, 50 mmgen instances and a few hundred
 // mangled copies of the shipped specs, which exercise the error paths.
 func TestReadMatchesReference(t *testing.T) {

@@ -49,23 +49,24 @@ type Warning struct {
 // String renders the warning in the same line-prefixed form as errors.
 func (w Warning) String() string { return fmt.Sprintf("specio: line %d: warning: %s", w.Line, w.Msg) }
 
-// ReadBytes parses a specification held in memory (an uploaded request
-// body, an embedded spec, ...), discarding lint warnings.
+// ReadBytes parses a specification held in memory as bytes (an embedded
+// spec, a file's contents, ...), discarding lint warnings. It copies data
+// once, into the string ReadWarnString parses.
 func ReadBytes(data []byte) (*model.System, error) {
-	sys, _, err := ReadWarnBytes(data)
+	sys, _, err := ReadWarnString(string(data))
 	return sys, err
 }
 
-// ReadWarn reads all of r and parses it as ReadWarnBytes does.
+// ReadWarn reads all of r and parses it as ReadWarnString does.
 func ReadWarn(r io.Reader) (*model.System, []Warning, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("specio: %w", err)
 	}
-	return ReadWarnBytes(data)
+	return ReadWarnString(string(data))
 }
 
-// ReadWarnBytes parses a specification held in memory and additionally
+// ReadWarnString parses a specification held in memory and additionally
 // returns semantic lint warnings. Every parse error carries the 1-based
 // input line number; only whole-spec semantic errors (graph cycles, ...)
 // are reported without one. Mode execution probabilities that do not sum
@@ -74,14 +75,13 @@ func ReadWarn(r io.Reader) (*model.System, []Warning, error) {
 // objective); unreachable modes and transitions with non-positive tTmax
 // are rejected as errors.
 //
-// The input is copied once, into a string that every name in the system
-// but its own is a substring of; lines and fields are found by index into
-// it.
-func ReadWarnBytes(data []byte) (*model.System, []Warning, error) {
+// The input is not copied: every name in the system but its own is a
+// substring of spec, and lines and fields are found by index into it.
+func ReadWarnString(spec string) (*model.System, []Warning, error) {
 	p := parserPool.Get().(*parser)
 	defer p.release()
 	var fields [16]string // room for the fields of any line in a well-formed spec
-	sc := lineScanner{src: string(data), fields: fields[:0]}
+	sc := lineScanner{src: spec, fields: fields[:0]}
 	for sc.next() {
 		p.line = sc.line
 		if err := p.directive(sc.fields); err != nil {

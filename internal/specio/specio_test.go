@@ -225,7 +225,7 @@ func relDiff(a, b float64) float64 {
 }
 
 // TestReadBytesMatchesRead pins the in-memory entry points: ReadBytes and
-// ReadWarnBytes must behave exactly like the reader-based ReadWarn — same
+// ReadWarnString must behave exactly like the reader-based ReadWarn — same
 // system, same warnings, same line-numbered errors — since the server
 // parses uploaded request bodies through them without a temp file.
 func TestReadBytesMatchesRead(t *testing.T) {
@@ -267,12 +267,12 @@ task b y type=t
 transition a b
 transition b a
 `)
-	sys, warns, err := ReadWarnBytes(warnSpec)
+	sys, warns, err := ReadWarnString(string(warnSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(warns) == 0 {
-		t.Error("ReadWarnBytes dropped the normalisation warning")
+		t.Error("ReadWarnString dropped the normalisation warning")
 	}
 	if got := sys.App.Modes[0].Prob + sys.App.Modes[1].Prob; math.Abs(got-1) > 1e-12 {
 		t.Errorf("probabilities not normalised: sum %v", got)

@@ -23,9 +23,9 @@ type unit struct {
 	scale  float64
 }
 
-// parseUnit matches the longest suffix first; units are matched
-// case-sensitively except for a fully lower-cased fallback, so "10MS" is
-// rejected but "10ms" and canonical "10mW" both work.
+// parseUnit matches the longest suffix first. Suffixes match
+// case-sensitively and there is no case-folding fallback: "10ms" and
+// "10mW" parse, while "10MS" and "10mw" are rejected as bad values.
 func parseUnit(s, what string, units []unit) (float64, error) {
 	if s == "" {
 		return 0, fmt.Errorf("empty %s value", what)

@@ -125,7 +125,7 @@ func checkWriteReference(t *testing.T, sys *model.System) {
 func TestWriteMatchesFmtReference(t *testing.T) {
 	var systems []*model.System
 	for _, text := range canonicalCorpus(t) {
-		sys, _, err := ReadWarnBytes([]byte(text))
+		sys, _, err := ReadWarnString(text)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,6 +52,15 @@ func CanonicalOptions(o Options) []byte {
 	return []byte(b.String())
 }
 
+// checkpointFingerprint is the options part of a checkpoint's identity:
+// the canonical options without certify, the one result-shaping field that
+// never moves the search trajectory. A checkpoint resumes only under the
+// options it was written with.
+func checkpointFingerprint(o Options) string {
+	o.Certify = false
+	return string(CanonicalOptions(o))
+}
+
 func writeBool(b *strings.Builder, key string, v bool) {
 	fmt.Fprintf(b, "%s=%t\n", key, v)
 }

@@ -73,7 +73,7 @@ func TestSynthesizeCertifyOption(t *testing.T) {
 	// resumable across the flag.
 	plain := opts
 	plain.Certify = false
-	if opts.fingerprint() != plain.fingerprint() {
+	if checkpointFingerprint(opts) != checkpointFingerprint(plain) {
 		t.Error("Certify must not alter the options fingerprint")
 	}
 }

@@ -20,7 +20,7 @@ func loadSpec(t testing.TB, name string) *model.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, _, err := specio.ReadWarnBytes(data)
+	sys, _, err := specio.ReadWarnString(string(data))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -110,14 +110,6 @@ type Options struct {
 	evalHook func(genome []int)
 }
 
-// fingerprint pins the options that shape the search trajectory, so a
-// checkpoint refuses to resume under a different configuration.
-func (o Options) fingerprint() string {
-	return fmt.Sprintf("dvs=%v neglect=%v swonly=%v norep=%v nomut=%v ga=%+v stall=%d",
-		o.UseDVS, o.NeglectProbabilities, o.DVSSoftwareOnly, o.NoReplicaCores,
-		o.NoImprovementMutations, o.GA, o.StallWindow)
-}
-
 // Result is the outcome of one synthesis run.
 type Result struct {
 	// Best is the best implementation found, evaluated under the TRUE mode
@@ -295,7 +287,7 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 				System:      sys.App.Name,
 				GenomeLen:   codec.Len(),
 				Seed:        opts.Seed,
-				Fingerprint: opts.fingerprint(),
+				Fingerprint: checkpointFingerprint(opts),
 				RNGState:    src.State(),
 				Snapshot:    *s,
 				Cache:       prob.cache.counters(),
@@ -506,7 +498,7 @@ func checkResumable(cp *runctl.Checkpoint, sys *model.System, codec *Codec, opts
 	if cp.Seed != opts.Seed {
 		return fmt.Errorf("synth: checkpoint was written with seed %d, run uses seed %d", cp.Seed, opts.Seed)
 	}
-	if fp := opts.fingerprint(); cp.Fingerprint != fp {
+	if fp := checkpointFingerprint(opts); cp.Fingerprint != fp {
 		return fmt.Errorf("synth: checkpoint options %q do not match run options %q", cp.Fingerprint, fp)
 	}
 	return nil
