@@ -36,9 +36,11 @@ bench-pins:
 
 # Short native-fuzzing bursts over the untrusted-input readers (spec files
 # and checkpoints), the spec reader and writer against their reference
-# copies, and the differential checks of the evaluator and of voltage
-# scaling against theirs. The minimise time must be capped: the default 60s
-# minimiser can dwarf the fuzz time itself on the ~30KB seed corpus entries.
+# copies, the differential checks of the evaluator and of voltage scaling
+# against theirs, and the service's hand-written result document and JSON
+# string encoder against encoding/json. The minimise time must be capped:
+# the default 60s minimiser can dwarf the fuzz time itself on the ~30KB
+# seed corpus entries.
 # Each -fuzz pattern is anchored: go test refuses a pattern that matches
 # more than one target (FuzzRead would match FuzzReadReference).
 fuzz-smoke:
@@ -49,6 +51,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckpoint$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/runctl
 	$(GO) test -run='^$$' -fuzz='^FuzzEvaluateDifferential$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/synth
 	$(GO) test -run='^$$' -fuzz='^FuzzScaleDifferential$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/dvs
+	$(GO) test -run='^$$' -fuzz='^FuzzResultWriter$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendJSONString$$' -fuzztime=5s -fuzzminimizetime=5s ./internal/jsonw
 
 # Observability smoke: a traced mmsynth run on a small spec, every JSONL
 # event and the metrics snapshot validated by mmtrace, then one mmserved

@@ -2,7 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -10,6 +10,7 @@ import (
 
 	"momosyn/internal/cas"
 	"momosyn/internal/ga"
+	"momosyn/internal/jsonw"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
 	"momosyn/internal/specio"
@@ -77,56 +78,47 @@ func buildCommit() string {
 	return ""
 }
 
-// rewriteCachedResult rebinds a cached result document to the job serving
-// it: fresh ID, done state, no resume provenance (the serving job never
-// ran). Everything else — implementation, power, certification, the
-// original run's statistics — is preserved.
-//
-// A decode into ResultView checks the document's shape: a wrong-shaped
-// entry is an error, and the caller runs the job instead. The documents
-// the server publishes are json.MarshalIndent of a ResultView, which
-// re-encodes to the same bytes, so the id is swapped in the bytes and they
-// are re-indented to the top level (rebindID) rather than re-encoded. A
-// document with resume provenance to drop, or whose head is not the id
-// and done state as MarshalIndent writes them, takes the decode and
-// re-encode round trip instead.
-func rewriteCachedResult(raw json.RawMessage, id string) ([]byte, error) {
-	var v ResultView
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return nil, err
+// Result-document heads as renderResult writes them: a cache hit serves
+// the published document with only the id between these two swapped.
+const (
+	hitHeadOpen = "{\n  \"id\": "
+	hitHeadDone = ",\n  \"state\": \"done\","
+)
+
+// spliceID rebinds a published result document to the job serving it:
+// the id is swapped in place and every other byte, certificate and run
+// statistics included, is the computing job's. It reports false unless
+// the document opens with a job id and the done state exactly as
+// renderResult writes them. The cache's digest has already vouched for
+// the bytes, so nothing else is parsed.
+func spliceID(doc []byte, id string) ([]byte, bool) {
+	if !bytes.HasPrefix(doc, []byte(hitHeadOpen+`"`)) {
+		return nil, false
 	}
-	if v.State == StateDone && v.ResumedFrom == 0 {
-		if doc, ok := rebindID(raw, v.ID, id); ok {
-			return doc, nil
-		}
+	rest := doc[len(hitHeadOpen)+1:]
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 || !validJobID(string(rest[:end])) || !bytes.HasPrefix(rest[end+1:], []byte(hitHeadDone)) {
+		return nil, false
 	}
-	v.ID = id
-	v.State = StateDone
-	v.ResumedFrom = 0
-	return json.MarshalIndent(&v, "", "  ")
+	out := make([]byte, 0, len(doc)-end+len(id))
+	out = jsonw.AppendString(append(out, hitHeadOpen...), id)
+	return append(out, rest[end+1:]...), true
 }
 
-// rebindID re-indents a result document to the top level and replaces its
-// id, old, with id. It reports false unless the document opens with the
-// id and done state exactly as json.MarshalIndent writes them.
-func rebindID(raw []byte, old, id string) ([]byte, bool) {
-	const open = "{\n  \"id\": "
-	const state = ",\n  \"state\": \"done\","
-	buf := bytes.NewBuffer(make([]byte, 0, len(raw)+len(id)))
-	if json.Indent(buf, raw, "", "  ") != nil {
-		return nil, false
+// hitDocument returns the result document a hit on e serves as job id of
+// a request for system. The entry must be labelled with that system and
+// this engine version (both behind the key it was read under) and be
+// certified, and its result must take the id splice.
+func hitDocument(e *cas.Entry, system, id string) ([]byte, error) {
+	if e.System != system || e.Provenance.EngineVersion != synth.EngineVersion || !e.Provenance.Certified {
+		return nil, fmt.Errorf("entry labelled %q by %q (certified %v) under this request's key",
+			e.System, e.Provenance.EngineVersion, e.Provenance.Certified)
 	}
-	doc := buf.Bytes()
-	oldHead := appendJSONString([]byte(open), old)
-	if !bytes.HasPrefix(doc, oldHead) || !bytes.HasPrefix(doc[len(oldHead):], []byte(state)) {
-		return nil, false
+	doc, ok := spliceID(e.Result, id)
+	if !ok {
+		return nil, errors.New("result document does not open with a done job's id")
 	}
-	head := appendJSONString([]byte(open), id)
-	if len(head) == len(oldHead) {
-		copy(doc, head)
-		return doc, true
-	}
-	return append(head, doc[len(oldHead):]...), true
+	return doc, nil
 }
 
 // materializeCached answers a submission from a cache hit: it creates a
@@ -134,9 +126,11 @@ func rebindID(raw []byte, old, id string) ([]byte, bool) {
 // run (same manifest and result layout, so restarts and fleet peers see a
 // normal done job). It returns (nil, nil) — no job, no error — when the
 // hit could not be materialised; the caller then falls through to a normal
-// run. An entry whose result document cannot be rebound is discarded from
-// the cache, so that run can publish its own. A draining server refuses
-// with the usual 503.
+// run. An entry labelled with another system or engine version than the
+// request's key was derived for, or whose result document is not one
+// renderResult published (see spliceID), is discarded from the cache, so
+// that run can publish its own. A draining server refuses with the usual
+// 503.
 func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) (*Job, *admitError) {
 	s.mu.Lock()
 	if s.draining {
@@ -147,7 +141,7 @@ func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) 
 	var doc []byte
 	damaged := false
 	if err == nil {
-		doc, err = rewriteCachedResult(e.Result, id)
+		doc, err = hitDocument(e, system, id)
 		damaged = err != nil
 	}
 	now := time.Now()
@@ -182,8 +176,10 @@ func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) 
 // cache (worker path) under the key computed at admission, or for a job
 // from disk one derived here. Only full, certified runs are published: a
 // partial or uncertified result must never short-circuit a future
-// submission.
-func (s *Server) cachePublish(j *Job, sys *model.System, res *synth.Result, doc []byte) {
+// submission. The entry holds exactly the document a hit serves, less its
+// id: doc itself, or for a run resumed from a checkpoint a second render
+// without resumed_from (the serving job never ran).
+func (s *Server) cachePublish(j *Job, snap jobSnapshot, sys *model.System, res *synth.Result, doc []byte) {
 	if s.cache == nil || res == nil || res.Partial {
 		return
 	}
@@ -196,6 +192,14 @@ func (s *Server) cachePublish(j *Job, sys *model.System, res *synth.Result, doc 
 	}
 	if key == "" {
 		return
+	}
+	if snap.ResumedFrom != 0 {
+		snap.ResumedFrom = 0
+		var err error
+		if doc, err = renderResult(j, snap, sys, res); err != nil {
+			s.logf("serve: job %s: cache publish: %v", j.ID, err)
+			return
+		}
 	}
 	err := s.cache.Put(&cas.Entry{
 		Key:    key,

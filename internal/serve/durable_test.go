@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -9,9 +10,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
+	"momosyn/internal/cas"
 	"momosyn/internal/durable"
 	"momosyn/internal/durable/chaosfs"
 	"momosyn/internal/fleet"
@@ -239,15 +242,16 @@ func countDurableOps(cfs *chaosfs.FS, re *regexp.Regexp) durableOps {
 // TestDurableOpsPerJob pins the durable operations one job costs on
 // Config.FS: a fresh single-node job, a single-node cache hit and a fresh
 // fleet job. Every WriteFile is an fsync, so writes plus directory syncs
-// is the job's fsync count. The result cache's own content-addressed store
-// is opened on the real filesystem, not on Config.FS, so its put on a
-// fresh job and its read on a hit are not in these counts. A change that
-// moves a count must say why in CHANGES.md and re-pin it here.
+// is the job's fsync count. The result cache runs on Config.FS too: a
+// fresh job's publish is one write (the entry's synced temp) and one sync
+// of its bucket after the link, plus one sync of the cache directory when
+// the bucket is new, as it is here; a hit's read writes nothing. A change
+// that moves a count must say why in CHANGES.md and re-pin it here.
 //
 // It also pins the single-node write order: the queued manifest (right
-// after the job directory is made), the running manifest, the result and
-// the terminal manifest; and, for a cache hit, the result before the
-// manifest.
+// after the job directory is made), the running manifest, the result, the
+// cache entry and the terminal manifest; and, for a cache hit, the result
+// before the manifest.
 func TestDurableOpsPerJob(t *testing.T) {
 	spec := tinySpec(t)
 
@@ -258,17 +262,19 @@ func TestDurableOpsPerJob(t *testing.T) {
 		cfs.Reset()
 		fresh := a.submit(quickJob(spec, 1))
 		a.await(fresh.ID, "done", stateIs(serve.StateDone))
-		if got, want := countDurableOps(cfs, nil), (durableOps{Writes: 6, Creates: 0, SyncDirs: 7}); got != want {
+		if got, want := countDurableOps(cfs, nil), (durableOps{Writes: 7, Creates: 0, SyncDirs: 9}); got != want {
 			t.Errorf("fresh job: durable ops %+v, want %+v", got, want)
 		}
 		dir := `/jobs/` + fresh.ID
 		manifest := chaosfs.Step{Op: chaosfs.OpRename, Path: regexp.MustCompile(dir + `/manifest\.json$`)}
 		result := chaosfs.Step{Op: chaosfs.OpRename, Path: regexp.MustCompile(dir + `/result\.json$`)}
+		entry := chaosfs.Step{Op: chaosfs.OpLink, Path: regexp.MustCompile(`/[0-9a-f]{2}/[0-9a-f]{64}\.json$`)}
 		if err := cfs.InOrder(
 			chaosfs.Step{Op: chaosfs.OpMkdir, Path: regexp.MustCompile(dir + `$`)},
 			manifest, // queued
 			manifest, // running
 			result,
+			entry,
 			manifest, // done
 		); err != nil {
 			t.Errorf("fresh job write order: %v", err)
@@ -319,4 +325,65 @@ func TestDurableOpsPerJob(t *testing.T) {
 			t.Errorf("fleet job: durable ops %+v, want %+v", got, want)
 		}
 	})
+}
+
+// TestCachePublishCrashAtLink crashes the server's filesystem at the link
+// that publishes a fresh job's cache entry. The job still ends done with
+// its result.json, the cache holds no entry or a complete one, and after
+// a restart on the same directories the job is done again and a
+// resubmission either hits or runs again.
+func TestCachePublishCrashAtLink(t *testing.T) {
+	spec := tinySpec(t)
+	dataDir, cacheDir := t.TempDir(), t.TempDir()
+	cfs := chaosfs.New(durable.OS{})
+	cfs.Inject(chaosfs.Rule{Op: chaosfs.OpLink, Kind: chaosfs.KindCrash,
+		Path: regexp.MustCompile(regexp.QuoteMeta(cacheDir) + `/[0-9a-f]{2}/[0-9a-f]{64}\.json$`)})
+	cfg := serve.Config{Workers: 1, QueueDepth: 8, DataDir: dataDir, CacheDir: cacheDir, FS: cfs}
+	srv, a := startServer(t, cfg)
+	j := a.submit(quickJob(spec, 61))
+	a.await(j.ID, "done", stateIs(serve.StateDone))
+	resultPath := filepath.Join(dataDir, "jobs", j.ID, "result.json")
+	checkResult := func(when string) {
+		t.Helper()
+		doc, err := os.ReadFile(resultPath)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		var res serve.ResultView
+		if err := json.Unmarshal(doc, &res); err != nil || res.ID != j.ID || res.State != serve.StateDone {
+			t.Fatalf("%s: result.json is not the job's done result (err %v):\n%s", when, err, doc)
+		}
+	}
+	checkResult("after the crash")
+	if n := cfs.Ops(chaosfs.OpLink, nil); n != 1 {
+		t.Fatalf("%d links journaled, want the one crashed publish", n)
+	}
+	checkCache := func(when string) {
+		t.Helper()
+		entries, _ := filepath.Glob(filepath.Join(cacheDir, "*", "*.json"))
+		if len(entries) > 1 {
+			t.Fatalf("%s: %d cache entries, want at most one", when, len(entries))
+		}
+		store, err := cas.Open(cacheDir, 0, cas.Metrics{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range entries {
+			if _, ok := store.Get(strings.TrimSuffix(filepath.Base(path), ".json")); !ok {
+				t.Fatalf("%s: the cache holds an incomplete entry %s", when, path)
+			}
+		}
+	}
+	checkCache("after the crash")
+	drain(t, srv)
+
+	cfs.Revive()
+	_, b := startServer(t, cfg)
+	b.await(j.ID, "done after the restart", stateIs(serve.StateDone))
+	checkResult("after the restart")
+	checkCache("after the restart")
+	again := b.submit(quickJob(spec, 61))
+	if !again.Cached {
+		b.await(again.ID, "re-run", stateIs(serve.StateDone))
+	}
 }

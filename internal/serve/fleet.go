@@ -40,10 +40,7 @@ func (f *fleetJobs) newJobID() (string, error) { return f.st.NewJobID() }
 // (when born done) and its manifest.
 func (f *fleetJobs) create(j *Job, result []byte) error {
 	j.node = f.st.Node()
-	spec, err := json.MarshalIndent(&j.Request, "", "  ")
-	if err != nil {
-		return err
-	}
+	spec := appendRequest(nil, &j.Request, "")
 	man, err := renderManifest(j, j.snapshot(), f.st.Node(), 0)
 	if err != nil {
 		return err

@@ -375,3 +375,71 @@ func checkStateGauges(t *testing.T, a *api, when string) {
 		}
 	}
 }
+
+// flipLastDigit flips the lowest bit of the last digit of the number
+// following the first occurrence of field (`"avg_power": `) in data, which
+// leaves another valid number.
+func flipLastDigit(t *testing.T, data []byte, field string) int {
+	t.Helper()
+	i := bytes.Index(data, []byte(field))
+	if i < 0 {
+		t.Fatalf("%s not in the cache entry", field)
+	}
+	end := i + len(field)
+	for end < len(data) && (data[end] >= '0' && data[end] <= '9' || data[end] == '.' || data[end] == 'e' || data[end] == '-') {
+		end++
+	}
+	for end--; data[end] < '0' || data[end] > '9'; end-- {
+	}
+	return end
+}
+
+// TestCacheHitRefusesFlippedBits: one flipped bit in a published cache
+// entry, in a digit of avg_power, of a slot's start or of the
+// certificate's checks, in a PE name, or in the entry's system label, is
+// never served: the resubmission runs again and completes certified, and
+// the entry it republishes answers the one after it.
+func TestCacheHitRefusesFlippedBits(t *testing.T) {
+	spec := tinySpec(t)
+	cacheDir := t.TempDir()
+	_, a, _ := cacheServer(t, t.TempDir(), cacheDir, nil)
+	first := a.submit(quickJob(spec, 51))
+	a.await(first.ID, "done", stateIs(serve.StateDone))
+
+	flips := []struct {
+		name string
+		pos  func(data []byte) int
+	}{
+		{"avg_power digit", func(data []byte) int { return flipLastDigit(t, data, `"avg_power": `) }},
+		{"slot start", func(data []byte) int { return flipLastDigit(t, data, `"start": `) }},
+		{"certificate checks", func(data []byte) int { return flipLastDigit(t, data, `"checks": `) }},
+		{"PE name", func(data []byte) int { return bytes.Index(data, []byte(`"pe": "`)) + len(`"pe": "`) }},
+		{"system label", func(data []byte) int { return bytes.Index(data, []byte(`"system": "`)) + len(`"system": "`) }},
+	}
+	for _, f := range flips {
+		entry := findCacheEntry(t, cacheDir)
+		data, err := os.ReadFile(entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[f.pos(data)] ^= 1
+		if err := os.WriteFile(entry, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j := a.submit(quickJob(spec, 51))
+		if j.Cached || j.State == serve.StateDone {
+			t.Fatalf("%s: an entry with one flipped bit was served (state %s cached %v)", f.name, j.State, j.Cached)
+		}
+		a.await(j.ID, "re-run", stateIs(serve.StateDone))
+		var res serve.ResultView
+		if resp := a.do("GET", "/v1/jobs/"+j.ID+"/result", nil, &res); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: re-run result: status %d", f.name, resp.StatusCode)
+		}
+		if res.Certification == nil || !res.Certification.Certified {
+			t.Fatalf("%s: re-run result is not certified", f.name)
+		}
+		if again := a.submit(quickJob(spec, 51)); !again.Cached || again.State != serve.StateDone {
+			t.Fatalf("%s: resubmission after the re-run: state %s cached %v, want a cache hit", f.name, again.State, again.Cached)
+		}
+	}
+}

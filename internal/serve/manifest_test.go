@@ -37,7 +37,7 @@ func manifestReference(j *Job, snap jobSnapshot, node string, epoch int) ([]byte
 // json.MarshalIndent of the manifest struct, in every state and with
 // every optional field (fleet node and epoch, not_before, attempts,
 // resumed_from, cached, error), over requests and strings that need
-// escaping. Each job writes its manifests in lifecycle order, so the
+// every escape jsonw.AppendString writes. Each job writes its manifests in lifecycle order, so the
 // request encoding kept between writes is exercised too.
 func TestManifestWriterMatchesMarshal(t *testing.T) {
 	yes := true
@@ -47,7 +47,7 @@ func TestManifestWriterMatchesMarshal(t *testing.T) {
 	requests := []JobRequest{
 		{Spec: "system s\n\npe cpu class=gpp vmax=3.3 vt=0.8\n", Seed: 7,
 			GA: GAParams{PopSize: 2, MaxGenerations: 5, Stagnation: 5}},
-		{Spec: "system <&>\n\"quoted\" \\ back\ttab   é \xff\x00 end", SpecName: "mul1",
+		{Spec: "system <&>\n\"quoted\" \\ back\ttab   é \xff\x00 end\r\b\f\x1f\x7f \u2028\u2029 \xe2\x80", SpecName: "mul1",
 			DVS: true, NeglectProbabilities: true, Seed: -3, StallWindow: 4,
 			Certify: &no, DeadlineMS: 1500, Failpoint: "fail:2"},
 		{Spec: "x", Certify: &yes},
@@ -112,22 +112,5 @@ func TestManifestWriterMatchesMarshal(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no manifest compared")
-	}
-}
-
-// TestAppendJSONStringMatchesMarshal pins the string encoder behind the
-// manifest writer to encoding/json on its fast path and its fallback.
-func TestAppendJSONStringMatchesMarshal(t *testing.T) {
-	for _, s := range []string{
-		"", "j000001", "plain ascii ~ !#$%'()*+,-./:;=?@[]^_`{|}", "quote\"", "back\\slash",
-		"<html>", "a&b", "tab\t", "nl\n", "\x00\x1f\x7f", "é", "  ", "\xff\xfe", "mixed <é\xff>",
-	} {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONString([]byte("x"), s); !bytes.Equal(got, append([]byte("x"), want...)) {
-			t.Errorf("appendJSONString(%q) = %s, want x%s", s, got, want)
-		}
 	}
 }

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
+	"math"
+	"slices"
 	"time"
 
+	"momosyn/internal/jsonw"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
 	"momosyn/internal/synth"
@@ -176,5 +178,206 @@ func renderResult(j *Job, snap jobSnapshot, sys *model.System, res *synth.Result
 		}
 		view.Certification = cv
 	}
-	return json.MarshalIndent(&view, "", "  ")
+	return appendResult(make([]byte, 0, 1024+512*len(view.Modes)), &view)
+}
+
+// appendResult appends v as json.MarshalIndent(v, "", "  ") writes it,
+// field by field: a field added to ResultView or the views it nests must
+// be added here (TestResultWriterMatchesMarshal and FuzzResultWriter hold
+// the two together). A plain float64 that is ±Inf or NaN is an error, as
+// it is for encoding/json.
+func appendResult(b []byte, v *ResultView) ([]byte, error) {
+	w := jsonw.Writer{B: b}
+	w.Open('{')
+	w.Field("id")
+	w.String(v.ID)
+	w.Field("state")
+	w.String(string(v.State))
+	w.Field("system")
+	w.String(v.System)
+	w.Field("seed")
+	w.Int(v.Seed)
+	w.Field("dvs")
+	w.Bool(v.DVS)
+	w.Field("avg_power")
+	obsFloat(&w, v.AvgPower)
+	w.Field("objective_power")
+	obsFloat(&w, v.ObjectivePower)
+	w.Field("feasible")
+	w.Bool(v.Feasible)
+	if v.Partial {
+		w.Field("partial")
+		w.Bool(true)
+	}
+	if v.Reason != "" {
+		w.Field("reason")
+		w.String(v.Reason)
+	}
+	w.Field("generations")
+	w.Int(int64(v.Generations))
+	w.Field("evaluations")
+	w.Int(int64(v.Evaluations))
+	if v.Restarts != 0 {
+		w.Field("restarts")
+		w.Int(int64(v.Restarts))
+	}
+	w.Field("elapsed")
+	w.String(v.Elapsed)
+	if v.ResumedFrom != 0 {
+		w.Field("resumed_from")
+		w.Int(int64(v.ResumedFrom))
+	}
+	w.Field("modes")
+	if v.Modes == nil {
+		w.B = append(w.B, "null"...)
+	} else {
+		w.Open('[')
+		for i := range v.Modes {
+			w.Elem()
+			appendMode(&w, &v.Modes[i])
+		}
+		w.Close(']')
+	}
+	w.Field("mapping")
+	if v.Mapping == nil {
+		w.B = append(w.B, "null"...)
+	} else {
+		w.Open('[')
+		var names []string
+		for i := range v.Mapping {
+			w.Elem()
+			names = appendMapping(&w, &v.Mapping[i], names)
+		}
+		w.Close(']')
+	}
+	if cv := v.Certification; cv != nil {
+		w.Field("certification")
+		appendCertification(&w, cv)
+	}
+	w.Close('}')
+	return w.B, w.Err
+}
+
+func appendMode(w *jsonw.Writer, m *ModeView) {
+	w.Open('{')
+	w.Field("name")
+	w.String(m.Name)
+	w.Field("prob")
+	w.Float(m.Prob)
+	w.Field("period")
+	w.Float(m.Period)
+	w.Field("makespan")
+	w.Float(m.Makespan)
+	w.Field("dynamic_power")
+	obsFloat(w, m.DynamicW)
+	w.Field("static_power")
+	obsFloat(w, m.StaticW)
+	w.Field("weighted_power")
+	obsFloat(w, m.WeightedW)
+	w.Field("schedule")
+	if m.Schedule == nil {
+		w.B = append(w.B, "null"...)
+	} else {
+		w.Open('[')
+		for i := range m.Schedule {
+			sv := &m.Schedule[i]
+			w.Elem()
+			w.Open('{')
+			w.Field("task")
+			w.String(sv.Task)
+			w.Field("pe")
+			w.String(sv.PE)
+			w.Field("start")
+			w.Float(sv.Start)
+			w.Field("finish")
+			w.Float(sv.Finish)
+			if sv.Voltage != 0 {
+				w.Field("voltage")
+				w.Float(sv.Voltage)
+			}
+			w.Field("energy")
+			obsFloat(w, sv.Energy)
+			w.Close('}')
+		}
+		w.Close(']')
+	}
+	w.Close('}')
+}
+
+// appendMapping writes one mode's mapping with its task names sorted, as
+// encoding/json sorts map keys; names is scratch for the sort, returned
+// for reuse.
+func appendMapping(w *jsonw.Writer, mv *MappingView, names []string) []string {
+	w.Open('{')
+	w.Field("mode")
+	w.String(mv.Mode)
+	w.Field("tasks")
+	if mv.Tasks == nil {
+		w.B = append(w.B, "null"...)
+	} else {
+		names = names[:0]
+		for name := range mv.Tasks {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		w.Open('{')
+		for _, name := range names {
+			w.Elem()
+			w.String(name)
+			w.B = append(w.B, ':', ' ')
+			w.String(mv.Tasks[name])
+		}
+		w.Close('}')
+	}
+	w.Close('}')
+	return names
+}
+
+func appendCertification(w *jsonw.Writer, cv *CertificationView) {
+	w.Open('{')
+	w.Field("certified")
+	w.Bool(cv.Certified)
+	w.Field("checks")
+	w.Int(int64(cv.Checks))
+	w.Field("claim_feasible")
+	w.Bool(cv.ClaimFeasible)
+	if len(cv.Violations) > 0 {
+		w.Field("violations")
+		w.Open('[')
+		for i := range cv.Violations {
+			vv := &cv.Violations[i]
+			w.Elem()
+			w.Open('{')
+			w.Field("kind")
+			w.String(vv.Kind)
+			if vv.Mode != "" {
+				w.Field("mode")
+				w.String(vv.Mode)
+			}
+			w.Field("detail")
+			w.String(vv.Detail)
+			w.Field("got")
+			obsFloat(w, vv.Got)
+			w.Field("want")
+			obsFloat(w, vv.Want)
+			w.Close('}')
+		}
+		w.Close(']')
+	}
+	w.Close('}')
+}
+
+// obsFloat writes f as obs.Float's MarshalJSON does: ±Inf and NaN as the
+// strings "+Inf", "-Inf" and "NaN", anything else as a JSON number.
+func obsFloat(w *jsonw.Writer, f obs.Float) {
+	switch v := float64(f); {
+	case math.IsInf(v, 1):
+		w.B = append(w.B, `"+Inf"`...)
+	case math.IsInf(v, -1):
+		w.B = append(w.B, `"-Inf"`...)
+	case math.IsNaN(v):
+		w.B = append(w.B, `"NaN"`...)
+	default:
+		w.Float(v)
+	}
 }

@@ -293,7 +293,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	if cfg.CacheDir != "" {
-		store, err := cas.Open(cfg.CacheDir, cfg.CacheMaxBytes, cas.Metrics{
+		store, err := cas.OpenFS(cfg.FS, cfg.CacheDir, cfg.CacheMaxBytes, cas.Metrics{
 			Hits:      s.reg.Counter("serve.cache_hits"),
 			Misses:    s.reg.Counter("serve.cache_misses"),
 			Evictions: s.reg.Counter("serve.cache_evictions"),
@@ -636,7 +636,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 				j.doc = doc
 				j.mu.Unlock()
 				if snap.State == StateDone {
-					s.cachePublish(j, sys, res, doc)
+					s.cachePublish(j, snap, sys, res, doc)
 				}
 			} else {
 				s.logf("serve: job %s: render result: %v", j.ID, rerr)

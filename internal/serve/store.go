@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"momosyn/internal/durable"
+	"momosyn/internal/jsonw"
 	"momosyn/internal/runctl"
 	"momosyn/internal/synth"
 )
@@ -61,21 +62,19 @@ type manifest struct {
 // single-node mode passes "" and 0, which the encoding omits, so both
 // modes share one layout.
 func renderManifest(j *Job, snap jobSnapshot, node string, epoch int) ([]byte, error) {
-	req, err := j.manifestRequestDoc(snap.State.Terminal())
-	if err != nil {
-		return nil, err
-	}
+	req := j.manifestRequestDoc(snap.State.Terminal())
 	b := make([]byte, 0, len(req)+512)
-	b = appendJSONString(append(b, "{\n  \"id\": "...), j.ID)
+	b = jsonw.AppendString(append(b, "{\n  \"id\": "...), j.ID)
 	b = append(append(b, ",\n  \"request\": "...), req...)
 	if j.system != "" {
-		b = appendJSONString(append(b, ",\n  \"system\": "...), j.system)
+		b = jsonw.AppendString(append(b, ",\n  \"system\": "...), j.system)
 	}
-	b = appendJSONString(append(b, ",\n  \"state\": "...), string(snap.State))
+	b = jsonw.AppendString(append(b, ",\n  \"state\": "...), string(snap.State))
 	if snap.Err != "" {
-		b = appendJSONString(append(b, ",\n  \"error\": "...), snap.Err)
+		b = jsonw.AppendString(append(b, ",\n  \"error\": "...), snap.Err)
 	}
-	if b, err = appendJSONTime(append(b, ",\n  \"created\": "...), snap.Created); err != nil {
+	b, err := appendJSONTime(append(b, ",\n  \"created\": "...), snap.Created)
+	if err != nil {
 		return nil, err
 	}
 	if b, err = appendJSONTime(append(b, ",\n  \"started\": "...), snap.Started); err != nil {
@@ -96,7 +95,7 @@ func renderManifest(j *Job, snap jobSnapshot, node string, epoch int) ([]byte, e
 		}
 	}
 	if node != "" {
-		b = appendJSONString(append(b, ",\n  \"node\": "...), node)
+		b = jsonw.AppendString(append(b, ",\n  \"node\": "...), node)
 	}
 	if epoch != 0 {
 		b = strconv.AppendInt(append(b, ",\n  \"epoch\": "...), int64(epoch), 10)
@@ -108,11 +107,11 @@ func renderManifest(j *Job, snap jobSnapshot, node string, epoch int) ([]byte, e
 }
 
 // manifestRequestDoc returns the job's request encoded as the manifest
-// nests it (json.MarshalIndent with a two-space prefix). It is encoded
-// once per job: a job that can still change state keeps the encoding for
-// its next manifest, and the last write, with last set, takes it along
-// (no manifest follows a terminal one).
-func (j *Job) manifestRequestDoc(last bool) ([]byte, error) {
+// nests it (appendRequest with a two-space prefix). It is encoded once per
+// job: a job that can still change state keeps the encoding for its next
+// manifest, and the last write, with last set, takes it along (no manifest
+// follows a terminal one).
+func (j *Job) manifestRequestDoc(last bool) []byte {
 	j.mu.Lock()
 	req := j.manifestRequest
 	if last {
@@ -120,30 +119,76 @@ func (j *Job) manifestRequestDoc(last bool) ([]byte, error) {
 	}
 	j.mu.Unlock()
 	if req != nil {
-		return req, nil
+		return req
 	}
-	req, err := json.MarshalIndent(&j.Request, "  ", "  ")
-	if err == nil && !last {
+	req = appendRequest(make([]byte, 0, len(j.Request.Spec)+512), &j.Request, "  ")
+	if !last {
 		j.mu.Lock()
 		j.manifestRequest = req
 		j.mu.Unlock()
 	}
-	return req, err
+	return req
 }
 
-// appendJSONString appends s as encoding/json encodes a string. Printable
-// ASCII without a quote, backslash or HTML-escaped byte is copied as is;
-// anything else goes through json.Marshal.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(b, q...)
+// appendRequest appends r as json.MarshalIndent(r, prefix, "  ") writes
+// it, field by field: a field added to JobRequest or GAParams must be
+// added here (TestManifestWriterMatchesMarshal holds the two together).
+// The manifest nests the request with a two-space prefix; a fleet job's
+// spec document is the request alone, with none.
+func appendRequest(b []byte, r *JobRequest, prefix string) []byte {
+	w := jsonw.Writer{B: b, Prefix: prefix}
+	w.Open('{')
+	if r.Spec != "" {
+		w.Field("spec")
+		w.String(r.Spec)
+	}
+	if r.SpecName != "" {
+		w.Field("spec_name")
+		w.String(r.SpecName)
+	}
+	if r.DVS {
+		w.Field("dvs")
+		w.Bool(true)
+	}
+	if r.NeglectProbabilities {
+		w.Field("neglect_probabilities")
+		w.Bool(true)
+	}
+	if r.Seed != 0 {
+		w.Field("seed")
+		w.Int(r.Seed)
+	}
+	// omitempty never omits a struct: ga is always written.
+	w.Field("ga")
+	w.Open('{')
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"pop_size", r.GA.PopSize}, {"max_generations", r.GA.MaxGenerations}, {"stagnation", r.GA.Stagnation}} {
+		if f.v != 0 {
+			w.Field(f.name)
+			w.Int(int64(f.v))
 		}
 	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	w.Close('}')
+	if r.StallWindow != 0 {
+		w.Field("stall_window")
+		w.Int(int64(r.StallWindow))
+	}
+	if r.Certify != nil {
+		w.Field("certify")
+		w.Bool(*r.Certify)
+	}
+	if r.DeadlineMS != 0 {
+		w.Field("deadline_ms")
+		w.Int(r.DeadlineMS)
+	}
+	if r.Failpoint != "" {
+		w.Field("failpoint")
+		w.String(r.Failpoint)
+	}
+	w.Close('}')
+	return w.B
 }
 
 // appendJSONTime appends t as encoding/json encodes a time.Time.

@@ -14,10 +14,30 @@ import (
 	"momosyn/internal/specio"
 )
 
+// mul1Request is the body of a submission of mul1 at serve-mix's GA
+// budget (population 2, 5 generations) with the given seed.
+func mul1Request(tb testing.TB, seed int64) []byte {
+	tb.Helper()
+	sys, err := bench.MulSystem(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var spec bytes.Buffer
+	if err := specio.Write(&spec, sys); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := json.Marshal(JobRequest{Spec: spec.String(), Seed: seed,
+		GA: GAParams{PopSize: 2, MaxGenerations: 5, Stagnation: 5}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
 // BenchmarkSubmit times one submission through the job API's handler, in
 // process on temporary directories, with no HTTP client or network: /hit
 // resubmits a request whose certified result is cached (parse, canonical
-// form and key, cache read, the rebound document and the job's two durable
+// form and key, cache read, the id splice and the job's two durable
 // files), /fresh submits a new seed and waits for its terminal commit
 // (admission, the attempt with its checkpoints, certification, result,
 // cache publish and manifests). Requests are mul1 at serve-mix's GA budget
@@ -26,22 +46,7 @@ import (
 //
 //	go test -run '^$' -bench BenchmarkSubmit -benchtime 400x ./internal/serve
 func BenchmarkSubmit(b *testing.B) {
-	sys, err := bench.MulSystem(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var spec bytes.Buffer
-	if err := specio.Write(&spec, sys); err != nil {
-		b.Fatal(err)
-	}
-	body := func(seed int64) []byte {
-		data, err := json.Marshal(JobRequest{Spec: spec.String(), Seed: seed,
-			GA: GAParams{PopSize: 2, MaxGenerations: 5, Stagnation: 5}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return data
-	}
+	body := func(seed int64) []byte { return mul1Request(b, seed) }
 	start := func(b *testing.B) (*Server, http.Handler) {
 		s, err := New(Config{Workers: 1, DataDir: b.TempDir(), CacheDir: b.TempDir(), CheckpointEvery: 5})
 		if err != nil {

@@ -37,10 +37,11 @@ echo "==> benchmark module (go vet, go test)"
 # Fuzz smoke: short native-fuzzing bursts over the untrusted-input readers
 # (spec files and checkpoints) and over the evaluator and voltage scaling,
 # whose fuzzers check fuzzed mappings bit for bit against the reference
-# inner loop and the reference scaler. The
+# inner loop and the reference scaler, and over the service's hand-written
+# result document and JSON string encoder against encoding/json. The
 # minimise time must be capped — the default 60s minimiser can dwarf the
 # fuzz time itself on the ~30KB seed corpus entries.
-echo "==> fuzz smoke (make fuzz-smoke: FuzzRead, FuzzReadReference, FuzzCanonical, FuzzWriteReference, FuzzCheckpoint, FuzzEvaluateDifferential, FuzzScaleDifferential)"
+echo "==> fuzz smoke (make fuzz-smoke: FuzzRead, FuzzReadReference, FuzzCanonical, FuzzWriteReference, FuzzCheckpoint, FuzzEvaluateDifferential, FuzzScaleDifferential, FuzzResultWriter, FuzzAppendJSONString)"
 make fuzz-smoke
 
 # Observability smoke: a traced synthesis and benchmark row, every JSONL
